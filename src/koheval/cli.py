@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from pathlib import Path
 
 from .dataset import (
@@ -40,7 +39,7 @@ from .synth import (
     generate,
     plant_object_counts,
     plant_screening_matrix,
-    read_cohort,
+    read_cohort_dims,
     write_cohort,
 )
 
@@ -75,31 +74,34 @@ def _is_cohort_dir(path: Path) -> bool:
         and (path / "gt").is_dir()
 
 
-def _load_inputs(args) -> tuple[Dataset, dict]:
-    """Resolve GT/prediction arguments into a dataset with predictions.
+def _read_ground_truth(args) -> tuple[Dataset, Path, Path | None]:
+    """Resolve the GT argument into (ground truth, GT path, cohort).
 
-    A single cohort directory (dims.json + gt/ + pred/) needs no further
-    flags; otherwise GT is a COCO .json file or a directory of label
-    files (which needs --dims), and PRED is a directory of prediction
-    files.
+    A cohort directory (dims.json + gt/ + pred/) needs no further flags;
+    otherwise GT is a COCO .json file or a directory of label files
+    (which needs --dims), and the cohort is None.
     """
     gt = Path(args.gt)
     if _is_cohort_dir(gt):
-        dataset = read_cohort(gt)
-        if args.pred is not None:
-            dataset = attach_predictions(
-                load_ground_truth(gt / "gt", dims=dataset.records[0].dims),
-                args.pred,
-            )
-            return dataset, {"ground_truth": gt / "gt",
-                             "predictions": Path(args.pred)}
-        return dataset, {"cohort": gt}
-    dataset = load_ground_truth(gt, dims=args.dims)
-    if args.pred is None:
+        dims = read_cohort_dims(gt)
+        return load_ground_truth(gt / "gt", dims=dims), gt / "gt", gt
+    return load_ground_truth(gt, dims=args.dims), gt, None
+
+
+def _load_inputs(args) -> tuple[Dataset, dict]:
+    """Resolve GT/prediction arguments into a dataset with predictions.
+
+    PRED is a directory of prediction files; it defaults to a cohort
+    directory's pred/.
+    """
+    dataset, gt, cohort = _read_ground_truth(args)
+    if args.pred is not None:
+        return (attach_predictions(dataset, args.pred),
+                {"ground_truth": gt, "predictions": Path(args.pred)})
+    if cohort is None:
         raise KohevalError("a prediction directory is required unless the "
                            "ground-truth path is a cohort directory")
-    dataset = attach_predictions(dataset, args.pred)
-    return dataset, {"ground_truth": gt, "predictions": Path(args.pred)}
+    return attach_predictions(dataset, cohort / "pred"), {"cohort": cohort}
 
 
 def _op(args) -> OperatingPoint:
@@ -116,11 +118,7 @@ def cmd_split(args) -> int:
         raise KohevalError(
             f"fractions must be three numbers summing to 1, got {args.fractions}"
         )
-    gt = Path(args.gt)
-    if _is_cohort_dir(gt):
-        dataset = read_cohort(gt)
-    else:
-        dataset = load_ground_truth(gt, dims=args.dims)
+    dataset, _, _ = _read_ground_truth(args)
     assignment = stratified_split(dataset, fractions=fractions, seed=args.seed)
     out = Path(args.out) if args.out else _output_dir() / "split.json"
     atomic_write_text(out, assignment.to_json())
@@ -130,15 +128,12 @@ def cmd_split(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    started = time.perf_counter()
     dataset, inputs = _load_inputs(args)
     op = _op(args)
     metrics = evaluate_detections(dataset.records, op=op,
                                   interpolation=args.interp)
-    report = build_report(
-        op=op, interpolation=args.interp, object_metrics=metrics,
-        inputs=inputs, timing_seconds=round(time.perf_counter() - started, 6),
-    )
+    report = build_report(op=op, interpolation=args.interp,
+                          object_metrics=metrics, inputs=inputs)
     sys.stdout.write(render(report, args.format))
     if args.out:
         atomic_write_text(args.out, render(report, "json"))
@@ -154,14 +149,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_screen(args) -> int:
-    started = time.perf_counter()
     dataset, inputs = _load_inputs(args)
     op = _op(args)
     screening = screen_dataset(dataset.records, op=op)
-    report = build_report(
-        op=op, screening=screening, inputs=inputs,
-        timing_seconds=round(time.perf_counter() - started, 6),
-    )
+    report = build_report(op=op, screening=screening, inputs=inputs)
     sys.stdout.write(render(report, args.format))
     if args.out:
         atomic_write_text(args.out, render(report, "json"))
@@ -294,10 +285,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except KohevalError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (KohevalError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

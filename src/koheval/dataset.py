@@ -185,11 +185,9 @@ def _normalize_line(box: Box, dims: ImageDims) -> str:
     return fields
 
 
-def format_gt_file(boxes: Sequence[Box], dims: ImageDims) -> str:
-    return "".join(_normalize_line(b, dims) + "\n" for b in boxes)
-
-
-def format_pred_file(boxes: Sequence[Box], dims: ImageDims) -> str:
+def format_label_file(boxes: Sequence[Box], dims: ImageDims) -> str:
+    """Write boxes as label-file lines; a box with a confidence (a
+    prediction) gets it as the sixth field."""
     return "".join(_normalize_line(b, dims) + "\n" for b in boxes)
 
 
@@ -410,9 +408,6 @@ class SplitAssignment:
         total = sum(len(p) for p in parts)
         if len(parts[0] | parts[1] | parts[2]) != total:
             raise SchemaError("split parts are not disjoint")
-
-    def all_ids(self) -> set[str]:
-        return set(self.train) | set(self.val) | set(self.test)
 
     def to_json(self) -> str:
         payload = {

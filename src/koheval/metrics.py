@@ -8,13 +8,16 @@ Each prediction claims the unmatched same-class ground-truth box with the
 highest IoU when that IoU clears the threshold (ties go to the lower
 ground-truth index); otherwise it is a false positive. Ground truth left
 unmatched is a false negative. Cross-class IoU is never consulted.
+
+One kernel, ``_match_scene``, runs this rule for an image at any number
+of IoU thresholds in a single pass; matching, PR curves, AP and the
+dataset-level metrics all read its result.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,66 +72,68 @@ class MatchReport:
     class_counts: Mapping[int, tuple[int, int, int]] = field(default_factory=dict)
 
 
-def _prediction_order(preds: Sequence[Box], kept: Sequence[int],
-                      best_iou: Sequence[float]) -> list[int]:
-    # Sort positions into `kept` by (-confidence, -best same-class IoU, input order).
-    return sorted(range(len(kept)),
-                  key=lambda j: (-preds[kept[j]].confidence, -best_iou[j], kept[j]))
+class _SceneMatch(NamedTuple):
+    ious: np.ndarray  # ground truth x predictions
+    order: list[int]  # greedy processing order of the predictions
+    matched: np.ndarray  # thresholds x predictions: ground-truth index or -1
 
 
-def _count_classes(gts: Sequence[Box], preds: Sequence[Box],
-                   tp_pairs, fp_indices, fn_indices) -> dict[int, tuple[int, int, int]]:
-    classes = sorted({b.class_id for b in gts} | {preds[i].class_id for i in
-                     itertools.chain((p for _, p, _ in tp_pairs), fp_indices)})
-    counts = {}
-    for c in classes:
-        tp = sum(1 for g, _, _ in tp_pairs if gts[g].class_id == c)
-        fp = sum(1 for i in fp_indices if preds[i].class_id == c)
-        fn = sum(1 for i in fn_indices if gts[i].class_id == c)
-        counts[c] = (tp, fp, fn)
-    return counts
+def _match_scene(gts: Sequence[Box], preds: Sequence[Box],
+                 thresholds: Sequence[float]) -> _SceneMatch:
+    """The greedy matcher: one image, every IoU threshold in one pass.
+
+    Confidence is the first sort key, so matching only the predictions a
+    confidence threshold admits equals cutting ``order`` at their number.
+    """
+    ious = iou_matrix(gts, preds)
+    gt_classes = np.array([g.class_id for g in gts], dtype=int)
+    pred_classes = np.array([p.class_id for p in preds], dtype=int)
+    candidate = np.where(gt_classes[:, None] == pred_classes[None, :], ious, -1.0)
+    best = candidate.max(axis=0, initial=0.0)
+    confidences = np.array([p.confidence for p in preds], dtype=float)
+    order = np.lexsort((-best, -confidences)).tolist()  # stable: ties keep input order
+
+    limits = np.asarray(thresholds, dtype=float)
+    rows = np.arange(len(limits))
+    matched = np.full((len(limits), len(preds)), -1)
+    available = np.ones((len(limits), len(gts)), dtype=bool)
+    for j in (order if len(gts) else ()):  # argmax needs ground truth
+        masked = np.where(available, candidate[:, j], -1.0)
+        g = masked.argmax(axis=1)
+        hit = masked[rows, g] >= limits
+        available[rows[hit], g[hit]] = False
+        matched[hit, j] = g[hit]
+    return _SceneMatch(ious, order, matched)
+
+
+def _report(gts: Sequence[Box], preds: Sequence[Box], columns: Sequence[int],
+            scene: _SceneMatch, admitted: int) -> MatchReport:
+    # Row 0 of ``scene`` read along the first ``admitted`` predictions of
+    # its order; ``columns`` maps kernel columns to indices into ``preds``.
+    order, matched = scene.order[:admitted], scene.matched[0]
+    tp_pairs = tuple((int(matched[j]), columns[j], float(scene.ious[matched[j], j]))
+                     for j in order if matched[j] >= 0)
+    fp_indices = sorted(columns[j] for j in order if matched[j] < 0)
+    taken = {g for g, _, _ in tp_pairs}
+    fn_indices = [g for g in range(len(gts)) if g not in taken]
+    classes = sorted({b.class_id for b in gts} | {preds[i].class_id for i in fp_indices})
+    counts = {c: (sum(gts[g].class_id == c for g, _, _ in tp_pairs),
+                  sum(preds[i].class_id == c for i in fp_indices),
+                  sum(gts[g].class_id == c for g in fn_indices)) for c in classes}
+    return MatchReport(tp_pairs=tp_pairs, fp_pred_indices=tuple(fp_indices),
+                       fn_gt_indices=tuple(fn_indices), class_counts=counts)
 
 
 def match_image(gts: Sequence[Box], preds: Sequence[Box],
                 op: OperatingPoint = OperatingPoint()) -> MatchReport:
     """Match one image's predictions to its ground truth.
 
-    Vectorized over an IoU matrix; bit-for-bit equivalent to the naive
-    reference matcher in :mod:`koheval.synth`.
+    Bit-for-bit equivalent to the naive reference matcher in
+    :mod:`koheval.synth`.
     """
     kept = [i for i, p in enumerate(preds) if op.admits(p.confidence)]
-    ious = iou_matrix(gts, [preds[i] for i in kept])
-    same_class = np.array(
-        [[g.class_id == preds[i].class_id for i in kept] for g in gts]
-    ).reshape(len(gts), len(kept))
-    candidate = np.where(same_class, ious, -1.0)
-
-    best_static = candidate.max(axis=0, initial=0.0)
-    best_static = np.maximum(best_static, 0.0)
-
-    available = np.ones(len(gts), dtype=bool)
-    tp_pairs: list[tuple[int, int, float]] = []
-    fp_indices: list[int] = []
-    for j in _prediction_order(preds, kept, best_static):
-        column = np.where(available, candidate[:, j], -1.0)
-        if column.size:
-            g = int(np.argmax(column))
-            value = column[g]
-        else:
-            value = -1.0
-        if value >= op.iou_threshold:
-            available[g] = False
-            tp_pairs.append((g, kept[j], float(ious[g, j])))
-        else:
-            fp_indices.append(kept[j])
-    fn_indices = [g for g in range(len(gts)) if available[g]]
-    fp_indices.sort()
-    return MatchReport(
-        tp_pairs=tuple(tp_pairs),
-        fp_pred_indices=tuple(fp_indices),
-        fn_gt_indices=tuple(fn_indices),
-        class_counts=_count_classes(gts, preds, tp_pairs, fp_indices, fn_indices),
-    )
+    scene = _match_scene(gts, [preds[i] for i in kept], (op.iou_threshold,))
+    return _report(gts, preds, kept, scene, len(kept))
 
 
 def counts_to_prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -156,56 +161,49 @@ class PRCurve:
             raise SchemaError("recall must be non-decreasing as confidence drops")
 
 
+def _pooled_curves(scenes: Sequence[ScenePair], hits: Sequence[np.ndarray],
+                   class_id: int) -> Iterator[PRCurve]:
+    # Yields one curve per threshold row of ``hits`` (a thresholds x
+    # predictions array of match flags per scene), lazily, as each curve
+    # holds a point per distinct confidence. Predictions are pooled in
+    # descending confidence; their order among equal confidences does not
+    # matter, as a curve keeps only the state after the last of them.
+    total_gt = sum(1 for gts, _ in scenes for b in gts if b.class_id == class_id)
+    if total_gt == 0:
+        raise UndefinedMetricError(
+            f"no ground truth of class {class_id}: recall undefined"
+        )
+    confidences, pooled = [], []
+    for (_, preds), scene_hits in zip(scenes, hits):
+        columns = [j for j, p in enumerate(preds) if p.class_id == class_id]
+        confidences.extend(preds[j].confidence for j in columns)
+        pooled.append(scene_hits[:, columns])
+    confidences = np.array(confidences, dtype=float)
+    order = np.argsort(-confidences, kind="stable")
+    confidences = confidences[order]
+    tp = np.cumsum(np.concatenate(pooled, axis=1)[:, order], axis=1)
+    swept = np.arange(1, len(order) + 1)
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = confidences[1:] != confidences[:-1]
+    for row in tp:
+        yield PRCurve(points=tuple(zip(confidences[last].tolist(),
+                                       (row / swept)[last].tolist(),
+                                       (row / total_gt)[last].tolist())),
+                      total_gt=total_gt)
+
+
 def pr_curve(scenes: Sequence[ScenePair], class_id: int,
              iou_threshold: float = 0.50) -> PRCurve:
     """Pooled precision-recall curve for one class across images.
 
     Predictions are pooled over all scenes and swept in descending
-    confidence, applying the greedy match rule incrementally within each
-    prediction's own image. Callers wanting order-independent output
-    should pass scenes sorted by image id.
+    confidence, applying the greedy match rule within each prediction's
+    own image. Callers wanting order-independent output should pass
+    scenes sorted by image id.
     """
-    gt_lists = [[b for b in gts if b.class_id == class_id] for gts, _ in scenes]
-    total_gt = sum(len(g) for g in gt_lists)
-    if total_gt == 0:
-        raise UndefinedMetricError(
-            f"no ground truth of class {class_id}: recall undefined"
-        )
-
-    pooled = []  # (sort key..., image index, iou column)
-    matrices = []
-    for img_rank, (gts, preds) in enumerate(scenes):
-        class_preds = [(i, p) for i, p in enumerate(preds)
-                       if p.class_id == class_id]
-        matrix = iou_matrix(gt_lists[img_rank], [p for _, p in class_preds])
-        matrices.append(matrix)
-        for col, (pred_index, pred) in enumerate(class_preds):
-            best = float(matrix[:, col].max(initial=0.0))
-            pooled.append((-pred.confidence, -best, img_rank, pred_index, col))
-    pooled.sort()
-
-    available = [np.ones(len(g), dtype=bool) for g in gt_lists]
-    points: list[tuple[float, float, float]] = []
-    tp = fp = 0
-    for neg_conf, _, img_rank, _, col in pooled:
-        column = matrices[img_rank][:, col]
-        masked = np.where(available[img_rank], column, -1.0)
-        if masked.size:
-            g = int(np.argmax(masked))
-            value = masked[g]
-        else:
-            value = -1.0
-        if value >= iou_threshold:
-            available[img_rank][g] = False
-            tp += 1
-        else:
-            fp += 1
-        points.append((-neg_conf, tp / (tp + fp), tp / total_gt))
-
-    # Collapse to the last cumulative state per distinct confidence.
-    collapsed = [list(group)[-1] for _, group in
-                 itertools.groupby(points, key=lambda p: p[0])]
-    return PRCurve(points=tuple(collapsed), total_gt=total_gt)
+    hits = [_match_scene(gts, preds, (iou_threshold,)).matched >= 0
+            for gts, preds in scenes]
+    return next(_pooled_curves(scenes, hits, class_id))
 
 
 def _envelope(curve: PRCurve) -> tuple[np.ndarray, np.ndarray]:
@@ -242,8 +240,13 @@ def average_precision(curve: PRCurve, interpolation: str = "101") -> float:
 def ap_sweep(scenes: Sequence[ScenePair], class_id: int,
              interpolation: str = "101") -> tuple[float, float]:
     """AP at IoU 0.50 and the mean over thresholds 0.50:0.05:0.95."""
-    values = [average_precision(pr_curve(scenes, class_id, t), interpolation)
-              for t in AP_IOU_THRESHOLDS]
+    hits = [_match_scene(gts, preds, AP_IOU_THRESHOLDS).matched >= 0
+            for gts, preds in scenes]
+    return _ap_pair(_pooled_curves(scenes, hits, class_id), interpolation)
+
+
+def _ap_pair(curves: Iterable[PRCurve], interpolation: str) -> tuple[float, float]:
+    values = [average_precision(curve, interpolation) for curve in curves]
     return values[0], sum(values) / len(values)
 
 
@@ -316,20 +319,24 @@ def evaluate_detections(records, op: OperatingPoint = OperatingPoint(),
     """
     ordered = sorted(records, key=lambda r: r.image_id)
     scenes = [(r.ground_truth, r.predictions) for r in ordered]
-    reports = [match_image(gts, preds, op) for gts, preds in scenes]
+    # Row 0 is the operating point, read at the admitted prefix of the
+    # greedy order; the other rows are the AP thresholds.
+    reports, hits = [], []
+    for gts, preds in scenes:
+        scene = _match_scene(gts, preds, (op.iou_threshold, *AP_IOU_THRESHOLDS))
+        reports.append(_report(gts, preds, range(len(preds)), scene,
+                               sum(1 for p in preds if op.admits(p.confidence))))
+        hits.append(scene.matched[1:] >= 0)
 
     per_class: dict[int, ClassMetrics] = {}
     for c in class_ids:
-        tp = fp = fn = 0
-        matched: list[float] = []
-        for (gts, _), report in zip(scenes, reports):
-            c_tp, c_fp, c_fn = report.class_counts.get(c, (0, 0, 0))
-            tp, fp, fn = tp + c_tp, fp + c_fp, fn + c_fn
-            matched.extend(v for g, _, v in report.tp_pairs
-                           if gts[g].class_id == c)
+        tp, fp, fn = (sum(r.class_counts.get(c, (0, 0, 0))[k] for r in reports)
+                      for k in range(3))
+        matched = [v for (gts, _), r in zip(scenes, reports)
+                   for g, _, v in r.tp_pairs if gts[g].class_id == c]
         precision, recall, f1 = counts_to_prf(tp, fp, fn)
         if tp + fn > 0:
-            ap50, ap50_95 = ap_sweep(scenes, c, interpolation)
+            ap50, ap50_95 = _ap_pair(_pooled_curves(scenes, hits, c), interpolation)
         else:
             ap50 = ap50_95 = None
         mean_iou = sum(matched) / len(matched) if matched else None

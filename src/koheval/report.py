@@ -72,8 +72,7 @@ def build_report(*, op: OperatingPoint, interpolation: str = "101",
                  object_metrics: ObjectMetrics | None = None,
                  screening: ScreeningReport | None = None,
                  manifest: TrainManifest | None = None,
-                 inputs: Mapping[str, Path | str] | None = None,
-                 timing_seconds: float | None = None) -> dict:
+                 inputs: Mapping[str, Path | str] | None = None) -> dict:
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "koheval", "version": TOOL_VERSION},
@@ -106,8 +105,6 @@ def build_report(*, op: OperatingPoint, interpolation: str = "101",
         }
     if manifest is not None:
         report["manifest"] = asdict(manifest)
-    if timing_seconds is not None:
-        report["timing"] = {"seconds": timing_seconds}
     return report
 
 
@@ -180,18 +177,10 @@ def render_table(report: dict) -> str:
                   "ap50%", "ap50:95%", "miou"]
         rows = [header]
         block = report["object_metrics"]
-        for name, m in sorted(block["per_class"].items()):
-            rows.append([name, _fmt(m["tp"]), _fmt(m["fp"]), _fmt(m["fn"]),
-                         _fmt(m["precision"]), _fmt(m["recall"]),
-                         _fmt(m["f1"]), _fmt(m["ap50"], percent=True),
-                         _fmt(m["ap50_95"], percent=True),
-                         _fmt(m["mean_iou"])])
-        macro = block["macro"]
-        rows.append(["macro", "-", "-", "-",
-                     _fmt(macro["precision"]), _fmt(macro["recall"]),
-                     _fmt(macro["f1"]), _fmt(macro["ap50"], percent=True),
-                     _fmt(macro["ap50_95"], percent=True),
-                     _fmt(macro["mean_iou"])])
+        # The macro row has no counts; its missing cells render as "-".
+        for name, m in [*sorted(block["per_class"].items()), ("macro", block["macro"])]:
+            rows.append([name] + [_fmt(m.get(field), percent=field.startswith("ap"))
+                                  for field in _CLASS_FIELDS])
         lines.extend(_aligned(rows))
 
     if "screening" in report:

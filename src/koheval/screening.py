@@ -8,6 +8,7 @@ never contribute; they exist to absorb mimics at training time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -148,13 +149,16 @@ def screen_dataset(records, op: OperatingPoint = OperatingPoint(),
     for record in sorted(records, key=lambda r: r.image_id):
         override = None if gt_labels is None else gt_labels.get(record.image_id)
         diagnoses.append(classify_image(record, op, gt_positive=override))
-    tp = sum(1 for d in diagnoses if d.gt_positive and d.positive)
-    fn = sum(1 for d in diagnoses if d.gt_positive and not d.positive)
-    fp = sum(1 for d in diagnoses if not d.gt_positive and d.positive)
-    tn = sum(1 for d in diagnoses if not d.gt_positive and not d.positive)
-    return ScreeningReport(op=op,
-                           matrix=ConfusionMatrix(tp=tp, fn=fn, fp=fp, tn=tn),
-                           diagnoses=tuple(diagnoses))
+    return ScreeningReport(
+        op=op, diagnoses=tuple(diagnoses),
+        matrix=_confusion([(d.gt_positive, d.positive) for d in diagnoses]))
+
+
+def _confusion(calls: Sequence[tuple[bool, bool]]) -> ConfusionMatrix:
+    # One (reference label, call) pair per image; labels count by truth value.
+    counts = Counter((bool(label), bool(call)) for label, call in calls)
+    return ConfusionMatrix(tp=counts[True, True], fn=counts[True, False],
+                           fp=counts[False, True], tn=counts[False, False])
 
 
 def threshold_sweep(records, thresholds: Sequence[float],
@@ -166,8 +170,12 @@ def threshold_sweep(records, thresholds: Sequence[float],
     Raising the threshold can only retract positive calls, so sensitivity
     is non-increasing and specificity non-decreasing along the sweep.
     """
-    out = []
-    for t in sorted(thresholds):
-        op = OperatingPoint(conf_threshold=t, iou_threshold=iou_threshold)
-        out.append((t, screen_dataset(records, op, gt_labels).matrix))
-    return out
+    ops = [OperatingPoint(conf_threshold=t, iou_threshold=iou_threshold)
+           for t in sorted(thresholds)]
+    # Each image is classified once; only its top fungal confidence and
+    # reference label matter at the other thresholds.
+    diagnoses = screen_dataset(records, ops[0], gt_labels).diagnoses if ops else ()
+    return [(op.conf_threshold, _confusion(
+        [(d.gt_positive, d.max_fungal_confidence is not None
+          and op.flags_positive(d.max_fungal_confidence)) for d in diagnoses]))
+        for op in ops]

@@ -25,8 +25,7 @@ from .dataset import (
     ImageRecord,
     atomic_write_text,
     attach_predictions,
-    format_gt_file,
-    format_pred_file,
+    format_label_file,
     load_ground_truth,
 )
 from .errors import GenerationError, SchemaError
@@ -646,23 +645,33 @@ def write_cohort(dataset: Dataset, out_dir: Path | str,
         {"width": frame.width, "height": frame.height}, sort_keys=True) + "\n")
     for rec in dataset:
         atomic_write_text(out / "gt" / f"{rec.image_id}.txt",
-                          format_gt_file(rec.ground_truth, rec.dims))
+                          format_label_file(rec.ground_truth, rec.dims))
         atomic_write_text(out / "pred" / f"{rec.image_id}.txt",
-                          format_pred_file(rec.predictions, rec.dims))
+                          format_label_file(rec.predictions, rec.dims))
     if truth is not None:
         atomic_write_text(out / "truth.json", truth.to_json())
     return out
 
 
+def read_cohort_dims(path: Path | str) -> ImageDims:
+    """The frame size a cohort directory's dims.json records."""
+    dims_file = Path(path) / "dims.json"
+    if not dims_file.is_file():
+        raise SchemaError(f"{path}: not a cohort directory (no dims.json)")
+    try:
+        doc = json.loads(dims_file.read_text())
+    except ValueError as exc:
+        raise SchemaError(f"{dims_file}: not valid JSON: {exc}") from None
+    sides = [doc.get(k) if isinstance(doc, dict) else None for k in ("width", "height")]
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in sides):
+        raise SchemaError(f"{dims_file}: width and height must be integers")
+    return ImageDims(*sides)
+
+
 def read_cohort(path: Path | str) -> Dataset:
     """Read a cohort directory written by :func:`write_cohort`."""
     root = Path(path)
-    dims_file = root / "dims.json"
-    if not dims_file.is_file():
-        raise SchemaError(f"{root}: not a cohort directory (no dims.json)")
-    doc = json.loads(dims_file.read_text())
-    frame = ImageDims(width=doc["width"], height=doc["height"])
-    dataset = load_ground_truth(root / "gt", dims=frame)
+    dataset = load_ground_truth(root / "gt", dims=read_cohort_dims(root))
     return attach_predictions(dataset, root / "pred")
 
 

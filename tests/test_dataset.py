@@ -8,8 +8,7 @@ from koheval.dataset import (
     SplitAssignment,
     attach_predictions,
     format_coco_json,
-    format_gt_file,
-    format_pred_file,
+    format_label_file,
     largest_remainder_sizes,
     load_ground_truth,
     parse_coco_json,
@@ -91,13 +90,13 @@ class TestLineFormat:
             Box(100.0, 200.0, 400.0, 280.0, FUNGAL),
             Box(1000.5, 1500.25, 1400.0, 1900.0, ARTEFACT),
         ]
-        text = format_gt_file(boxes, DIMS)
+        text = format_label_file(boxes, DIMS)
         back = parse_gt_file(text, DIMS)
-        assert format_gt_file(back, DIMS) == text
+        assert format_label_file(back, DIMS) == text
 
     def test_format_pred_appends_confidence(self):
-        text = format_pred_file([Box(0.0, 0.0, 1024.0, 1024.0, FUNGAL, 0.5)],
-                                DIMS)
+        text = format_label_file([Box(0.0, 0.0, 1024.0, 1024.0, FUNGAL, 0.5)],
+                                 DIMS)
         assert text == "0 0.250000 0.250000 0.500000 0.500000 0.500000\n"
 
 

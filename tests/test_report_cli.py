@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import koheval
+import koheval.dataset
 from koheval.cli import main
 from koheval.errors import SchemaError
 from koheval.manifest import REFERENCE_PROTOCOL
@@ -241,3 +248,53 @@ class TestCli:
         fungal = report["object_metrics"]["per_class"]["fungal"]
         assert fungal["tp"] == 0
         assert fungal["recall"] == 0.0
+
+    def test_evaluate_reruns_write_identical_reports(self, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        main(["synth", "--images", "12", "--seed", "5", "--out", str(cohort)])
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["evaluate", str(cohort), "--out", str(first)]) == 0
+        assert main(["evaluate", str(cohort), "--out", str(second)]) == 0
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_explicit_prediction_dir_parses_each_file_once(self, tmp_path,
+                                                          capsys, monkeypatch):
+        cohort = tmp_path / "cohort"
+        main(["synth", "--images", "20", "--out", str(cohort)])
+        parsed = Counter()
+        for name in ("parse_gt_file", "parse_pred_file"):
+            original = getattr(koheval.dataset, name)
+
+            def counting(*args, _name=name, _original=original):
+                parsed[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(koheval.dataset, name, counting)
+        capsys.readouterr()
+        assert main(["evaluate", str(cohort), str(cohort / "pred"),
+                     "--format", "json"]) == 0
+        assert parsed == {"parse_gt_file": 20, "parse_pred_file": 20}
+        inputs = parse_report(capsys.readouterr().out)["inputs"]
+        assert inputs == {
+            "ground_truth": {"path": str(cohort / "gt"),
+                             "sha256": sha256_path(cohort / "gt")},
+            "predictions": {"path": str(cohort / "pred"),
+                            "sha256": sha256_path(cohort / "pred")},
+        }
+
+    @pytest.mark.parametrize("dims", ['{"width": 2048}',
+                                      '{"width": 2048, "height": "2048"}',
+                                      '{"width": 2048, "height": 20.5}',
+                                      '[2048, 2048]', '{"width":'])
+    def test_bad_dims_json_exits_2_without_traceback(self, tmp_path, dims):
+        cohort = tmp_path / "cohort"
+        main(["synth", "--images", "2", "--out", str(cohort)])
+        (cohort / "dims.json").write_text(dims)
+        src = Path(koheval.__file__).parent.parent
+        result = subprocess.run(
+            [sys.executable, "-m", "koheval.cli", "evaluate", str(cohort)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ") \
+            and result.stderr.count("\n") == 1

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from koheval.errors import GenerationError, SchemaError
+from koheval.dataset import ImageRecord
+from koheval.errors import GenerationError, SchemaError, UndefinedMetricError
 from koheval.geometry import ARTEFACT, FUNGAL, Box, ImageDims, iou
 from koheval.metrics import (
+    AP_IOU_THRESHOLDS,
     OperatingPoint,
+    PRCurve,
+    ap_sweep,
     average_precision,
     evaluate_detections,
     match_image,
@@ -262,3 +268,71 @@ class TestReferenceAp:
             for mode in ("101", "all"):
                 assert abs(average_precision(curve, mode)
                            - reference_ap(curve, mode)) <= 1e-12
+
+
+# Boxes on a coarse grid, so IoUs tie and overlap often; confidences from
+# {0.1, ..., 1.0}, so they tie and an operating point admits them all.
+_grid_boxes = st.lists(st.tuples(st.sampled_from((FUNGAL, ARTEFACT)),
+                                 st.integers(0, 6), st.integers(0, 6),
+                                 st.integers(1, 4), st.integers(1, 4),
+                                 st.integers(1, 10)), max_size=6)
+_cohorts = st.lists(st.tuples(_grid_boxes, _grid_boxes), min_size=1, max_size=5)
+
+
+def _oracle_ap(records, class_id, interpolation):
+    """AP50 and AP50:95 from reference_match at every AP threshold, pooled
+    by (-confidence, -best IoU, image rank, index), scored by reference_ap."""
+    total_gt = sum(1 for r in records for g in r.ground_truth if g.class_id == class_id)
+    values = []
+    for threshold in AP_IOU_THRESHOLDS:
+        op = OperatingPoint(conf_threshold=0.05, iou_threshold=threshold)
+        pooled = []
+        for rank, r in enumerate(records):
+            hits = {i for _, i, _ in
+                    reference_match(r.ground_truth, r.predictions, op).tp_pairs}
+            for i, p in enumerate(r.predictions):
+                if p.class_id == class_id:
+                    best = max((iou(g, p) for g in r.ground_truth
+                                if g.class_id == class_id), default=0.0)
+                    pooled.append((-p.confidence, -best, rank, i, i in hits))
+        points, tp = [], 0
+        for n, (neg_conf, _, _, _, hit) in enumerate(sorted(pooled), 1):
+            tp += hit
+            if points and points[-1][0] == -neg_conf:
+                points.pop()
+            points.append((-neg_conf, tp / n, tp / total_gt))
+        curve = PRCurve(points=tuple(points), total_gt=total_gt)
+        values.append(reference_ap(curve, interpolation))
+    return values[0], sum(values) / len(values)
+
+
+class TestPooledApOracle:
+    @settings(derandomize=True, deadline=None)
+    @given(_cohorts, st.sampled_from(("101", "all")))
+    def test_pooled_ap_and_counts_match_the_references(self, cohort, interpolation):
+        records = [ImageRecord(
+            f"img-{k}", ImageDims(80, 80),
+            [Box(x * 8.0, y * 8.0, (x + w) * 8.0, (y + h) * 8.0, c)
+             for c, x, y, w, h, _ in gts],
+            [Box(x * 8.0, y * 8.0, (x + w) * 8.0, (y + h) * 8.0, c, conf / 10)
+             for c, x, y, w, h, conf in preds])
+            for k, (gts, preds) in enumerate(cohort)]
+        scenes = [(r.ground_truth, r.predictions) for r in records]
+        op = OperatingPoint(conf_threshold=0.05, iou_threshold=0.30)
+        metrics = evaluate_detections(records, op, interpolation)
+        reports = [reference_match(g, p, op) for g, p in scenes]
+        for class_id in (FUNGAL, ARTEFACT):
+            got = metrics.per_class[class_id]
+            counts = [rep.class_counts.get(class_id, (0, 0, 0)) for rep in reports]
+            assert (got.tp, got.fp, got.fn) == tuple(sum(n[k] for n in counts)
+                                                     for k in range(3))
+            if not any(g.class_id == class_id for r in records for g in r.ground_truth):
+                assert got.ap50 is None and got.ap50_95 is None
+                with pytest.raises(UndefinedMetricError):
+                    ap_sweep(scenes, class_id, interpolation)
+                continue
+            want50, want50_95 = _oracle_ap(records, class_id, interpolation)
+            for ap50, ap50_95 in (ap_sweep(scenes, class_id, interpolation),
+                                  (got.ap50, got.ap50_95)):
+                assert abs(ap50 - want50) <= 1e-12
+                assert abs(ap50_95 - want50_95) <= 1e-12
