@@ -19,10 +19,11 @@ from .dataset import (
     atomic_write_text,
     attach_predictions,
     load_ground_truth,
+    read_text,
     split_table,
     stratified_split,
 )
-from .errors import KohevalError
+from .errors import KohevalError, SchemaError
 from .geometry import CLASS_NAMES, ImageDims
 from .manifest import (
     REFERENCE_PROTOCOL,
@@ -77,9 +78,10 @@ def _is_cohort_dir(path: Path) -> bool:
 def _read_ground_truth(args) -> tuple[Dataset, Path, Path | None]:
     """Resolve the GT argument into (ground truth, GT path, cohort).
 
-    A cohort directory (dims.json + gt/ + pred/) needs no further flags;
-    otherwise GT is a COCO .json file or a directory of label files
-    (which needs --dims), and the cohort is None.
+    A cohort directory (dims.json + gt/, and pred/ unless it has no
+    detections) needs no further flags; otherwise GT is a COCO .json file
+    or a directory of label files (which needs --dims), and the cohort is
+    None.
     """
     gt = Path(args.gt)
     if _is_cohort_dir(gt):
@@ -92,7 +94,7 @@ def _load_inputs(args) -> tuple[Dataset, dict]:
     """Resolve GT/prediction arguments into a dataset with predictions.
 
     PRED is a directory of prediction files; it defaults to a cohort
-    directory's pred/.
+    directory's pred/, and a cohort without pred/ has no detections.
     """
     dataset, gt, cohort = _read_ground_truth(args)
     if args.pred is not None:
@@ -101,7 +103,9 @@ def _load_inputs(args) -> tuple[Dataset, dict]:
     if cohort is None:
         raise KohevalError("a prediction directory is required unless the "
                            "ground-truth path is a cohort directory")
-    return attach_predictions(dataset, cohort / "pred"), {"cohort": cohort}
+    if (cohort / "pred").is_dir():
+        dataset = attach_predictions(dataset, cohort / "pred")
+    return dataset, {"cohort": cohort}
 
 
 def _op(args) -> OperatingPoint:
@@ -188,7 +192,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_validate_manifest(args) -> int:
-    manifest = TrainManifest.from_json(Path(args.manifest).read_text())
+    manifest = TrainManifest.from_json(read_text(args.manifest, SchemaError))
     verdicts = validate_manifest(manifest, REFERENCE_PROTOCOL)
     sys.stdout.write(verdict_table(verdicts))
     if not manifest_conforms(verdicts):
@@ -197,7 +201,7 @@ def cmd_validate_manifest(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = parse_report(Path(args.report).read_text())
+    report = parse_report(read_text(args.report, SchemaError))
     sys.stdout.write(render(report, args.format))
     return 0
 

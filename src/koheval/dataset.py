@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     ClassError,
+    KohevalError,
     OutOfFrameError,
     ParseError,
     RangeError,
@@ -317,13 +318,27 @@ def format_coco_json(dataset: Dataset) -> str:
 # Loading datasets from disk
 
 
+def read_text(path: Path | str,
+              error: type[KohevalError] = ParseError) -> str:
+    """A file's contents decoded as UTF-8; bytes that do not decode raise
+    ``error`` naming the file. Line endings are kept: every reader here
+    splits lines or parses JSON, and both accept CRLF."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                    f"{exc.start})") from None
+
+
 def atomic_write_text(path: Path | str, text: str) -> None:
     """Write a file atomically (temp file + rename in the same directory)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -341,7 +356,7 @@ def load_ground_truth(path: Path | str,
     """
     path = Path(path)
     if path.is_file():
-        return parse_coco_json(path.read_text())
+        return parse_coco_json(read_text(path, SchemaError))
     if path.is_dir():
         if dims is None:
             raise SchemaError(
@@ -349,8 +364,9 @@ def load_ground_truth(path: Path | str,
             )
         records = []
         for txt in sorted(path.glob("*.txt")):
+            text = read_text(txt)
             try:
-                boxes = parse_gt_file(txt.read_text(), dims)
+                boxes = parse_gt_file(text, dims)
             except ParseError as exc:
                 raise type(exc)(f"{txt}: {exc}") from None
             records.append(ImageRecord(txt.stem, dims, boxes))
@@ -379,8 +395,9 @@ def attach_predictions(dataset: Dataset, pred_dir: Path | str) -> Dataset:
     for rec in dataset.records:
         pred_file = pred_dir / f"{rec.image_id}.txt"
         if pred_file.exists():
+            text = read_text(pred_file)
             try:
-                preds = parse_pred_file(pred_file.read_text(), rec.dims)
+                preds = parse_pred_file(text, rec.dims)
             except ParseError as exc:
                 raise type(exc)(f"{pred_file}: {exc}") from None
         else:

@@ -124,7 +124,49 @@ def parse_report(text: str) -> dict:
             f"unsupported schema_version {report.get('schema_version')!r}; "
             f"expected {SCHEMA_VERSION!r}"
         )
+    _check_blocks(report)
     return report
+
+
+def _object(block, where: str) -> dict:
+    if not isinstance(block, dict):
+        raise SchemaError(f"report: {where} must be an object")
+    return block
+
+
+def _numbers(block, keys, where: str) -> None:
+    """``block`` must be an object whose ``keys`` (all of its keys when
+    None) hold numbers or null, which is what the renderers format."""
+    block = _object(block, where)
+    for key in keys or block:
+        if not isinstance(block.get(key, ""), (int, float, type(None))):
+            raise SchemaError(f"report: {where}.{key} must be a number or null")
+
+
+def _check_blocks(report: dict) -> None:
+    """Require every block the renderers read to have the shape they read."""
+    _numbers(report.get("operating_point", {}), None, "operating_point")
+    if not isinstance(report.get("interpolation", ""), str):
+        raise SchemaError("report: interpolation must be a string")
+    inputs = _object(report.get("inputs", {}), "inputs")
+    if not all(isinstance(e, dict) and "path" in e and isinstance(e.get("sha256"), str)
+               for e in inputs.values()):
+        raise SchemaError("report: each input must be a {path, sha256} object")
+    if "object_metrics" in report:
+        block = _object(report["object_metrics"], "object_metrics")
+        per_class = _object(block.get("per_class"), "object_metrics.per_class")
+        for name, metrics in per_class.items():
+            _numbers(metrics, _CLASS_FIELDS, f"object_metrics.per_class.{name}")
+        _numbers(block.get("macro"), None, "object_metrics.macro")
+    if "screening" in report:
+        block = _object(report["screening"], "screening")
+        _numbers(block.get("matrix"), ("tp", "fn", "fp", "tn"), "screening.matrix")
+        _numbers(block.get("rates"), _RATE_NAMES, "screening.rates")
+        missed = block.get("false_negative_ids", [])
+        if not (isinstance(missed, list) and all(isinstance(i, str) for i in missed)):
+            raise SchemaError("report: screening.false_negative_ids must be a "
+                              "list of strings")
+    _object(report.get("manifest", {}), "manifest")
 
 
 # ---------------------------------------------------------------------------

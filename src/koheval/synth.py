@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -25,8 +26,10 @@ from .dataset import (
     ImageRecord,
     atomic_write_text,
     attach_predictions,
+    _require,
     format_label_file,
     load_ground_truth,
+    read_text,
 )
 from .errors import GenerationError, SchemaError
 from .geometry import ARTEFACT, FUNGAL, Box, ImageDims, iou
@@ -229,16 +232,25 @@ class SynthTruth:
             raise SchemaError(f"truth file is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("schema") != "koheval-synth-truth/1":
             raise SchemaError("not a koheval-synth-truth/1 document")
+        entries = doc.get("images", [])
+        if not isinstance(entries, list):
+            raise SchemaError("truth file: 'images' must be a list")
         images = []
-        for entry in doc.get("images", []):
+        for entry in entries:
+            plants = _require(entry, "planted", "truth image")
+            if not isinstance(plants, list):
+                raise SchemaError("truth image: 'planted' must be a list")
             planted = tuple(
-                PlantedBox(role=p["role"], class_id=p["class_id"],
-                           gt_index=p["gt_index"], pred_index=p["pred_index"],
-                           target_iou=p["target_iou"],
-                           achieved_iou=p["achieved_iou"])
-                for p in entry["planted"]
+                PlantedBox(role=_require(p, "role", "planted box"),
+                           class_id=_require(p, "class_id", "planted box"),
+                           gt_index=p.get("gt_index"),
+                           pred_index=p.get("pred_index"),
+                           target_iou=p.get("target_iou"),
+                           achieved_iou=p.get("achieved_iou"))
+                for p in plants
             )
-            images.append(ImageTruth(image_id=entry["image_id"], planted=planted))
+            images.append(ImageTruth(image_id=_require(entry, "image_id", "truth image"),
+                                     planted=planted))
         return cls(seed=doc.get("seed", 0), images=tuple(images))
 
 
@@ -294,50 +306,86 @@ def _place_center(rng: np.random.Generator, frame: ImageDims, taken: list,
     )
 
 
-def _perturb_to_iou(rng: np.random.Generator, frame: ImageDims, gt: Box,
-                    target: float, confidence: float, image_id: str) -> Box:
-    """Jitter a copy of ``gt`` until its IoU with ``gt`` hits ``target``.
+# A planted prediction awaiting its offset: ``gt`` resized to w x h and
+# moved t along the unit ray (dx, dy), with t solved for IoU ``target``.
+_Perturbation = namedtuple("_Perturbation",
+                           "gt w h dx dy target confidence image_id")
+
+
+def _perturb_to_iou(rng: np.random.Generator, gt: Box, target: float,
+                    confidence: float, image_id: str) -> _Perturbation:
+    """Draw the jitter that takes a copy of ``gt`` to IoU ``target``.
 
     A random scale inside (sqrt(t), 1/sqrt(t)) guarantees the zero-offset
     IoU exceeds the target; IoU then falls monotonically along any
-    translation ray, so bisection on the offset converges.
+    translation ray, so bisection on the offset converges. The offsets of
+    a whole cohort are solved together by :func:`_solve_offsets`.
     """
     s_lo, s_hi = math.sqrt(target), 1.0 / math.sqrt(target)
     margin = 0.02 * (s_hi - s_lo)
     scale = rng.uniform(s_lo + margin, s_hi - margin)
     angle = rng.uniform(0.0, 2.0 * math.pi)
-    dx, dy = math.cos(angle), math.sin(angle)
+    return _Perturbation(gt, gt.width * scale, gt.height * scale,
+                         math.cos(angle), math.sin(angle), target,
+                         confidence, image_id)
 
-    w, h = gt.width * scale, gt.height * scale
-    cx0, cy0 = gt.center
 
-    def iou_at(t: float) -> float:
+def _solve_offsets(frame: ImageDims, pending: Sequence[_Perturbation]
+                   ) -> list[tuple[Box, float]]:
+    """Bracket (up to 60 doublings from gt width + height), then bisect
+    (80 steps) every pending offset at once; return each snapped
+    prediction and its achieved IoU, in ``pending`` order.
+
+    The arrays repeat :func:`koheval.geometry.iou`'s operations in order,
+    and float64 + - * / min max round as Python floats do, so each offset
+    is bit for bit the one a scalar loop over the element finds.
+    """
+    if not pending:
+        return []
+    gx0, gy0, gx1, gy1, w, h, dx, dy, target = np.array(
+        [(p.gt.x_min, p.gt.y_min, p.gt.x_max, p.gt.y_max,
+          p.w, p.h, p.dx, p.dy, p.target) for p in pending]).T
+    cx0, cy0 = (gx0 + gx1) / 2.0, (gy0 + gy1) / 2.0
+    gt_area = (gx1 - gx0) * (gy1 - gy0)
+
+    def iou_at(t: np.ndarray) -> np.ndarray:
         cx, cy = cx0 + t * dx, cy0 + t * dy
-        return iou(gt, Box(cx - w / 2.0, cy - h / 2.0,
-                           cx + w / 2.0, cy + h / 2.0, gt.class_id))
+        x0, y0, x1, y1 = cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
+        for k in np.flatnonzero(~((x1 > x0) & (y1 > y0)))[:1]:
+            Box(x0[k], y0[k], x1[k], y1[k], FUNGAL)  # raises InvalidBoxError
+        iw = np.minimum(gx1, x1) - np.maximum(gx0, x0)
+        ih = np.minimum(gy1, y1) - np.maximum(gy0, y0)
+        inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+        return inter / (gt_area + (x1 - x0) * (y1 - y0) - inter)
 
-    t_hi = gt.width + gt.height
+    t_hi = (gx1 - gx0) + (gy1 - gy0)
+    unbracketed = np.ones(len(pending), dtype=bool)
     for _ in range(60):
-        if iou_at(t_hi) < target:
+        unbracketed &= iou_at(t_hi) >= target
+        if not unbracketed.any():
             break
-        t_hi *= 2.0
-    else:
-        raise GenerationError(f"{image_id}: could not bracket the target IoU")
-    t_lo = 0.0
+        t_hi = np.where(unbracketed, t_hi * 2.0, t_hi)
+    t_hi[unbracketed] = 0.0  # reported below, in cohort order
+    t_lo = np.zeros_like(t_hi)
     for _ in range(80):
         mid = (t_lo + t_hi) / 2.0
-        if iou_at(mid) >= target:
-            t_lo = mid
-        else:
-            t_hi = mid
+        inside = iou_at(mid) >= target
+        t_lo = np.where(inside, mid, t_lo)
+        t_hi = np.where(inside, t_hi, mid)
 
-    pred = _grid_box(frame, gt.class_id, cx0 + t_lo * dx, cy0 + t_lo * dy,
-                     w, h, confidence)
-    if abs(iou(gt, pred) - target) > 1e-3:
-        raise GenerationError(
-            f"{image_id}: perturbation missed the target IoU {target:.4f}"
-        )
-    return pred
+    solved = []
+    for p, cx, cy, stuck in zip(pending, (cx0 + t_lo * dx).tolist(),
+                                (cy0 + t_lo * dy).tolist(), unbracketed):
+        if stuck:
+            raise GenerationError(f"{p.image_id}: could not bracket the target IoU")
+        pred = _grid_box(frame, p.gt.class_id, cx, cy, p.w, p.h, p.confidence)
+        achieved = iou(p.gt, pred)
+        if abs(achieved - p.target) > 1e-3:
+            raise GenerationError(
+                f"{p.image_id}: perturbation missed the target IoU {p.target:.4f}"
+            )
+        solved.append((pred, achieved))
+    return solved
 
 
 def _sample_target_iou(rng: np.random.Generator, spec: SynthSpec) -> float:
@@ -349,16 +397,19 @@ def _sample_target_iou(rng: np.random.Generator, spec: SynthSpec) -> float:
 
 def _build_scene(rng: np.random.Generator, spec: SynthSpec, image_id: str,
                  gt_plants: Sequence[tuple[int, str]],
-                 fp_classes: Sequence[int]) -> tuple[ImageRecord, ImageTruth]:
+                 fp_classes: Sequence[int], pending: list[_Perturbation]
+                 ) -> tuple[str, list[Box], list[Box | int], list[PlantedBox]]:
     """Place the requested plants in one frame.
 
     ``gt_plants`` lists (class_id, role) for ground-truth boxes, role in
     {"tp", "fn", "suppressed"}; ``fp_classes`` lists classes of extra
-    unmatched predictions.
+    unmatched predictions. Perturbed predictions go to ``pending``; the
+    scene lists each as its index there, for :func:`_assemble` to solve.
     """
     taken: list = []
     gt_boxes: list[Box] = []
-    staged: list[tuple[Box, int]] = []  # (prediction, plant position)
+    # (prediction or its index in pending, plant position)
+    staged: list[tuple[Box | int, int]] = []
     planted: list[PlantedBox] = []
 
     for class_id, role in gt_plants:
@@ -373,12 +424,11 @@ def _build_scene(rng: np.random.Generator, spec: SynthSpec, image_id: str,
         band = (spec.tp_confidence if role == "tp"
                 else spec.suppressed_confidence)
         target = _sample_target_iou(rng, spec)
-        pred = _perturb_to_iou(rng, spec.frame, gt, target,
-                               rng.uniform(*band), image_id)
-        staged.append((pred, len(planted)))
+        staged.append((len(pending), len(planted)))
+        pending.append(_perturb_to_iou(rng, gt, target, rng.uniform(*band),
+                                       image_id))
         planted.append(PlantedBox(role, class_id, gt_index=gt_index,
-                                  target_iou=target,
-                                  achieved_iou=iou(gt, pred)))
+                                  target_iou=target))
 
     for class_id in fp_classes:
         w, h = _sample_dims(rng, spec.frame, class_id)
@@ -390,15 +440,29 @@ def _build_scene(rng: np.random.Generator, spec: SynthSpec, image_id: str,
 
     # Shuffle prediction order so matching never sees generation order.
     order = rng.permutation(len(staged))
-    predictions: list[Box] = []
+    predictions: list[Box | int] = []
     for new_index, old_index in enumerate(order):
         box, plant_pos = staged[old_index]
         predictions.append(box)
         planted[plant_pos] = replace(planted[plant_pos], pred_index=new_index)
+    return image_id, gt_boxes, predictions, planted
 
-    record = ImageRecord(image_id=image_id, dims=spec.frame,
-                         ground_truth=gt_boxes, predictions=predictions)
-    return record, ImageTruth(image_id=image_id, planted=tuple(planted))
+
+def _assemble(spec: SynthSpec, scenes: list, pending: list[_Perturbation]
+              ) -> tuple[Dataset, SynthTruth]:
+    """Solve a cohort's pending perturbations, then build its records and
+    truth from the scenes :func:`_build_scene` returned."""
+    solved = _solve_offsets(spec.frame, pending)
+    records, truths = [], []
+    for image_id, gt_boxes, staged, planted in scenes:
+        predictions = [solved[p][0] if isinstance(p, int) else p for p in staged]
+        planted = tuple(p if p.target_iou is None else replace(
+            p, achieved_iou=solved[staged[p.pred_index]][1]) for p in planted)
+        records.append(ImageRecord(image_id=image_id, dims=spec.frame,
+                                   ground_truth=gt_boxes, predictions=predictions))
+        truths.append(ImageTruth(image_id=image_id, planted=planted))
+    return Dataset(records=records), SynthTruth(seed=spec.seed,
+                                                images=tuple(truths))
 
 
 def _check_bands(spec: SynthSpec, op: OperatingPoint) -> None:
@@ -417,7 +481,7 @@ def generate(spec: SynthSpec) -> tuple[Dataset, SynthTruth]:
     stream, so images are independent of cohort size and order.
     """
     _check_bands(spec, OperatingPoint())
-    records, truths = [], []
+    scenes, pending = [], []
     for i in range(spec.n_images):
         rng = _image_rng(spec.seed, i)
         gt_plants: list[tuple[int, str]] = []
@@ -433,12 +497,9 @@ def generate(spec: SynthSpec) -> tuple[Dataset, SynthTruth]:
                 gt_plants.append((class_id, role))
         n_fp = int(rng.binomial(2, spec.fp_extra_rate))
         fp_classes = [int(rng.integers(0, 2)) for _ in range(n_fp)]
-        record, truth = _build_scene(rng, spec, f"synth-{i:04d}",
-                                     gt_plants, fp_classes)
-        records.append(record)
-        truths.append(truth)
-    return Dataset(records=records), SynthTruth(seed=spec.seed,
-                                                images=tuple(truths))
+        scenes.append(_build_scene(rng, spec, f"synth-{i:04d}",
+                                   gt_plants, fp_classes, pending))
+    return _assemble(spec, scenes, pending)
 
 
 def _deal(rng: np.random.Generator, items: list, n_buckets: int) -> list[list]:
@@ -469,18 +530,16 @@ def plant_object_counts(tp: int, fp: int, fn: int, *, class_id: int = FUNGAL,
     buckets = _deal(assign, plants, n_images)
     other = ARTEFACT if class_id == FUNGAL else FUNGAL
 
-    records, truths = [], []
+    scenes, pending = [], []
     for i, bucket in enumerate(buckets):
         rng = _image_rng(seed, i)
         gt_plants = [(class_id, role) for role in bucket if role != "fp"]
         fp_classes = [class_id] * sum(1 for role in bucket if role == "fp")
         if dressing and rng.random() < 0.5:
             gt_plants.append((other, "tp"))
-        record, truth = _build_scene(rng, spec, f"plant-{i:04d}",
-                                     gt_plants, fp_classes)
-        records.append(record)
-        truths.append(truth)
-    return Dataset(records=records), SynthTruth(seed=seed, images=tuple(truths))
+        scenes.append(_build_scene(rng, spec, f"plant-{i:04d}",
+                                   gt_plants, fp_classes, pending))
+    return _assemble(spec, scenes, pending)
 
 
 def plant_screening_matrix(tp: int, fn: int, fp: int, tn: int, *,
@@ -496,7 +555,7 @@ def plant_screening_matrix(tp: int, fn: int, fp: int, tn: int, *,
     assign = _image_rng(seed, _ASSIGN_STREAM)
     order = assign.permutation(len(outcomes))
 
-    records, truths = [], []
+    scenes, pending = [], []
     for i, outcome_index in enumerate(order):
         outcome = outcomes[outcome_index]
         rng = _image_rng(seed, i)
@@ -512,11 +571,9 @@ def plant_screening_matrix(tp: int, fn: int, fp: int, tn: int, *,
             fp_classes.append(FUNGAL)
         if rng.random() < 0.5:
             gt_plants.append((ARTEFACT, "tp"))
-        record, truth = _build_scene(rng, spec, f"screen-{i:04d}",
-                                     gt_plants, fp_classes)
-        records.append(record)
-        truths.append(truth)
-    return Dataset(records=records), SynthTruth(seed=seed, images=tuple(truths))
+        scenes.append(_build_scene(rng, spec, f"screen-{i:04d}",
+                                   gt_plants, fp_classes, pending))
+    return _assemble(spec, scenes, pending)
 
 
 def plant_uniform_iou_cohort(n_images: int = 8,
@@ -659,7 +716,7 @@ def read_cohort_dims(path: Path | str) -> ImageDims:
     if not dims_file.is_file():
         raise SchemaError(f"{path}: not a cohort directory (no dims.json)")
     try:
-        doc = json.loads(dims_file.read_text())
+        doc = json.loads(read_text(dims_file, SchemaError))
     except ValueError as exc:
         raise SchemaError(f"{dims_file}: not valid JSON: {exc}") from None
     sides = [doc.get(k) if isinstance(doc, dict) else None for k in ("width", "height")]
@@ -680,4 +737,4 @@ def read_truth(path: Path | str) -> SynthTruth:
     p = Path(path)
     if p.is_dir():
         p = p / "truth.json"
-    return SynthTruth.from_json(p.read_text())
+    return SynthTruth.from_json(read_text(p, SchemaError))

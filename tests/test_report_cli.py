@@ -27,6 +27,8 @@ from koheval.report import (
 from koheval.screening import screen_dataset
 from koheval.synth import SynthSpec, generate
 
+_MISSING = "<missing>"  # conftest's mutate deletes a key given this value
+
 
 @pytest.fixture()
 def sample_report():
@@ -298,3 +300,108 @@ class TestCli:
         assert "Traceback" not in result.stderr
         assert result.stderr.startswith("error: ") \
             and result.stderr.count("\n") == 1
+
+    def test_cohort_without_pred_dir_has_no_detections(self, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        main(["synth", "--plant-matrix", "3,0,1,2", "--out", str(cohort)])
+        for pred in (cohort / "pred").iterdir():
+            pred.unlink()
+        (cohort / "pred").rmdir()
+        capsys.readouterr()
+        assert main(["evaluate", str(cohort), "--format", "json"]) == 0
+        report = parse_report(capsys.readouterr().out)
+        assert report["inputs"] == {"cohort": {"path": str(cohort),
+                                               "sha256": sha256_path(cohort)}}
+        for metrics in report["object_metrics"]["per_class"].values():
+            assert (metrics["tp"], metrics["fp"]) == (0, 0) and metrics["fn"] > 0
+        assert main(["screen", str(cohort), "--format", "json"]) == 0
+        matrix = parse_report(capsys.readouterr().out)["screening"]["matrix"]
+        assert matrix == {"tp": 0, "fn": 3, "fp": 0, "tn": 3}
+        assert main(["screen", str(cohort), "--fail-on-fn"]) == 1
+
+    def test_missing_explicit_prediction_dir_exits_2(self, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        main(["synth", "--plant-counts", "2,1,0", "--out", str(cohort)])
+        capsys.readouterr()
+        for command in ("evaluate", "screen"):
+            assert main([command, str(cohort), str(tmp_path / "nowhere")]) == 2
+            assert "does not exist" in capsys.readouterr().err
+
+    def test_crlf_label_files_read_like_lf(self, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        main(["synth", "--images", "6", "--out", str(cohort)])
+        capsys.readouterr()
+        assert main(["evaluate", str(cohort), "--format", "json"]) == 0
+        lf = parse_report(capsys.readouterr().out)
+        for label in [*cohort.glob("gt/*.txt"), *cohort.glob("pred/*.txt")]:
+            label.write_bytes(label.read_bytes().replace(b"\n", b"\r\n"))
+        assert main(["evaluate", str(cohort), "--format", "json"]) == 0
+        crlf = parse_report(capsys.readouterr().out)
+        assert crlf["object_metrics"] == lf["object_metrics"]
+
+    @pytest.mark.parametrize("folder", ["gt", "pred"])
+    def test_non_utf8_label_file_exits_2_without_traceback(self, tmp_path, folder):
+        cohort = tmp_path / "cohort"
+        main(["synth", "--images", "3", "--out", str(cohort)])
+        bad = cohort / folder / "synth-0001.txt"
+        bad.write_bytes(b"\xff\xfe0\x00 \x00" + bad.read_bytes())
+        src = Path(koheval.__file__).parent.parent
+        result = subprocess.run(
+            [sys.executable, "-m", "koheval.cli", "evaluate", str(cohort)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith(f"error: {bad}: not UTF-8") \
+            and result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("path, value", [
+    ("object_metrics.macro", _MISSING),
+    ("object_metrics.per_class", _MISSING),
+    ("object_metrics.per_class", []),
+    ("object_metrics.macro", 0.5),
+    ("object_metrics.per_class.fungal.ap50", _MISSING),
+    ("object_metrics.per_class.fungal.tp", "4"),
+    ("object_metrics.per_class.fungal", None),
+    ("object_metrics", []),
+    ("screening.rates", _MISSING),
+    ("screening.matrix", 3),
+    ("screening.matrix.tn", _MISSING),
+    ("screening.rates.f1", _MISSING),
+    ("screening.false_negative_ids", "img-1"),
+    ("screening", "ok"),
+    ("inputs", []),
+    ("inputs.cohort.sha256", _MISSING),
+    ("operating_point.conf_threshold", "0.25"),
+    ("interpolation", 101),
+    ("manifest", []),
+], ids=str)
+def test_report_with_malformed_block_exits_2(sample_report, tmp_path, capsys,
+                                             mutate, path, value):
+    report = json.loads(render_json({**sample_report, "inputs": {
+        "cohort": {"path": "cohort", "sha256": "0" * 64}}}))
+    mutate(report, path, value)
+    stored = tmp_path / "report.json"
+    stored.write_text(json.dumps(report))
+    for fmt in ("table", "csv", "json"):
+        assert main(["report", str(stored), "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: report: ") and err.count("\n") == 1
+
+
+def test_non_utf8_report_exits_2(tmp_path, capsys):
+    stored = tmp_path / "report.json"
+    stored.write_bytes(b"\xff\xfe{}")
+    assert main(["report", str(stored)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {stored}: not UTF-8")
+
+
+def test_report_with_every_block_renders(sample_report, tmp_path, capsys):
+    report = {**sample_report, "inputs": {
+        "cohort": {"path": "cohort", "sha256": "0" * 64}}}
+    stored = tmp_path / "report.json"
+    stored.write_text(render_json(report))
+    for fmt in ("table", "csv", "json"):
+        assert main(["report", str(stored), "--format", fmt]) == 0
+    assert capsys.readouterr().err == ""

@@ -1,10 +1,18 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koheval.dataset import ImageRecord
-from koheval.errors import GenerationError, SchemaError, UndefinedMetricError
+from koheval.errors import (
+    GenerationError,
+    InvalidBoxError,
+    SchemaError,
+    UndefinedMetricError,
+)
 from koheval.geometry import ARTEFACT, FUNGAL, Box, ImageDims, iou
 from koheval.metrics import (
     AP_IOU_THRESHOLDS,
@@ -31,6 +39,9 @@ from koheval.synth import (
     reference_match,
     write_cohort,
 )
+from koheval.synth import _grid_box, _perturb_to_iou, _Perturbation, _solve_offsets
+
+_MISSING = "<missing>"  # conftest's mutate deletes a key given this value
 
 
 def random_scene(rng, max_per_class=8, coarse=True):
@@ -156,6 +167,97 @@ class TestGenerate:
                                fungal_per_image=(400, 400)))
 
 
+def _digest(generated) -> str:
+    dataset, truth = generated
+    return hashlib.sha256((repr(dataset.records) + truth.to_json()).encode()).hexdigest()
+
+
+class TestGoldenOutput:
+    """The generators' output, pinned bit for bit: records and truth."""
+
+    def test_generate(self):
+        assert _digest(generate(SynthSpec(n_images=300, seed=7))) == \
+            "fa74b2e33d5a1f4ef3fd0d54b2b1566c2977e2842c7d8f4a86cd53251dc3f410"
+
+    def test_plant_object_counts(self):
+        assert _digest(plant_object_counts(30, 6, 4, seed=5)) == \
+            "03f943132b8e41519c690937c80a76ce4652b92c040750f3c3f3f0a385d2f4a9"
+
+    def test_plant_screening_matrix(self):
+        assert _digest(plant_screening_matrix(20, 3, 5, 30, seed=4)) == \
+            "d7ddd9687df7fb8df1f8eb0848aa080d21b6f5f011be05cc03e6eedc3d0bac67"
+
+
+_FRAME = ImageDims(2048, 2048)
+_requests = st.lists(st.tuples(st.floats(400.0, 1600.0), st.floats(400.0, 1600.0),
+                               st.floats(20.0, 300.0), st.floats(20.0, 300.0),
+                               st.floats(0.55, 0.95), st.integers(0, 2**32 - 1)),
+                     min_size=1, max_size=8)
+
+
+def _scalar_offset(p: _Perturbation) -> tuple[Box, float]:
+    """The scalar loop that _solve_offsets vectorizes: bracket, bisect and
+    snap one perturbation, with a Box and geometry.iou at every step."""
+    cx0, cy0 = p.gt.center
+
+    def iou_at(t):
+        cx, cy = cx0 + t * p.dx, cy0 + t * p.dy
+        return iou(p.gt, Box(cx - p.w / 2.0, cy - p.h / 2.0,
+                             cx + p.w / 2.0, cy + p.h / 2.0, p.gt.class_id))
+
+    t_hi = p.gt.width + p.gt.height
+    for _ in range(60):
+        if iou_at(t_hi) < p.target:
+            break
+        t_hi *= 2.0
+    t_lo = 0.0
+    for _ in range(80):
+        mid = (t_lo + t_hi) / 2.0
+        if iou_at(mid) >= p.target:
+            t_lo = mid
+        else:
+            t_hi = mid
+    pred = _grid_box(_FRAME, p.gt.class_id, cx0 + t_lo * p.dx, cy0 + t_lo * p.dy,
+                     p.w, p.h, p.confidence)
+    return pred, iou(p.gt, pred)
+
+
+class TestSolveOffsets:
+    @settings(derandomize=True, deadline=None)
+    @given(_requests)
+    def test_batch_equals_each_element_alone(self, requests):
+        pending = [_perturb_to_iou(np.random.default_rng(seed),
+                                   _grid_box(_FRAME, FUNGAL, cx, cy, w, h, None),
+                                   target, 0.9, f"img-{k}")
+                   for k, (cx, cy, w, h, target, seed) in enumerate(requests)]
+        solved = _solve_offsets(_FRAME, pending)
+        assert solved == [_solve_offsets(_FRAME, [p])[0] for p in pending]
+        assert solved == [_scalar_offset(p) for p in pending]
+        for p, (pred, achieved) in zip(pending, solved):
+            assert achieved == iou(p.gt, pred)
+            assert abs(achieved - p.target) <= 1e-3
+
+    def test_miss_names_the_first_failing_image(self):
+        gt = Box(100.0, 100.0, 200.0, 200.0, FUNGAL)
+        good = _perturb_to_iou(np.random.default_rng(0), gt, 0.7, 0.9, "img-a")
+        # Twice the size: IoU 0.25 at zero offset, so 0.7 is out of reach.
+        bad = [_Perturbation(gt, 200.0, 200.0, 1.0, 0.0, 0.7, 0.9, name)
+               for name in ("img-b", "img-c")]
+        with pytest.raises(GenerationError, match="^img-b: perturbation missed"):
+            _solve_offsets(_FRAME, [good, *bad])
+
+    def test_degenerate_candidate_box_rejected(self):
+        gt = Box(100.0, 100.0, 200.0, 200.0, FUNGAL)
+        flat = _Perturbation(gt, 0.0, 100.0, 1.0, 0.0, 0.7, 0.9, "img-a")
+        with pytest.raises(InvalidBoxError):
+            _solve_offsets(_FRAME, [flat])
+
+    def test_no_perturbations(self):
+        assert _solve_offsets(_FRAME, []) == []
+        _, truth = plant_object_counts(0, 2, 0, dressing=False)
+        assert truth.expected_counts() == (0, 2, 0)
+
+
 class TestPlantedCohorts:
     def test_object_counts_exact(self):
         dataset, truth = plant_object_counts(37, 9, 1, seed=3)
@@ -203,6 +305,39 @@ class TestTruth:
     def test_unknown_role_rejected(self):
         with pytest.raises(SchemaError):
             PlantedBox(role="maybe", class_id=FUNGAL)
+
+    @pytest.mark.parametrize("path, value", [
+        ("images", {"synth-0000": []}),
+        ("images", "synth-0000"),
+        ("images.0", 3),
+        ("images.0.planted", _MISSING),
+        ("images.0.planted", "tp"),
+        ("images.0.planted.0", ["tp", 0]),
+        ("images.0.planted.0.role", _MISSING),
+        ("images.0.planted.0.class_id", _MISSING),
+        ("images.0.image_id", _MISSING),
+    ], ids=str)
+    def test_malformed_document_is_schema_error(self, tmp_path, mutate, path, value):
+        _, truth = generate(SynthSpec(n_images=2, seed=1, fungal_per_image=(1, 1)))
+        doc = json.loads(truth.to_json())
+        mutate(doc, path, value)
+        text = json.dumps(doc)
+        with pytest.raises(SchemaError):
+            SynthTruth.from_json(text)
+        (tmp_path / "truth.json").write_text(text)
+        with pytest.raises(SchemaError):
+            read_truth(tmp_path)
+
+    def test_optional_plant_fields_default_to_none(self):
+        doc = {"schema": "koheval-synth-truth/1", "seed": 3, "images": [
+            {"image_id": "a", "planted": [{"role": "fn", "class_id": FUNGAL}]}]}
+        truth = SynthTruth.from_json(json.dumps(doc))
+        assert truth.images[0].planted == (PlantedBox("fn", FUNGAL),)
+
+    def test_non_utf8_truth_file_is_schema_error(self, tmp_path):
+        (tmp_path / "truth.json").write_bytes(b"\xff\xfe{}")
+        with pytest.raises(SchemaError, match="truth.json: not UTF-8"):
+            read_truth(tmp_path)
 
 
 class TestCohortFiles:
