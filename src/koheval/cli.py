@@ -16,9 +16,12 @@ from pathlib import Path
 
 from .dataset import (
     Dataset,
+    InputTree,
     atomic_write_text,
     attach_predictions,
     load_ground_truth,
+    read_cohort,
+    read_cohort_dims,
     read_text,
     split_table,
     stratified_split,
@@ -40,7 +43,6 @@ from .synth import (
     generate,
     plant_object_counts,
     plant_screening_matrix,
-    read_cohort_dims,
     write_cohort,
 )
 
@@ -75,37 +77,36 @@ def _is_cohort_dir(path: Path) -> bool:
         and (path / "gt").is_dir()
 
 
-def _read_ground_truth(args) -> tuple[Dataset, Path, Path | None]:
-    """Resolve the GT argument into (ground truth, GT path, cohort).
+def _read_ground_truth(args) -> tuple[Dataset, tuple[Path, str]]:
+    """Resolve the GT argument into ground truth and its (path, SHA-256).
 
-    A cohort directory (dims.json + gt/, and pred/ unless it has no
-    detections) needs no further flags; otherwise GT is a COCO .json file
-    or a directory of label files (which needs --dims), and the cohort is
-    None.
+    GT is a cohort directory (dims.json + gt/), of which gt/ is read, a
+    COCO .json file, or a directory of label files (which needs --dims).
     """
-    gt = Path(args.gt)
+    gt, dims = Path(args.gt), args.dims
     if _is_cohort_dir(gt):
-        dims = read_cohort_dims(gt)
-        return load_ground_truth(gt / "gt", dims=dims), gt / "gt", gt
-    return load_ground_truth(gt, dims=args.dims), gt, None
+        dims, gt = read_cohort_dims(gt), gt / "gt"
+    tree = InputTree(gt)
+    return load_ground_truth(gt, dims, tree), (gt, tree.sha256())
 
 
 def _load_inputs(args) -> tuple[Dataset, dict]:
-    """Resolve GT/prediction arguments into a dataset with predictions.
+    """Resolve GT/prediction arguments into a dataset with predictions and
+    the (path, SHA-256) of each input, every file read once.
 
     PRED is a directory of prediction files; it defaults to a cohort
     directory's pred/, and a cohort without pred/ has no detections.
     """
-    dataset, gt, cohort = _read_ground_truth(args)
-    if args.pred is not None:
-        return (attach_predictions(dataset, args.pred),
-                {"ground_truth": gt, "predictions": Path(args.pred)})
-    if cohort is None:
+    if args.pred is None and _is_cohort_dir(Path(args.gt)):
+        tree = InputTree(args.gt)
+        return read_cohort(tree.path, tree), {"cohort": (tree.path, tree.sha256())}
+    dataset, gt_input = _read_ground_truth(args)
+    if args.pred is None:
         raise KohevalError("a prediction directory is required unless the "
                            "ground-truth path is a cohort directory")
-    if (cohort / "pred").is_dir():
-        dataset = attach_predictions(dataset, cohort / "pred")
-    return dataset, {"cohort": cohort}
+    preds = InputTree(args.pred)
+    return (attach_predictions(dataset, preds.path, preds),
+            {"ground_truth": gt_input, "predictions": (preds.path, preds.sha256())})
 
 
 def _op(args) -> OperatingPoint:
@@ -122,7 +123,7 @@ def cmd_split(args) -> int:
         raise KohevalError(
             f"fractions must be three numbers summing to 1, got {args.fractions}"
         )
-    dataset, _, _ = _read_ground_truth(args)
+    dataset, _ = _read_ground_truth(args)
     assignment = stratified_split(dataset, fractions=fractions, seed=args.seed)
     out = Path(args.out) if args.out else _output_dir() / "split.json"
     atomic_write_text(out, assignment.to_json())

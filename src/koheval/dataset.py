@@ -10,6 +10,7 @@ immutable after construction.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -202,6 +203,17 @@ def _require(mapping, key, context):
     return mapping[key]
 
 
+def _require_id(mapping, key, context):
+    value = _require(mapping, key, context)
+    if isinstance(value, (dict, list)):
+        raise SchemaError(f"{context}: {key!r} must be a number or string")
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_coco_json(document: str | bytes | dict) -> Dataset:
     """Read a COCO-style document into a ground-truth Dataset.
 
@@ -213,18 +225,21 @@ def parse_coco_json(document: str | bytes | dict) -> Dataset:
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise SchemaError(f"not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise SchemaError("top-level document must be an object")
 
-    images = _require(document, "images", "document")
-    annotations = _require(document, "annotations", "document")
-    categories = _require(document, "categories", "document")
+    blocks = []
+    for key in ("images", "annotations", "categories"):
+        blocks.append(_require(document, key, "document"))
+        if not isinstance(blocks[-1], list):
+            raise SchemaError(f"document: {key!r} must be a list")
+    images, annotations, categories = blocks
 
     class_of_category: dict[int, int] = {}
     for cat in categories:
-        cat_id = _require(cat, "id", "category")
+        cat_id = _require_id(cat, "id", "category")
         name = str(_require(cat, "name", "category")).lower()
         if name not in CLASS_NAMES:
             raise SchemaError(f"category name {name!r} outside {set(CLASS_NAMES)}")
@@ -233,11 +248,11 @@ def parse_coco_json(document: str | bytes | dict) -> Dataset:
     records: dict[int, ImageRecord] = {}
     order: list[int] = []
     for img in images:
-        img_id = _require(img, "id", "image")
+        img_id = _require_id(img, "id", "image")
         file_name = str(_require(img, "file_name", "image"))
         width = _require(img, "width", "image")
         height = _require(img, "height", "image")
-        if not isinstance(width, int) or not isinstance(height, int):
+        if not (_is_int(width) and _is_int(height)):
             raise SchemaError(f"image {img_id}: width/height must be integers")
         stem = Path(file_name).stem
         if not stem:
@@ -248,8 +263,8 @@ def parse_coco_json(document: str | bytes | dict) -> Dataset:
     boxes_of: dict[int, list[Box]] = {img_id: [] for img_id in records}
     clipped = 0
     for ann in annotations:
-        img_ref = _require(ann, "image_id", "annotation")
-        cat_ref = _require(ann, "category_id", "annotation")
+        img_ref = _require_id(ann, "image_id", "annotation")
+        cat_ref = _require_id(ann, "category_id", "annotation")
         bbox = _require(ann, "bbox", "annotation")
         if img_ref not in records:
             raise ReferentialError(f"annotation references unknown image {img_ref}")
@@ -257,7 +272,10 @@ def parse_coco_json(document: str | bytes | dict) -> Dataset:
             raise ReferentialError(f"annotation references unknown category {cat_ref}")
         if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
             raise SchemaError(f"bbox must be [x, y, w, h], got {bbox!r}")
-        x, y, w, h = (float(v) for v in bbox)
+        try:
+            x, y, w, h = (float(v) for v in bbox)
+        except (TypeError, ValueError, OverflowError):
+            raise SchemaError(f"bbox must hold numbers, got {bbox!r}") from None
         if w <= 0.0 or h <= 0.0:
             raise SchemaError(f"bbox has non-positive size: {bbox!r}")
         rec = records[img_ref]
@@ -318,13 +336,16 @@ def format_coco_json(dataset: Dataset) -> str:
 # Loading datasets from disk
 
 
-def read_text(path: Path | str,
-              error: type[KohevalError] = ParseError) -> str:
+def read_text(path: Path | str, error: type[KohevalError] = ParseError,
+              digests: dict[str, str] | None = None) -> str:
     """A file's contents decoded as UTF-8; bytes that do not decode raise
     ``error`` naming the file. Line endings are kept: every reader here
-    splits lines or parses JSON, and both accept CRLF."""
+    splits lines or parses JSON, and both accept CRLF. ``digests``, when
+    given, gets the SHA-256 of the bytes read, under ``str(path)``."""
     with open(path, "rb") as handle:
         data = handle.read()
+    if digests is not None:
+        digests[str(path)] = hashlib.sha256(data).hexdigest()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -346,65 +367,159 @@ def atomic_write_text(path: Path | str, text: str) -> None:
         raise
 
 
-def load_ground_truth(path: Path | str,
-                      dims: ImageDims | None = None) -> Dataset:
+def sha256_file(path: Path | str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(65536), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _walk(directory: str, prefix: tuple[str, ...], found: list) -> list:
+    # "" stands for ".", so that paths read as str(Path(...)) reads them.
+    with os.scandir(directory or ".") as entries:
+        for entry in entries:
+            parts, path = (*prefix, entry.name), os.path.join(directory, entry.name)
+            if entry.is_dir(follow_symlinks=False):
+                _walk(path, parts, found)
+            elif entry.is_file():
+                found.append((parts, path))
+    return found
+
+
+class InputTree:
+    """The files under an input path, walked once with ``os.scandir`` in
+    the order of ``sorted(path.rglob("*"))``: sorted by path parts (``gt/``
+    before ``gt.x/``), dotfiles included, symlinked directories not
+    entered. A path that is no directory is a tree of its one file.
+    Readers pass ``digests`` to :func:`read_text`, so :meth:`sha256`
+    reads only the files they did not."""
+
+    def __init__(self, path: Path | str):
+        self.path = Path(path)
+        root = "" if self.path == Path(".") else str(self.path)
+        found = (_walk(root, (), []) if self.path.is_dir()
+                 else [((), root)])
+        self.files = {file: parts for parts, file in sorted(found)}
+        self.digests: dict[str, str] = {}
+
+    def label_files(self, directory: Path) -> dict[str, str]:
+        """Image id (the name's ``Path.stem``) -> path of each ``.txt``
+        file directly in ``directory``, in name order."""
+        if directory != self.path and directory.is_symlink():
+            # The walk does not enter it, but its labels are still read.
+            return InputTree(directory).label_files(directory)
+        where = directory.relative_to(self.path).parts
+        return {parts[-1][:-4] or parts[-1]: file
+                for file, parts in self.files.items()
+                if parts[:-1] == where and parts[-1].endswith(".txt")}
+
+    def sha256(self) -> str:
+        """Digest of the file, or of the directory as the digest of its
+        sorted (relative name, file digest) pairs."""
+        digest = hashlib.sha256()
+        for file, parts in self.files.items():
+            file_digest = self.digests.get(file) or sha256_file(file)
+            if not parts:
+                return file_digest
+            digest.update(f"{'/'.join(parts)}\0{file_digest}\0".encode())
+        return digest.hexdigest()
+
+
+def _parse_label_file(file: str, parse, dims: ImageDims,
+                      digests: dict[str, str]) -> list[Box]:
+    text = read_text(file, digests=digests)
+    try:
+        return parse(text, dims)
+    except ParseError as exc:
+        raise type(exc)(f"{file}: {exc}") from None
+
+
+def load_ground_truth(path: Path | str, dims: ImageDims | None = None,
+                      tree: InputTree | None = None) -> Dataset:
     """Load ground truth from a COCO-style ``.json`` file or a directory of
     line-format ``.txt`` files (one image per file, named by image id).
 
     Line-format directories need ``dims`` because the format stores only
-    normalized fractions.
+    normalized fractions. Files are read through ``tree``, a walk holding
+    ``path`` (by default, of ``path``).
     """
     path = Path(path)
+    tree = tree or InputTree(path)
     if path.is_file():
-        return parse_coco_json(read_text(path, SchemaError))
+        return parse_coco_json(read_text(path, SchemaError, tree.digests))
     if path.is_dir():
         if dims is None:
             raise SchemaError(
                 "line-format ground truth needs image dimensions (--dims)"
             )
-        records = []
-        for txt in sorted(path.glob("*.txt")):
-            text = read_text(txt)
-            try:
-                boxes = parse_gt_file(text, dims)
-            except ParseError as exc:
-                raise type(exc)(f"{txt}: {exc}") from None
-            records.append(ImageRecord(txt.stem, dims, boxes))
+        records = [
+            ImageRecord(image_id, dims,
+                        _parse_label_file(file, parse_gt_file, dims, tree.digests))
+            for image_id, file in tree.label_files(path).items()
+        ]
         if not records:
             raise SchemaError(f"no .txt annotation files under {path}")
         return Dataset(records)
     raise SchemaError(f"ground-truth path {path} does not exist")
 
 
-def attach_predictions(dataset: Dataset, pred_dir: Path | str) -> Dataset:
+def attach_predictions(dataset: Dataset, pred_dir: Path | str,
+                       tree: InputTree | None = None) -> Dataset:
     """Pair per-image prediction files with the dataset's records.
 
     A missing file means an empty prediction list; a file whose id is not
-    in the dataset is a referential error.
+    in the dataset is a referential error. Files are read through ``tree``
+    as in :func:`load_ground_truth`.
     """
     pred_dir = Path(pred_dir)
     if not pred_dir.is_dir():
         raise SchemaError(f"prediction directory {pred_dir} does not exist")
+    tree = tree or InputTree(pred_dir)
+    files = tree.label_files(pred_dir)
     known = set(dataset.ids())
-    for txt in pred_dir.glob("*.txt"):
-        if txt.stem not in known:
+    for image_id, file in files.items():
+        if image_id not in known:
             raise ReferentialError(
-                f"prediction file {txt.name} has no matching image"
+                f"prediction file {os.path.basename(file)} has no matching image"
             )
     records = []
     for rec in dataset.records:
-        pred_file = pred_dir / f"{rec.image_id}.txt"
-        if pred_file.exists():
-            text = read_text(pred_file)
-            try:
-                preds = parse_pred_file(text, rec.dims)
-            except ParseError as exc:
-                raise type(exc)(f"{pred_file}: {exc}") from None
-        else:
-            preds = []
+        file = files.get(rec.image_id)
+        preds = ([] if file is None else
+                 _parse_label_file(file, parse_pred_file, rec.dims, tree.digests))
         records.append(ImageRecord(rec.image_id, rec.dims,
                                    list(rec.ground_truth), preds))
     return Dataset(records, dataset.class_names)
+
+
+def read_cohort_dims(path: Path | str,
+                     digests: dict[str, str] | None = None) -> ImageDims:
+    """The frame size a cohort directory's dims.json records."""
+    dims_file = Path(path) / "dims.json"
+    if not dims_file.is_file():
+        raise SchemaError(f"{path}: not a cohort directory (no dims.json)")
+    try:
+        doc = json.loads(read_text(dims_file, SchemaError, digests))
+    except ValueError as exc:
+        raise SchemaError(f"{dims_file}: not valid JSON: {exc}") from None
+    sides = [doc.get(k) if isinstance(doc, dict) else None for k in ("width", "height")]
+    if not all(_is_int(v) for v in sides):
+        raise SchemaError(f"{dims_file}: width and height must be integers")
+    return ImageDims(*sides)
+
+
+def read_cohort(path: Path | str, tree: InputTree | None = None) -> Dataset:
+    """Read a cohort directory written by ``synth.write_cohort``: dims.json,
+    gt/ and pred/; a cohort without pred/ has no detections. Files are
+    read through ``tree``, a walk of the cohort."""
+    root = Path(path)
+    tree = tree or InputTree(root)
+    dataset = load_ground_truth(root / "gt", read_cohort_dims(root, tree.digests),
+                                tree)
+    if (root / "pred").is_dir():
+        dataset = attach_predictions(dataset, root / "pred", tree)
+    return dataset
 
 
 # ---------------------------------------------------------------------------

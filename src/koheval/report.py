@@ -10,12 +10,12 @@ integers, everything else to four decimals).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping
 
+from .dataset import InputTree
 from .errors import SchemaError
 from .geometry import CLASS_NAMES
 from .manifest import TrainManifest
@@ -35,29 +35,13 @@ _CLASS_FIELDS = ("tp", "fp", "fn", "precision", "recall", "f1",
 # Input digests
 
 
-def sha256_file(path: Path | str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def sha256_path(path: Path | str) -> str:
     """Digest of a file, or of a directory as the digest of its sorted
-    (relative name, file digest) pairs."""
+    (relative name, file digest) pairs; see :class:`InputTree`."""
     p = Path(path)
-    if p.is_file():
-        return sha256_file(p)
-    if p.is_dir():
-        digest = hashlib.sha256()
-        for child in sorted(f for f in p.rglob("*") if f.is_file()):
-            digest.update(child.relative_to(p).as_posix().encode())
-            digest.update(b"\0")
-            digest.update(sha256_file(child).encode())
-            digest.update(b"\0")
-        return digest.hexdigest()
-    raise SchemaError(f"{p}: no such file or directory")
+    if not (p.is_file() or p.is_dir()):
+        raise SchemaError(f"{p}: no such file or directory")
+    return InputTree(p).sha256()
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +56,10 @@ def build_report(*, op: OperatingPoint, interpolation: str = "101",
                  object_metrics: ObjectMetrics | None = None,
                  screening: ScreeningReport | None = None,
                  manifest: TrainManifest | None = None,
-                 inputs: Mapping[str, Path | str] | None = None) -> dict:
+                 inputs: Mapping[str, tuple[Path | str, str]] | None = None
+                 ) -> dict:
+    """The report document. ``inputs`` maps a name to the (path, SHA-256)
+    of an input as it was read, so nothing is read again here."""
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "koheval", "version": TOOL_VERSION},
@@ -82,8 +69,8 @@ def build_report(*, op: OperatingPoint, interpolation: str = "101",
     }
     if inputs:
         report["inputs"] = {
-            name: {"path": str(path), "sha256": sha256_path(path)}
-            for name, path in sorted(inputs.items())
+            name: {"path": str(path), "sha256": sha256}
+            for name, (path, sha256) in sorted(inputs.items())
         }
     if object_metrics is not None:
         per_class = {
@@ -144,9 +131,12 @@ def _numbers(block, keys, where: str) -> None:
 
 
 def _check_blocks(report: dict) -> None:
-    """Require every block the renderers read to have the shape they read."""
-    _numbers(report.get("operating_point", {}), None, "operating_point")
-    if not isinstance(report.get("interpolation", ""), str):
+    """Require the header blocks build_report always writes, and every
+    block the renderers read to have the shape they read."""
+    _object(report.get("tool"), "tool")
+    _numbers(report.get("operating_point"), ("conf_threshold", "iou_threshold"),
+             "operating_point")
+    if not isinstance(report.get("interpolation"), str):
         raise SchemaError("report: interpolation must be a string")
     inputs = _object(report.get("inputs", {}), "inputs")
     if not all(isinstance(e, dict) and "path" in e and isinstance(e.get("sha256"), str)

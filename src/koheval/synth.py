@@ -21,14 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
+# read_cohort and read_cohort_dims live in dataset and stay importable from here.
 from .dataset import (
     Dataset,
     ImageRecord,
     atomic_write_text,
-    attach_predictions,
     _require,
     format_label_file,
-    load_ground_truth,
+    read_cohort,
+    read_cohort_dims,
     read_text,
 )
 from .errors import GenerationError, SchemaError
@@ -708,28 +709,6 @@ def write_cohort(dataset: Dataset, out_dir: Path | str,
     if truth is not None:
         atomic_write_text(out / "truth.json", truth.to_json())
     return out
-
-
-def read_cohort_dims(path: Path | str) -> ImageDims:
-    """The frame size a cohort directory's dims.json records."""
-    dims_file = Path(path) / "dims.json"
-    if not dims_file.is_file():
-        raise SchemaError(f"{path}: not a cohort directory (no dims.json)")
-    try:
-        doc = json.loads(read_text(dims_file, SchemaError))
-    except ValueError as exc:
-        raise SchemaError(f"{dims_file}: not valid JSON: {exc}") from None
-    sides = [doc.get(k) if isinstance(doc, dict) else None for k in ("width", "height")]
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in sides):
-        raise SchemaError(f"{dims_file}: width and height must be integers")
-    return ImageDims(*sides)
-
-
-def read_cohort(path: Path | str) -> Dataset:
-    """Read a cohort directory written by :func:`write_cohort`."""
-    root = Path(path)
-    dataset = load_ground_truth(root / "gt", dims=read_cohort_dims(root))
-    return attach_predictions(dataset, root / "pred")
 
 
 def read_truth(path: Path | str) -> SynthTruth:

@@ -1,0 +1,139 @@
+"""Every parser of outside input either parses or raises KohevalError.
+
+The CLI turns a KohevalError into one line and exit code 2; any other
+exception would print a traceback and exit 1, the gate-failure code. Each
+property feeds a parser arbitrary text, arbitrary JSON, and a valid
+document with one field replaced by arbitrary JSON or deleted, which
+reaches the checks deep inside the document.
+"""
+
+import json
+import warnings
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from koheval.dataset import (
+    format_coco_json,
+    parse_coco_json,
+    parse_gt_file,
+    parse_pred_file,
+    read_cohort_dims,
+)
+from koheval.errors import KohevalError
+from koheval.geometry import ImageDims
+from koheval.manifest import REFERENCE_PROTOCOL
+from koheval.metrics import OperatingPoint, evaluate_detections
+from koheval.report import build_report, parse_report, render
+from koheval.screening import screen_dataset
+from koheval.synth import SynthSpec, SynthTruth, generate
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
+DIMS = ImageDims(64, 48)
+DELETE = object()
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+# Label-file lines built from tokens near the format's edges.
+label_token = st.sampled_from(
+    ["0", "1", "2", "-1", "0.5", "1.0", "1", "0.0", "1e-320", "5e-324",
+     "0.999999", "nan", "inf", "-0.0", "1_0", "x", "0x1", "٣", "1e400"]
+) | st.floats().map(repr)
+label_text = st.lists(st.lists(label_token, max_size=7).map(" ".join),
+                      max_size=5).map("\n".join)
+
+
+def _paths(doc, prefix=()):
+    """The path (keys and indices) of every value inside a JSON document."""
+    yield prefix
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    if not path:
+        return None if value is DELETE else value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def mutated(doc):
+    """``doc`` with one value replaced by arbitrary JSON or deleted."""
+    return st.builds(_replaced, st.just(doc), st.sampled_from(list(_paths(doc))),
+                     json_values | st.just(DELETE))
+
+
+def documents(doc):
+    return (st.text(max_size=60) | json_values.map(json.dumps)
+            | mutated(doc).map(json.dumps))
+
+
+def parses_or_raises_koheval_error(parse, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return parse(*args)
+        except KohevalError:
+            return None
+
+
+_DATASET, _TRUTH = generate(SynthSpec(n_images=2, seed=3))
+COCO = json.loads(format_coco_json(_DATASET))
+TRUTH = json.loads(_TRUTH.to_json())
+REPORT = json.loads(json.dumps(build_report(
+    op=OperatingPoint(), object_metrics=evaluate_detections(_DATASET.records),
+    screening=screen_dataset(_DATASET.records), manifest=REFERENCE_PROTOCOL,
+    inputs={"cohort": ("cohort", "0" * 64)})))
+
+
+@PROPERTY
+@given(st.text(max_size=80) | label_text)
+def test_label_file_parsers(text):
+    parses_or_raises_koheval_error(parse_gt_file, text, DIMS)
+    parses_or_raises_koheval_error(parse_pred_file, text, DIMS)
+
+
+@PROPERTY
+@given(documents(COCO))
+def test_coco_parser(text):
+    parses_or_raises_koheval_error(parse_coco_json, text)
+
+
+@PROPERTY
+@given(documents(REPORT))
+def test_report_parser_and_renderers(text):
+    report = parses_or_raises_koheval_error(parse_report, text)
+    if report is not None:
+        for fmt in ("json", "csv", "table"):
+            render(report, fmt)
+
+
+@PROPERTY
+@given(documents(TRUTH))
+def test_truth_parser(text):
+    parses_or_raises_koheval_error(SynthTruth.from_json, text)
+
+
+@PROPERTY
+@given(st.binary(max_size=40)
+       | documents({"width": 2048, "height": 2048}).map(str.encode))
+def test_cohort_dims_reader(tmp_path_factory, data):
+    cohort = tmp_path_factory.getbasetemp() / "dims-property"
+    cohort.mkdir(exist_ok=True)
+    (cohort / "dims.json").write_bytes(data)
+    parses_or_raises_koheval_error(read_cohort_dims, cohort)

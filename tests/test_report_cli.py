@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ import pytest
 import koheval
 import koheval.dataset
 from koheval.cli import main
+from koheval.dataset import InputTree
 from koheval.errors import SchemaError
 from koheval.manifest import REFERENCE_PROTOCOL
 from koheval.metrics import OperatingPoint, PRCurve, evaluate_detections
@@ -106,6 +109,59 @@ class TestDigests:
     def test_missing_path(self, tmp_path):
         with pytest.raises(SchemaError):
             sha256_path(tmp_path / "ghost")
+
+    def test_directory_digest_equals_the_rglob_reference(self, tmp_path):
+        root = tmp_path / "tree"
+        files = {"dims.json": "{}", "gt/a.txt": "0 0.5 0.5 0.1 0.1\n",
+                 "gt/b.txt": "", "gt/.hidden.txt": "h", "gt/notes.md": "n",
+                 "gt/sub/deep/c.txt": "c", "gt.x/a.txt": "x", "gt-y": "y",
+                 ".dotdir/z": "z", "pred/a.txt": "p", "truth.json": "[]"}
+        for name, text in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(text)
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        (outside / "o.txt").write_text("outside")
+        os.symlink(outside / "o.txt", root / "gt" / "linked.txt")
+        os.symlink(outside, root / "linked-dir")
+        os.symlink(tmp_path / "ghost", root / "gt" / "dangling.txt")
+        expected = [p.relative_to(root).parts
+                    for p in sorted(root.rglob("*")) if p.is_file()]
+        assert list(InputTree(root).files.values()) == expected
+        assert ("gt", "linked.txt") in expected
+        assert not any(parts[0] == "linked-dir" for parts in expected)
+        for path in (root, root / "gt", root / "gt.x", root / "dims.json"):
+            assert sha256_path(path) == _rglob_sha256_path(path)
+
+
+def _rglob_sha256_file(path):
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(65536), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _rglob_sha256_path(path):
+    """The input digest as it was computed before the one-walk reader:
+    rglob, sorted Path objects, and a second read of every file."""
+    p = Path(path)
+    if p.is_file():
+        return _rglob_sha256_file(p)
+    digest = hashlib.sha256()
+    for child in sorted(f for f in p.rglob("*") if f.is_file()):
+        digest.update(child.relative_to(p).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(_rglob_sha256_file(child).encode())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
+def _run_koheval(*argv) -> subprocess.CompletedProcess:
+    src = Path(koheval.__file__).parent.parent
+    return subprocess.run([sys.executable, "-m", "koheval.cli", *map(str, argv)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
 
 
 class TestSvg:
@@ -319,6 +375,96 @@ class TestCli:
         assert matrix == {"tp": 0, "fn": 3, "fp": 0, "tn": 3}
         assert main(["screen", str(cohort), "--fail-on-fn"]) == 1
 
+    def test_evaluate_and_screen_open_each_input_file_once(self, tmp_path,
+                                                           capsys, monkeypatch):
+        cohort = tmp_path / "cohort"
+        main(["synth", "--images", "12", "--seed", "5", "--out", str(cohort)])
+        opened = Counter()
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened[os.path.abspath(file)] += 1
+            return real_open(file, *args, **kwargs)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.chdir(cohort)
+        every = {str(p) for p in cohort.rglob("*") if p.is_file()}
+        labels = {f for f in every if "/gt/" in f or "/pred/" in f}
+        assert len(every) == 26 and len(labels) == 24
+        out = tmp_path / "report.json"
+        for argv, inputs in (
+                ([str(cohort)], every),
+                (["."], every),
+                ([str(cohort), str(cohort / "pred")],
+                 labels | {str(cohort / "dims.json")})):
+            for command in ("evaluate", "screen"):
+                opened.clear()
+                assert main([command, *argv, "--out", str(out)]) == 0
+                assert {f: n for f, n in opened.items() if f in every} \
+                    == dict.fromkeys(inputs, 1)
+
+    def test_symlinked_pred_dir_is_read_but_not_hashed(self, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        main(["synth", "--images", "8", "--seed", "5", "--out", str(cohort)])
+        capsys.readouterr()
+        assert main(["evaluate", str(cohort), "--format", "json"]) == 0
+        real = parse_report(capsys.readouterr().out)
+        (cohort / "pred").rename(tmp_path / "model-output")
+        os.symlink(tmp_path / "model-output", cohort / "pred")
+        assert main(["evaluate", str(cohort), "--format", "json"]) == 0
+        linked = parse_report(capsys.readouterr().out)
+        assert linked["object_metrics"] == real["object_metrics"]
+        assert linked["inputs"]["cohort"]["sha256"] == _rglob_sha256_path(cohort)
+
+    def test_inputs_digests_match_the_pinned_ones(self, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        main(["synth", "--images", "12", "--seed", "5", "--out", str(cohort)])
+        out = tmp_path / "report.json"
+        assert main(["evaluate", str(cohort), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["inputs"] == {"cohort": {
+            "path": str(cohort),
+            "sha256": "6d28e8663a22e1fcbc2ae55a01c74a525f1b422e876dda33817a3daa78b212b2"}}
+        assert main(["evaluate", str(cohort), str(cohort / "pred"),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["inputs"] == {
+            "ground_truth": {
+                "path": str(cohort / "gt"),
+                "sha256": "53fd835e137aadf1eb5ace7c73d0277e3cac26589f6b193827137689867d8166"},
+            "predictions": {
+                "path": str(cohort / "pred"),
+                "sha256": "0c7cc2812c36727d9768f3ee7b9ed34c74ab1dc62a868924db7b837916aa14c5"}}
+
+    @pytest.mark.parametrize("path, value", [
+        ("images.0.width", True),
+        ("images.0.height", False),
+        ("annotations.0.bbox", ["a", 1, 5, 5]),
+        ("annotations.0.bbox", [None, 1, 5, 5]),
+        ("images", 5),
+        ("images", None),
+        ("annotations", None),
+        ("categories", 5),
+        ("images.0.id", [1]),
+        ("annotations.0.category_id", {"id": 1}),
+    ], ids=str)
+    def test_bad_coco_document_exits_2_without_traceback(self, tmp_path, mutate,
+                                                         path, value):
+        document = {
+            "images": [{"id": 1, "file_name": "a.png", "width": 64, "height": 64}],
+            "annotations": [{"id": 1, "image_id": 1, "category_id": 1,
+                             "bbox": [0, 0, 0.5, 0.5]}],
+            "categories": [{"id": 1, "name": "fungal"}],
+        }
+        coco, preds = tmp_path / "coco.json", tmp_path / "pred"
+        preds.mkdir()
+        coco.write_text(json.dumps(document))
+        assert _run_koheval("evaluate", coco, preds).returncode == 0
+        mutate(document, path, value)
+        coco.write_text(json.dumps(document))
+        result = _run_koheval("evaluate", coco, preds)
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error: ") \
+            and result.stderr.count("\n") == 1
+
     def test_missing_explicit_prediction_dir_exits_2(self, tmp_path, capsys):
         cohort = tmp_path / "cohort"
         main(["synth", "--plant-counts", "2,1,0", "--out", str(cohort)])
@@ -374,7 +520,12 @@ class TestCli:
     ("inputs", []),
     ("inputs.cohort.sha256", _MISSING),
     ("operating_point.conf_threshold", "0.25"),
+    ("operating_point.iou_threshold", _MISSING),
+    ("operating_point", _MISSING),
     ("interpolation", 101),
+    ("interpolation", _MISSING),
+    ("tool", _MISSING),
+    ("tool", "koheval"),
     ("manifest", []),
 ], ids=str)
 def test_report_with_malformed_block_exits_2(sample_report, tmp_path, capsys,
@@ -388,6 +539,17 @@ def test_report_with_malformed_block_exits_2(sample_report, tmp_path, capsys,
         assert main(["report", str(stored), "--format", fmt]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: report: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_report_holding_only_schema_version_exits_2(tmp_path, capsys, fmt):
+    stored = tmp_path / "report.json"
+    stored.write_text(json.dumps({"schema_version": SCHEMA_VERSION}))
+    assert main(["report", str(stored), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: report: ") \
+        and captured.err.count("\n") == 1
 
 
 def test_non_utf8_report_exits_2(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -355,6 +356,15 @@ class TestCohortFiles:
         ])
         with pytest.raises(SchemaError):
             write_cohort(mixed, tmp_path / "cohort")
+
+    def test_read_without_pred_dir_has_no_detections(self, tmp_path):
+        dataset, _ = generate(SynthSpec(n_images=5, seed=6))
+        out = write_cohort(dataset, tmp_path / "cohort")
+        shutil.rmtree(out / "pred")
+        read = read_cohort(out)
+        assert read.ids() == dataset.ids()
+        assert [r.ground_truth for r in read] == [r.ground_truth for r in dataset]
+        assert all(r.predictions == [] for r in read)
 
     def test_read_rejects_plain_directory(self, tmp_path):
         with pytest.raises(SchemaError):
