@@ -118,11 +118,11 @@ def _op(args) -> OperatingPoint:
 
 
 def cmd_split(args) -> int:
-    fractions = tuple(float(p) for p in args.fractions.split(","))
-    if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
-        raise KohevalError(
-            f"fractions must be three numbers summing to 1, got {args.fractions}"
-        )
+    try:
+        fractions = tuple(float(p) for p in args.fractions.split(","))
+    except ValueError:
+        raise KohevalError(f"--fractions must be comma-separated numbers, "
+                           f"got {args.fractions!r}") from None
     dataset, _ = _read_ground_truth(args)
     assignment = stratified_split(dataset, fractions=fractions, seed=args.seed)
     out = Path(args.out) if args.out else _output_dir() / "split.json"

@@ -106,12 +106,6 @@ class Dataset:
     def ids(self) -> list[str]:
         return [rec.image_id for rec in self.records]
 
-    def by_id(self, image_id: str) -> ImageRecord:
-        for rec in self.records:
-            if rec.image_id == image_id:
-                return rec
-        raise ReferentialError(f"unknown image_id {image_id!r}")
-
 
 # ---------------------------------------------------------------------------
 # Line-oriented normalized format
@@ -196,22 +190,7 @@ def format_label_file(boxes: Sequence[Box], dims: ImageDims) -> str:
 # ---------------------------------------------------------------------------
 # COCO-style structured documents
 
-
-def _require(mapping, key, context):
-    if not isinstance(mapping, dict) or key not in mapping:
-        raise SchemaError(f"{context}: missing field {key!r}")
-    return mapping[key]
-
-
-def _require_id(mapping, key, context):
-    value = _require(mapping, key, context)
-    if isinstance(value, (dict, list)):
-        raise SchemaError(f"{context}: {key!r} must be a number or string")
-    return value
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+_COCO_ID = (int, float, str)
 
 
 def parse_coco_json(document: str | bytes | dict) -> Dataset:
@@ -223,24 +202,15 @@ def parse_coco_json(document: str | bytes | dict) -> Dataset:
     taxonomy. The image id is the file name without its extension.
     """
     if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except ValueError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from None
-    if not isinstance(document, dict):
-        raise SchemaError("top-level document must be an object")
-
-    blocks = []
-    for key in ("images", "annotations", "categories"):
-        blocks.append(_require(document, key, "document"))
-        if not isinstance(blocks[-1], list):
-            raise SchemaError(f"document: {key!r} must be a list")
-    images, annotations, categories = blocks
+        document = load_json(document, "COCO document")
+    images, annotations, categories = (
+        require(document, key, list, "COCO document")
+        for key in ("images", "annotations", "categories"))
 
     class_of_category: dict[int, int] = {}
     for cat in categories:
-        cat_id = _require_id(cat, "id", "category")
-        name = str(_require(cat, "name", "category")).lower()
+        cat_id = require(cat, "id", _COCO_ID, "category")
+        name = require(cat, "name", str, "category").lower()
         if name not in CLASS_NAMES:
             raise SchemaError(f"category name {name!r} outside {set(CLASS_NAMES)}")
         class_of_category[cat_id] = CLASS_NAMES.index(name)
@@ -248,13 +218,10 @@ def parse_coco_json(document: str | bytes | dict) -> Dataset:
     records: dict[int, ImageRecord] = {}
     order: list[int] = []
     for img in images:
-        img_id = _require_id(img, "id", "image")
-        file_name = str(_require(img, "file_name", "image"))
-        width = _require(img, "width", "image")
-        height = _require(img, "height", "image")
-        if not (_is_int(width) and _is_int(height)):
-            raise SchemaError(f"image {img_id}: width/height must be integers")
-        stem = Path(file_name).stem
+        img_id = require(img, "id", _COCO_ID, "image")
+        stem = Path(require(img, "file_name", str, "image")).stem
+        width, height = (require(img, side, int, f"image {img_id}")
+                         for side in ("width", "height"))
         if not stem:
             raise SchemaError(f"image {img_id}: empty file_name")
         records[img_id] = ImageRecord(stem, ImageDims(width, height))
@@ -263,19 +230,19 @@ def parse_coco_json(document: str | bytes | dict) -> Dataset:
     boxes_of: dict[int, list[Box]] = {img_id: [] for img_id in records}
     clipped = 0
     for ann in annotations:
-        img_ref = _require_id(ann, "image_id", "annotation")
-        cat_ref = _require_id(ann, "category_id", "annotation")
-        bbox = _require(ann, "bbox", "annotation")
+        img_ref = require(ann, "image_id", _COCO_ID, "annotation")
+        cat_ref = require(ann, "category_id", _COCO_ID, "annotation")
+        bbox = require(ann, "bbox", list, "annotation")
         if img_ref not in records:
             raise ReferentialError(f"annotation references unknown image {img_ref}")
         if cat_ref not in class_of_category:
             raise ReferentialError(f"annotation references unknown category {cat_ref}")
-        if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
-            raise SchemaError(f"bbox must be [x, y, w, h], got {bbox!r}")
+        if len(bbox) != 4 or not all(type(v) in (int, float) for v in bbox):
+            raise SchemaError(f"bbox must be four numbers [x, y, w, h], got {bbox!r}")
         try:
             x, y, w, h = (float(v) for v in bbox)
-        except (TypeError, ValueError, OverflowError):
-            raise SchemaError(f"bbox must hold numbers, got {bbox!r}") from None
+        except OverflowError:
+            raise SchemaError(f"bbox holds a number too large, got {bbox!r}") from None
         if w <= 0.0 or h <= 0.0:
             raise SchemaError(f"bbox has non-positive size: {bbox!r}")
         rec = records[img_ref]
@@ -351,6 +318,42 @@ def read_text(path: Path | str, error: type[KohevalError] = ParseError,
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte "
                     f"{exc.start})") from None
+
+
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string",
+               bool: "a boolean", int: "an integer", float: "a number",
+               type(None): "null"}
+
+
+def load_json(text: str | bytes, what: str) -> dict:
+    """Decode a JSON document whose top level must be an object. Malformed
+    text, and nesting deeper than the decoder's recursion limit, raise
+    SchemaError naming ``what``."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{what}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what}: top level must be an object")
+    return doc
+
+
+def require(doc, key: str, kinds: type | tuple[type, ...], what: str):
+    """``doc[key]``, where ``doc`` must be an object holding ``key`` and its
+    value an instance of ``kinds``. ``bool`` passes only where ``kinds``
+    names it (Python counts it an int), and an int passes for a float only
+    where ``kinds`` names both."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what} must be an object")
+    if key not in doc:
+        raise SchemaError(f"{what}: missing field {key!r}")
+    kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+    value = doc[key]
+    if not isinstance(value, kinds) or (isinstance(value, bool)
+                                        and bool not in kinds):
+        names = [_JSON_KINDS[k] for k in kinds if not (k is int and float in kinds)]
+        raise SchemaError(f"{what}: {key!r} must be {' or '.join(names)}")
+    return value
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:
@@ -499,14 +502,9 @@ def read_cohort_dims(path: Path | str,
     dims_file = Path(path) / "dims.json"
     if not dims_file.is_file():
         raise SchemaError(f"{path}: not a cohort directory (no dims.json)")
-    try:
-        doc = json.loads(read_text(dims_file, SchemaError, digests))
-    except ValueError as exc:
-        raise SchemaError(f"{dims_file}: not valid JSON: {exc}") from None
-    sides = [doc.get(k) if isinstance(doc, dict) else None for k in ("width", "height")]
-    if not all(_is_int(v) for v in sides):
-        raise SchemaError(f"{dims_file}: width and height must be integers")
-    return ImageDims(*sides)
+    doc = load_json(read_text(dims_file, SchemaError, digests), str(dims_file))
+    return ImageDims(*(require(doc, side, int, str(dims_file))
+                       for side in ("width", "height")))
 
 
 def read_cohort(path: Path | str, tree: InputTree | None = None) -> Dataset:
@@ -552,15 +550,16 @@ class SplitAssignment:
 
     @classmethod
     def from_json(cls, text: str) -> "SplitAssignment":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from None
-        for key in ("seed", "train", "val", "test"):
-            if key not in payload:
-                raise SchemaError(f"split file missing field {key!r}")
-        return cls(tuple(payload["train"]), tuple(payload["val"]),
-                   tuple(payload["test"]), int(payload["seed"]))
+        doc = load_json(text, "split file")
+        seed = require(doc, "seed", int, "split file")
+        if seed < 0:
+            raise SchemaError("split file: 'seed' must be non-negative")
+        parts = []
+        for key in ("train", "val", "test"):
+            parts.append(tuple(require(doc, key, list, "split file")))
+            if not all(isinstance(image_id, str) for image_id in parts[-1]):
+                raise SchemaError(f"split file: {key!r} must be a list of strings")
+        return cls(*parts, seed)
 
 
 def largest_remainder_sizes(n: int, fractions: Sequence[float]) -> list[int]:
@@ -589,10 +588,12 @@ def stratified_split(dataset: Dataset,
     """
     if len(dataset) == 0:
         raise SchemaError("cannot split an empty dataset")
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
+    if len(fractions) != 3 or not all(f >= 0 for f in fractions):
         raise SchemaError("fractions must be three non-negative values")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise SchemaError(f"fractions must sum to 1, got {sum(fractions)}")
+    if seed < 0:
+        raise SchemaError(f"seed must be non-negative, got {seed}")
 
     by_stratum: dict[tuple[bool, bool], list[str]] = {s: [] for s in STRATA}
     for rec in sorted(dataset.records, key=lambda r: r.image_id):

@@ -13,7 +13,12 @@ import json
 import math
 from dataclasses import dataclass
 
+from .dataset import load_json, require
 from .errors import SchemaError
+
+# JSON kinds a field of each type accepts (types are strings under
+# postponed annotations); an integer read for a float field becomes a float.
+_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 
 @dataclass(frozen=True)
@@ -58,36 +63,15 @@ class TrainManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "TrainManifest":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"not valid JSON: {exc}") from None
-        if not isinstance(payload, dict):
-            raise SchemaError("manifest must be a JSON object")
-        known = {f.name: f for f in dataclasses.fields(cls)}
-        unknown = set(payload) - set(known)
+        doc = load_json(text, "manifest")
+        fields = dataclasses.fields(cls)
+        unknown = set(doc) - {spec.name for spec in fields}
         if unknown:
             raise SchemaError(f"unknown manifest field(s): {sorted(unknown)}")
-        missing = set(known) - set(payload)
-        if missing:
-            raise SchemaError(f"manifest missing field(s): {sorted(missing)}")
         coerced = {}
-        for name, spec in known.items():
-            value = payload[name]
-            if spec.type in ("int", int):
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise SchemaError(f"{name} must be an integer")
-            elif spec.type in ("float", float):
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise SchemaError(f"{name} must be a number")
-                value = float(value)
-            elif spec.type in ("bool", bool):
-                if not isinstance(value, bool):
-                    raise SchemaError(f"{name} must be a boolean")
-            else:
-                if not isinstance(value, str):
-                    raise SchemaError(f"{name} must be a string")
-            coerced[name] = value
+        for spec in fields:
+            value = require(doc, spec.name, _KINDS[spec.type], "manifest")
+            coerced[spec.name] = float(value) if spec.type == "float" else value
         return cls(**coerced)
 
 

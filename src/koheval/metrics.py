@@ -250,14 +250,6 @@ def _ap_pair(curves: Iterable[PRCurve], interpolation: str) -> tuple[float, floa
     return values[0], sum(values) / len(values)
 
 
-def mean_matched_iou(reports: Sequence[MatchReport]) -> float:
-    """Arithmetic mean IoU over every matched (TP) pair in the reports."""
-    ious = [v for report in reports for _, _, v in report.tp_pairs]
-    if not ious:
-        raise UndefinedMetricError("no matched pairs: mean IoU undefined")
-    return sum(ious) / len(ious)
-
-
 # ---------------------------------------------------------------------------
 # Dataset-level assembly
 

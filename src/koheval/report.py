@@ -15,7 +15,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping
 
-from .dataset import InputTree
+from .dataset import InputTree, load_json, require
 from .errors import SchemaError
 from .geometry import CLASS_NAMES
 from .manifest import TrainManifest
@@ -100,12 +100,7 @@ def render_json(report: dict) -> str:
 
 
 def parse_report(text: str) -> dict:
-    try:
-        report = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"report is not valid JSON: {exc}") from exc
-    if not isinstance(report, dict):
-        raise SchemaError("report must be a JSON object")
+    report = load_json(text, "report")
     if report.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError(
             f"unsupported schema_version {report.get('schema_version')!r}; "
@@ -115,48 +110,44 @@ def parse_report(text: str) -> dict:
     return report
 
 
-def _object(block, where: str) -> dict:
-    if not isinstance(block, dict):
-        raise SchemaError(f"report: {where} must be an object")
-    return block
-
-
-def _numbers(block, keys, where: str) -> None:
-    """``block`` must be an object whose ``keys`` (all of its keys when
-    None) hold numbers or null, which is what the renderers format."""
-    block = _object(block, where)
+def _numbers(block: dict, keys, where: str) -> None:
+    """``block``'s ``keys`` (all of its keys when None) must hold numbers or
+    null, which is what the renderers format."""
     for key in keys or block:
-        if not isinstance(block.get(key, ""), (int, float, type(None))):
-            raise SchemaError(f"report: {where}.{key} must be a number or null")
+        require(block, key, (int, float, type(None)), where)
 
 
 def _check_blocks(report: dict) -> None:
     """Require the header blocks build_report always writes, and every
     block the renderers read to have the shape they read."""
-    _object(report.get("tool"), "tool")
-    _numbers(report.get("operating_point"), ("conf_threshold", "iou_threshold"),
-             "operating_point")
-    if not isinstance(report.get("interpolation"), str):
-        raise SchemaError("report: interpolation must be a string")
-    inputs = _object(report.get("inputs", {}), "inputs")
-    if not all(isinstance(e, dict) and "path" in e and isinstance(e.get("sha256"), str)
-               for e in inputs.values()):
-        raise SchemaError("report: each input must be a {path, sha256} object")
+    require(report, "tool", dict, "report")
+    _numbers(require(report, "operating_point", dict, "report"),
+             ("conf_threshold", "iou_threshold"), "report: operating_point")
+    require(report, "interpolation", str, "report")
+    if "inputs" in report:
+        for name, entry in require(report, "inputs", dict, "report").items():
+            require(entry, "path", str, f"report: inputs.{name}")
+            require(entry, "sha256", str, f"report: inputs.{name}")
     if "object_metrics" in report:
-        block = _object(report["object_metrics"], "object_metrics")
-        per_class = _object(block.get("per_class"), "object_metrics.per_class")
-        for name, metrics in per_class.items():
-            _numbers(metrics, _CLASS_FIELDS, f"object_metrics.per_class.{name}")
-        _numbers(block.get("macro"), None, "object_metrics.macro")
+        block = require(report, "object_metrics", dict, "report")
+        where = "report: object_metrics"
+        per_class = require(block, "per_class", dict, where)
+        for name in per_class:
+            _numbers(require(per_class, name, dict, f"{where}.per_class"),
+                     _CLASS_FIELDS, f"{where}.per_class.{name}")
+        _numbers(require(block, "macro", dict, where), None, f"{where}.macro")
     if "screening" in report:
-        block = _object(report["screening"], "screening")
-        _numbers(block.get("matrix"), ("tp", "fn", "fp", "tn"), "screening.matrix")
-        _numbers(block.get("rates"), _RATE_NAMES, "screening.rates")
+        block = require(report, "screening", dict, "report")
+        where = "report: screening"
+        _numbers(require(block, "matrix", dict, where), ("tp", "fn", "fp", "tn"),
+                 f"{where}.matrix")
+        _numbers(require(block, "rates", dict, where), _RATE_NAMES, f"{where}.rates")
         missed = block.get("false_negative_ids", [])
         if not (isinstance(missed, list) and all(isinstance(i, str) for i in missed)):
-            raise SchemaError("report: screening.false_negative_ids must be a "
-                              "list of strings")
-    _object(report.get("manifest", {}), "manifest")
+            raise SchemaError(f"{where}: 'false_negative_ids' must be a list "
+                              "of strings")
+    if "manifest" in report:
+        require(report, "manifest", dict, "report")
 
 
 # ---------------------------------------------------------------------------

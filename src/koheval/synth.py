@@ -26,11 +26,12 @@ from .dataset import (
     Dataset,
     ImageRecord,
     atomic_write_text,
-    _require,
     format_label_file,
+    load_json,
     read_cohort,
     read_cohort_dims,
     read_text,
+    require,
 )
 from .errors import GenerationError, SchemaError
 from .geometry import ARTEFACT, FUNGAL, Box, ImageDims, iou
@@ -95,6 +96,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_images < 1:
             raise SchemaError("n_images must be at least 1")
+        if self.seed < 0:
+            raise SchemaError(f"seed must be non-negative, got {self.seed}")
         for name in ("fungal_per_image", "artefact_per_image"):
             lo, hi = getattr(self, name)
             if not 0 <= lo <= hi:
@@ -137,6 +140,13 @@ class PlantedBox:
     def __post_init__(self):
         if self.role not in ROLES:
             raise SchemaError(f"unknown planted role {self.role!r}")
+
+
+# Truth-file fields a planted box may omit (they default to None).
+_OPTIONAL_PLANT_FIELDS = (("gt_index", (int, type(None))),
+                          ("pred_index", (int, type(None))),
+                          ("target_iou", (int, float, type(None))),
+                          ("achieved_iou", (int, float, type(None))))
 
 
 @dataclass(frozen=True)
@@ -227,32 +237,23 @@ class SynthTruth:
 
     @classmethod
     def from_json(cls, text: str) -> "SynthTruth":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"truth file is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or doc.get("schema") != "koheval-synth-truth/1":
-            raise SchemaError("not a koheval-synth-truth/1 document")
-        entries = doc.get("images", [])
-        if not isinstance(entries, list):
-            raise SchemaError("truth file: 'images' must be a list")
+        doc = load_json(text, "truth file")
+        if doc.get("schema") != "koheval-synth-truth/1":
+            raise SchemaError("truth file: not a koheval-synth-truth/1 document")
         images = []
-        for entry in entries:
-            plants = _require(entry, "planted", "truth image")
-            if not isinstance(plants, list):
-                raise SchemaError("truth image: 'planted' must be a list")
+        for entry in require(doc, "images", list, "truth file"):
             planted = tuple(
-                PlantedBox(role=_require(p, "role", "planted box"),
-                           class_id=_require(p, "class_id", "planted box"),
-                           gt_index=p.get("gt_index"),
-                           pred_index=p.get("pred_index"),
-                           target_iou=p.get("target_iou"),
-                           achieved_iou=p.get("achieved_iou"))
-                for p in plants
+                PlantedBox(role=require(p, "role", str, "planted box"),
+                           class_id=require(p, "class_id", int, "planted box"),
+                           **{key: require(p, key, kinds, "planted box")
+                              for key, kinds in _OPTIONAL_PLANT_FIELDS if key in p})
+                for p in require(entry, "planted", list, "truth image")
             )
-            images.append(ImageTruth(image_id=_require(entry, "image_id", "truth image"),
+            images.append(ImageTruth(image_id=require(entry, "image_id", str,
+                                                      "truth image"),
                                      planted=planted))
-        return cls(seed=doc.get("seed", 0), images=tuple(images))
+        return cls(seed=require(doc, "seed", int, "truth file"),
+                   images=tuple(images))
 
 
 # ---------------------------------------------------------------------------

@@ -149,14 +149,15 @@ class TestCoco:
     def test_parse_maps_ids_and_corners(self):
         dataset = parse_coco_json(self.document())
         assert dataset.ids() == ["img-001", "img-002"]
-        rec = dataset.by_id("img-001")
+        by_id = {r.image_id: r for r in dataset.records}
+        rec = by_id["img-001"]
         assert rec.dims == ImageDims(2048, 2048)
         first = rec.ground_truth[0]
         assert (first.x_min, first.y_min, first.x_max, first.y_max) == \
             (100.0, 200.0, 400.0, 280.0)
         assert first.class_id == FUNGAL
         assert rec.ground_truth[1].class_id == ARTEFACT
-        assert dataset.by_id("img-002").ground_truth == []
+        assert by_id["img-002"].ground_truth == []
 
     def test_unknown_image_reference(self):
         doc = self.document()
@@ -192,6 +193,11 @@ class TestCoco:
         with pytest.raises(SchemaError):
             parse_coco_json("{not json")
 
+    @pytest.mark.parametrize("document", ["[]", [], None])
+    def test_top_level_must_be_an_object(self, document):
+        with pytest.raises(SchemaError):
+            parse_coco_json(document)
+
     def test_format_parse_round_trip(self):
         dataset = parse_coco_json(self.document())
         text = format_coco_json(dataset)
@@ -213,8 +219,9 @@ class TestLoading:
         dataset = load_ground_truth(gt_dir, dims=DIMS)
         dataset = attach_predictions(dataset, pred_dir)
         assert dataset.ids() == ["img-a", "img-b"]
-        assert len(dataset.by_id("img-a").predictions) == 1
-        assert dataset.by_id("img-b").predictions == []
+        by_id = {r.image_id: r for r in dataset.records}
+        assert len(by_id["img-a"].predictions) == 1
+        assert by_id["img-b"].predictions == []
 
     def test_directory_needs_dims(self, tmp_path):
         (tmp_path / "x.txt").write_text("")
@@ -305,6 +312,12 @@ class TestSplit:
             stratified_split(dataset, fractions=(0.6, 0.3, 0.3))
         with pytest.raises(SchemaError):
             stratified_split(dataset, fractions=(0.9, 0.1))
+        with pytest.raises(SchemaError):
+            stratified_split(dataset, fractions=(float("nan"), 0.5, 0.5))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(SchemaError):
+            stratified_split(_registry(), seed=-1)
 
     def test_assignment_json_round_trip(self):
         assignment = stratified_split(_registry(), seed=5)
@@ -313,6 +326,20 @@ class TestSplit:
             tuple(sorted(assignment.train)), tuple(sorted(assignment.val)),
             tuple(sorted(assignment.test)), 5)
         assert json.loads(assignment.to_json())["seed"] == 5
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "x"), ("seed", 1.7), ("seed", True), ("seed", -1),
+        ("train", 5), ("train", "ab"), ("train", [[1]]), ("test", None),
+    ], ids=str)
+    def test_mistyped_split_file_is_schema_error(self, key, value):
+        doc = json.loads(SplitAssignment(("x",), ("y",), ("z",), seed=1).to_json())
+        doc[key] = value
+        with pytest.raises(SchemaError):
+            SplitAssignment.from_json(json.dumps(doc))
+
+    def test_split_file_must_be_an_object(self):
+        with pytest.raises(SchemaError):
+            SplitAssignment.from_json('["seed", "train", "val", "test"]')
 
     def test_overlapping_parts_rejected(self):
         with pytest.raises(SchemaError):

@@ -11,7 +11,6 @@ from koheval.metrics import (
     counts_to_prf,
     evaluate_detections,
     match_image,
-    mean_matched_iou,
     pr_curve,
 )
 from koheval.dataset import ImageRecord
@@ -245,15 +244,16 @@ class TestSweep:
         assert ap50_95 == 0.5
 
     def test_mean_matched_iou(self):
-        reports = [match_image([gt(0, 0, 10, 10)],
+        records = [ImageRecord("a", DIMS, [gt(0, 0, 10, 10)],
                                [pred(0, 0, 10, 5, 0.9)]),
-                   match_image([gt(0, 0, 10, 10)],
+                   ImageRecord("b", DIMS, [gt(0, 0, 10, 10)],
                                [pred(0, 0, 10, 10, 0.9)])]
-        assert mean_matched_iou(reports) == (0.5 + 1.0) / 2
+        metrics = evaluate_detections(records)
+        assert metrics.per_class[FUNGAL].mean_iou == (0.5 + 1.0) / 2
 
     def test_mean_matched_iou_undefined(self):
-        with pytest.raises(UndefinedMetricError):
-            mean_matched_iou([match_image([], [])])
+        metrics = evaluate_detections([ImageRecord("a", DIMS)])
+        assert metrics.per_class[FUNGAL].mean_iou is None
 
 
 class TestEvaluateDetections:

@@ -4,25 +4,28 @@ The CLI turns a KohevalError into one line and exit code 2; any other
 exception would print a traceback and exit 1, the gate-failure code. Each
 property feeds a parser arbitrary text, arbitrary JSON, and a valid
 document with one field replaced by arbitrary JSON or deleted, which
-reaches the checks deep inside the document.
+reaches the checks deep inside the document. Every JSON reader also meets
+documents nested deeper than the decoder's recursion limit.
 """
 
 import json
 import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from koheval.dataset import (
+    SplitAssignment,
     format_coco_json,
     parse_coco_json,
     parse_gt_file,
     parse_pred_file,
     read_cohort_dims,
 )
-from koheval.errors import KohevalError
+from koheval.errors import KohevalError, SchemaError
 from koheval.geometry import ImageDims
-from koheval.manifest import REFERENCE_PROTOCOL
+from koheval.manifest import REFERENCE_PROTOCOL, TrainManifest
 from koheval.metrics import OperatingPoint, evaluate_detections
 from koheval.report import build_report, parse_report, render
 from koheval.screening import screen_dataset
@@ -95,6 +98,8 @@ def parses_or_raises_koheval_error(parse, *args):
 _DATASET, _TRUTH = generate(SynthSpec(n_images=2, seed=3))
 COCO = json.loads(format_coco_json(_DATASET))
 TRUTH = json.loads(_TRUTH.to_json())
+SPLIT = json.loads(SplitAssignment(("a", "b"), ("c",), (), seed=3).to_json())
+MANIFEST = json.loads(REFERENCE_PROTOCOL.to_json())
 REPORT = json.loads(json.dumps(build_report(
     op=OperatingPoint(), object_metrics=evaluate_detections(_DATASET.records),
     screening=screen_dataset(_DATASET.records), manifest=REFERENCE_PROTOCOL,
@@ -137,3 +142,40 @@ def test_cohort_dims_reader(tmp_path_factory, data):
     cohort.mkdir(exist_ok=True)
     (cohort / "dims.json").write_bytes(data)
     parses_or_raises_koheval_error(read_cohort_dims, cohort)
+
+
+@PROPERTY
+@given(documents(SPLIT))
+def test_split_file_parser(text):
+    parses_or_raises_koheval_error(SplitAssignment.from_json, text)
+
+
+@PROPERTY
+@given(documents(MANIFEST))
+def test_manifest_parser(text):
+    parses_or_raises_koheval_error(TrainManifest.from_json, text)
+
+
+def _read_dims_file(text, directory):
+    (directory / "dims.json").write_text(text)
+    return read_cohort_dims(directory)
+
+
+DEEP = {"lists": "[" * 100_000 + "]" * 100_000,
+        "objects": '{"a": ' * 100_000 + "1" + "}" * 100_000}
+JSON_READERS = {
+    "coco": lambda text, _: parse_coco_json(text),
+    "dims": _read_dims_file,
+    "split": lambda text, _: SplitAssignment.from_json(text),
+    "manifest": lambda text, _: TrainManifest.from_json(text),
+    "report": lambda text, _: parse_report(text),
+    "truth": lambda text, _: SynthTruth.from_json(text),
+}
+
+
+@pytest.mark.parametrize("nesting", sorted(DEEP))
+@pytest.mark.parametrize("reader", sorted(JSON_READERS))
+def test_json_nested_past_the_recursion_limit_is_schema_error(tmp_path, reader,
+                                                              nesting):
+    with pytest.raises(SchemaError, match="not valid JSON"):
+        JSON_READERS[reader](DEEP[nesting], tmp_path)

@@ -444,6 +444,11 @@ class TestCli:
         ("categories", 5),
         ("images.0.id", [1]),
         ("annotations.0.category_id", {"id": 1}),
+        ("images.0.id", True),
+        ("annotations.0.image_id", None),
+        ("images.0.file_name", 5),
+        ("annotations.0.bbox", ["0", 0, 0.5, 0.5]),
+        ("annotations.0.bbox", [True, 0, 0.5, 0.5]),
     ], ids=str)
     def test_bad_coco_document_exits_2_without_traceback(self, tmp_path, mutate,
                                                          path, value):
@@ -500,6 +505,42 @@ class TestCli:
         assert "Traceback" not in result.stderr
         assert result.stderr.startswith(f"error: {bad}: not UTF-8") \
             and result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["split", "COHORT", "--fractions", "a,b,c"],
+    ["split", "COHORT", "--fractions", "nan,0.5,0.5"],
+    ["split", "COHORT", "--seed", "-1"],
+    ["synth", "--seed", "-1"],
+], ids=" ".join)
+def test_bad_split_and_synth_numbers_exit_2(tmp_path, monkeypatch, capsys, argv):
+    cohort, outs = tmp_path / "cohort", tmp_path / "outs"
+    main(["synth", "--images", "4", "--out", str(cohort)])
+    capsys.readouterr()
+    monkeypatch.setenv("KOHEVAL_OUTPUT_DIR", str(outs))
+    assert main([str(cohort) if arg == "COHORT" else arg for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not outs.exists()
+
+
+@pytest.mark.parametrize("nesting", ["[" * 100_000,
+                                     '{"a": ' * 100_000 + "1" + "}" * 100_000],
+                         ids=["lists", "objects"])
+@pytest.mark.parametrize("command", ["report", "validate-manifest", "evaluate",
+                                     "screen"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command, nesting):
+    cohort, deep = tmp_path / "cohort", tmp_path / "deep.json"
+    main(["synth", "--images", "2", "--out", str(cohort)])
+    capsys.readouterr()
+    argv = {"report": [deep], "validate-manifest": [deep],
+            "evaluate": [deep, cohort / "pred"], "screen": [cohort]}[command]
+    (cohort / "dims.json" if command == "screen" else deep).write_text(nesting)
+    assert main([command, *map(str, argv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "not valid JSON" in captured.err
 
 
 @pytest.mark.parametrize("path, value", [

@@ -72,6 +72,14 @@ class TestSpecValidation:
         with pytest.raises(SchemaError):
             SynthSpec(fp_extra_rate=-0.1)
 
+    def test_negative_seed_rejected_on_every_generator_path(self):
+        with pytest.raises(SchemaError):
+            SynthSpec(seed=-1)
+        with pytest.raises(SchemaError):
+            plant_object_counts(1, 1, 1, seed=-1)
+        with pytest.raises(SchemaError):
+            plant_screening_matrix(1, 1, 1, 1, seed=-1)
+
     def test_iou_mean_bounded(self):
         with pytest.raises(SchemaError):
             SynthSpec(iou_mean=0.0)
@@ -317,6 +325,14 @@ class TestTruth:
         ("images.0.planted.0.role", _MISSING),
         ("images.0.planted.0.class_id", _MISSING),
         ("images.0.image_id", _MISSING),
+        ("images.0.image_id", 7),
+        ("images.0.planted.0.role", 1),
+        ("images.0.planted.0.class_id", "0"),
+        ("images.0.planted.0.gt_index", 1.5),
+        ("images.0.planted.0.achieved_iou", "0.8"),
+        ("images", _MISSING),
+        ("seed", _MISSING),
+        ("seed", "1"),
     ], ids=str)
     def test_malformed_document_is_schema_error(self, tmp_path, mutate, path, value):
         _, truth = generate(SynthSpec(n_images=2, seed=1, fungal_per_image=(1, 1)))
