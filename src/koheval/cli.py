@@ -64,12 +64,14 @@ def _parse_dims(text: str) -> ImageDims:
 
 
 def _parse_ints(text: str, n: int, what: str) -> list[int]:
-    parts = text.split(",")
-    if len(parts) != n or not all(p.strip().lstrip("-").isdigit() for p in parts):
-        raise argparse.ArgumentTypeError(
-            f"expected {n} comma-separated integers for {what}, got {text!r}"
-        )
-    return [int(p) for p in parts]
+    try:
+        values = [int(p) for p in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != n:
+        raise KohevalError(f"expected {n} comma-separated integers for {what}, "
+                           f"got {text!r}")
+    return values
 
 
 def _is_cohort_dir(path: Path) -> bool:

@@ -85,10 +85,9 @@ class ImageRecord:
 
 @dataclass
 class Dataset:
-    """An immutable collection of image records with a class-name table."""
+    """An immutable collection of image records."""
 
     records: list[ImageRecord]
-    class_names: tuple[str, ...] = CLASS_NAMES
 
     def __post_init__(self):
         seen: set[str] = set()
@@ -493,7 +492,7 @@ def attach_predictions(dataset: Dataset, pred_dir: Path | str,
                  _parse_label_file(file, parse_pred_file, rec.dims, tree.digests))
         records.append(ImageRecord(rec.image_id, rec.dims,
                                    list(rec.ground_truth), preds))
-    return Dataset(records, dataset.class_names)
+    return Dataset(records)
 
 
 def read_cohort_dims(path: Path | str,

@@ -9,15 +9,17 @@ highest IoU when that IoU clears the threshold (ties go to the lower
 ground-truth index); otherwise it is a false positive. Ground truth left
 unmatched is a false negative. Cross-class IoU is never consulted.
 
-One kernel, ``_match_scene``, runs this rule for an image at any number
-of IoU thresholds in a single pass; matching, PR curves, AP and the
-dataset-level metrics all read its result.
+The flow is kernel -> pool -> metrics. ``_match_scene`` runs the rule
+for one image at every IoU threshold in one pass; ``_pool`` concatenates
+those arrays per class over a cohort. Counts, mean IoU, PR curves and AP
+all read the pooled arrays, and ``_integrate`` is the one AP integrator.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,8 +49,8 @@ class OperatingPoint:
             if not 0.0 < value <= 1.0:
                 raise SchemaError(f"{name} must lie in (0, 1], got {value}")
 
-    def admits(self, confidence: float) -> bool:
-        """Object-level keep rule: confidence >= threshold."""
+    def admits(self, confidence):
+        """Object-level keep rule: confidence >= threshold, elementwise."""
         return confidence >= self.conf_threshold
 
     def flags_positive(self, confidence: float) -> bool:
@@ -73,17 +75,20 @@ class MatchReport:
 
 
 class _SceneMatch(NamedTuple):
-    ious: np.ndarray  # ground truth x predictions
-    order: list[int]  # greedy processing order of the predictions
+    # One image's predictions, each array in greedy processing order.
+    index: np.ndarray  # position in the prediction list
+    classes: np.ndarray
+    confidences: np.ndarray
     matched: np.ndarray  # thresholds x predictions: ground-truth index or -1
+    ious: np.ndarray  # IoU of the row-0 match, 0.0 where row 0 missed
 
 
 def _match_scene(gts: Sequence[Box], preds: Sequence[Box],
                  thresholds: Sequence[float]) -> _SceneMatch:
     """The greedy matcher: one image, every IoU threshold in one pass.
 
-    Confidence is the first sort key, so matching only the predictions a
-    confidence threshold admits equals cutting ``order`` at their number.
+    Confidence is the first sort key, so the predictions a confidence
+    threshold admits are a prefix of the greedy order.
     """
     ious = iou_matrix(gts, preds)
     gt_classes = np.array([g.class_id for g in gts], dtype=int)
@@ -91,37 +96,22 @@ def _match_scene(gts: Sequence[Box], preds: Sequence[Box],
     candidate = np.where(gt_classes[:, None] == pred_classes[None, :], ious, -1.0)
     best = candidate.max(axis=0, initial=0.0)
     confidences = np.array([p.confidence for p in preds], dtype=float)
-    order = np.lexsort((-best, -confidences)).tolist()  # stable: ties keep input order
+    order = np.lexsort((-best, -confidences))  # stable: ties keep input order
 
     limits = np.asarray(thresholds, dtype=float)
     rows = np.arange(len(limits))
     matched = np.full((len(limits), len(preds)), -1)
     available = np.ones((len(limits), len(gts)), dtype=bool)
-    for j in (order if len(gts) else ()):  # argmax needs ground truth
+    for k, j in enumerate(order.tolist() if len(gts) else ()):  # argmax needs gt
         masked = np.where(available, candidate[:, j], -1.0)
         g = masked.argmax(axis=1)
         hit = masked[rows, g] >= limits
         available[rows[hit], g[hit]] = False
-        matched[hit, j] = g[hit]
-    return _SceneMatch(ious, order, matched)
-
-
-def _report(gts: Sequence[Box], preds: Sequence[Box], columns: Sequence[int],
-            scene: _SceneMatch, admitted: int) -> MatchReport:
-    # Row 0 of ``scene`` read along the first ``admitted`` predictions of
-    # its order; ``columns`` maps kernel columns to indices into ``preds``.
-    order, matched = scene.order[:admitted], scene.matched[0]
-    tp_pairs = tuple((int(matched[j]), columns[j], float(scene.ious[matched[j], j]))
-                     for j in order if matched[j] >= 0)
-    fp_indices = sorted(columns[j] for j in order if matched[j] < 0)
-    taken = {g for g, _, _ in tp_pairs}
-    fn_indices = [g for g in range(len(gts)) if g not in taken]
-    classes = sorted({b.class_id for b in gts} | {preds[i].class_id for i in fp_indices})
-    counts = {c: (sum(gts[g].class_id == c for g, _, _ in tp_pairs),
-                  sum(preds[i].class_id == c for i in fp_indices),
-                  sum(gts[g].class_id == c for g in fn_indices)) for c in classes}
-    return MatchReport(tp_pairs=tp_pairs, fp_pred_indices=tuple(fp_indices),
-                       fn_gt_indices=tuple(fn_indices), class_counts=counts)
+        matched[hit, k] = g[hit]
+    # Index -1 (no match) reads the appended row of zeros.
+    matched_ious = np.vstack((ious, np.zeros(len(preds))))[matched[0], order]
+    return _SceneMatch(order, pred_classes[order], confidences[order], matched,
+                       matched_ious)
 
 
 def match_image(gts: Sequence[Box], preds: Sequence[Box],
@@ -133,7 +123,40 @@ def match_image(gts: Sequence[Box], preds: Sequence[Box],
     """
     kept = [i for i, p in enumerate(preds) if op.admits(p.confidence)]
     scene = _match_scene(gts, [preds[i] for i in kept], (op.iou_threshold,))
-    return _report(gts, preds, kept, scene, len(kept))
+    greedy = list(zip([kept[j] for j in scene.index.tolist()],
+                      scene.matched[0].tolist(), scene.ious.tolist()))
+    tp_pairs = tuple((g, i, v) for i, g, v in greedy if g >= 0)
+    fp_indices = sorted(i for i, g, _ in greedy if g < 0)
+    fn_indices = sorted(set(range(len(gts))) - {g for g, _, _ in tp_pairs})
+    classes = sorted({b.class_id for b in gts} | {preds[i].class_id for i in fp_indices})
+    counts = {c: (sum(gts[g].class_id == c for g, _, _ in tp_pairs),
+                  sum(preds[i].class_id == c for i in fp_indices),
+                  sum(gts[g].class_id == c for g in fn_indices)) for c in classes}
+    return MatchReport(tp_pairs=tp_pairs, fp_pred_indices=tuple(fp_indices),
+                       fn_gt_indices=tuple(fn_indices), class_counts=counts)
+
+
+class _ClassPool(NamedTuple):
+    # One class's predictions over a cohort, in image then greedy order.
+    class_id: int
+    total_gt: int
+    confidences: np.ndarray
+    hits: np.ndarray  # thresholds x predictions: matched at that threshold
+    ious: np.ndarray  # as _SceneMatch.ious
+
+
+def _pool(scenes: Sequence[ScenePair], thresholds: Sequence[float],
+          class_ids: Iterable[int]) -> dict[int, _ClassPool]:
+    """Match every scene once and pool its arrays by predicted class."""
+    matches = [_match_scene(gts, preds, thresholds) for gts, preds in scenes] \
+        or [_match_scene((), (), thresholds)]
+    classes, confidences, ious = (np.concatenate([getattr(m, name) for m in matches])
+                                  for name in ("classes", "confidences", "ious"))
+    hits = np.concatenate([m.matched for m in matches], axis=1) >= 0
+    totals = Counter(b.class_id for gts, _ in scenes for b in gts)
+    return {c: _ClassPool(c, totals[c], confidences[classes == c],
+                          hits[:, classes == c], ious[classes == c])
+            for c in class_ids}
 
 
 def counts_to_prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -161,35 +184,20 @@ class PRCurve:
             raise SchemaError("recall must be non-decreasing as confidence drops")
 
 
-def _pooled_curves(scenes: Sequence[ScenePair], hits: Sequence[np.ndarray],
-                   class_id: int) -> Iterator[PRCurve]:
-    # Yields one curve per threshold row of ``hits`` (a thresholds x
-    # predictions array of match flags per scene), lazily, as each curve
-    # holds a point per distinct confidence. Predictions are pooled in
-    # descending confidence; their order among equal confidences does not
-    # matter, as a curve keeps only the state after the last of them.
-    total_gt = sum(1 for gts, _ in scenes for b in gts if b.class_id == class_id)
-    if total_gt == 0:
-        raise UndefinedMetricError(
-            f"no ground truth of class {class_id}: recall undefined"
-        )
-    confidences, pooled = [], []
-    for (_, preds), scene_hits in zip(scenes, hits):
-        columns = [j for j, p in enumerate(preds) if p.class_id == class_id]
-        confidences.extend(preds[j].confidence for j in columns)
-        pooled.append(scene_hits[:, columns])
-    confidences = np.array(confidences, dtype=float)
-    order = np.argsort(-confidences, kind="stable")
-    confidences = confidences[order]
-    tp = np.cumsum(np.concatenate(pooled, axis=1)[:, order], axis=1)
+def _sweep(pool: _ClassPool, hits: np.ndarray) -> tuple[np.ndarray, ...]:
+    # Confidence, precision and recall after each distinct confidence, a
+    # row per row of ``hits``, swept in descending confidence. Order among
+    # equal confidences does not matter: only the state after them is kept.
+    if pool.total_gt == 0:
+        raise UndefinedMetricError(f"no ground truth of class {pool.class_id}: "
+                                   "recall undefined")
+    order = np.argsort(-pool.confidences, kind="stable")
+    confidences = pool.confidences[order]
+    tp = np.cumsum(hits[:, order], axis=1)
     swept = np.arange(1, len(order) + 1)
     last = np.ones(len(order), dtype=bool)
     last[:-1] = confidences[1:] != confidences[:-1]
-    for row in tp:
-        yield PRCurve(points=tuple(zip(confidences[last].tolist(),
-                                       (row / swept)[last].tolist(),
-                                       (row / total_gt)[last].tolist())),
-                      total_gt=total_gt)
+    return confidences[last], (tp / swept)[:, last], (tp / pool.total_gt)[:, last]
 
 
 def pr_curve(scenes: Sequence[ScenePair], class_id: int,
@@ -201,18 +209,29 @@ def pr_curve(scenes: Sequence[ScenePair], class_id: int,
     own image. Callers wanting order-independent output should pass
     scenes sorted by image id.
     """
-    hits = [_match_scene(gts, preds, (iou_threshold,)).matched >= 0
-            for gts, preds in scenes]
-    return next(_pooled_curves(scenes, hits, class_id))
+    pool = _pool(scenes, (iou_threshold,), (class_id,))[class_id]
+    confidences, precision, recall = _sweep(pool, pool.hits)
+    return PRCurve(points=tuple(zip(confidences.tolist(), precision[0].tolist(),
+                                    recall[0].tolist())), total_gt=pool.total_gt)
 
 
-def _envelope(curve: PRCurve) -> tuple[np.ndarray, np.ndarray]:
+def _integrate(recall: np.ndarray, precision: np.ndarray,
+               interpolation: str) -> float:
     # Points run from high confidence to low, which is ascending recall.
     # The suffix maximum makes the envelope non-increasing in recall.
-    recalls = np.array([p[2] for p in curve.points])
-    precisions = np.array([p[1] for p in curve.points])
-    envelope = np.maximum.accumulate(precisions[::-1])[::-1]
-    return recalls, envelope
+    if interpolation not in ("101", "all"):
+        raise SchemaError(f"unknown interpolation {interpolation!r}")
+    if not len(recall):
+        return 0.0
+    envelope = np.maximum.accumulate(precision[::-1])[::-1]
+    if interpolation == "101":
+        grid = np.arange(101) / 100.0
+        idx = np.searchsorted(recall, grid, side="left")
+        sampled = np.where(idx < len(recall),
+                           envelope[np.minimum(idx, len(recall) - 1)], 0.0)
+        return float(sampled.mean())
+    steps = np.diff(np.concatenate(([0.0], recall)))
+    return float(np.sum(steps * envelope))
 
 
 def average_precision(curve: PRCurve, interpolation: str = "101") -> float:
@@ -222,32 +241,23 @@ def average_precision(curve: PRCurve, interpolation: str = "101") -> float:
     sampled at recalls 0.00, 0.01, ..., 1.00); ``"all"`` integrates the
     envelope step function exactly.
     """
-    if interpolation not in ("101", "all"):
-        raise SchemaError(f"unknown interpolation {interpolation!r}")
-    if not curve.points:
-        return 0.0
-    recalls, envelope = _envelope(curve)
-    if interpolation == "101":
-        grid = np.arange(101) / 100.0
-        idx = np.searchsorted(recalls, grid, side="left")
-        sampled = np.where(idx < len(recalls),
-                           envelope[np.minimum(idx, len(recalls) - 1)], 0.0)
-        return float(sampled.mean())
-    steps = np.diff(np.concatenate(([0.0], recalls)))
-    return float(np.sum(steps * envelope))
+    return _integrate(np.array([p[2] for p in curve.points]),
+                      np.array([p[1] for p in curve.points]), interpolation)
+
+
+def _ap_pair(pool: _ClassPool, hits: np.ndarray,
+             interpolation: str) -> tuple[float, float]:
+    # AP at the first row of ``hits`` and the mean over all its rows.
+    _, precision, recall = _sweep(pool, hits)
+    values = [_integrate(r, p, interpolation) for r, p in zip(recall, precision)]
+    return values[0], sum(values) / len(values)
 
 
 def ap_sweep(scenes: Sequence[ScenePair], class_id: int,
              interpolation: str = "101") -> tuple[float, float]:
     """AP at IoU 0.50 and the mean over thresholds 0.50:0.05:0.95."""
-    hits = [_match_scene(gts, preds, AP_IOU_THRESHOLDS).matched >= 0
-            for gts, preds in scenes]
-    return _ap_pair(_pooled_curves(scenes, hits, class_id), interpolation)
-
-
-def _ap_pair(curves: Iterable[PRCurve], interpolation: str) -> tuple[float, float]:
-    values = [average_precision(curve, interpolation) for curve in curves]
-    return values[0], sum(values) / len(values)
+    pool = _pool(scenes, AP_IOU_THRESHOLDS, (class_id,))[class_id]
+    return _ap_pair(pool, pool.hits, interpolation)
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +310,7 @@ def _macro(values: Sequence[float | None]) -> float | None:
 
 
 def evaluate_detections(records, op: OperatingPoint = OperatingPoint(),
-                        interpolation: str = "101",
-                        class_ids: Sequence[int] = (FUNGAL, ARTEFACT)
-                        ) -> ObjectMetrics:
+                        interpolation: str = "101") -> ObjectMetrics:
     """Run matching over a whole dataset and assemble per-class + macro
     object-level metrics.
 
@@ -310,28 +318,20 @@ def evaluate_detections(records, op: OperatingPoint = OperatingPoint(),
     sorting on image_id, so record order never changes the result.
     """
     ordered = sorted(records, key=lambda r: r.image_id)
-    scenes = [(r.ground_truth, r.predictions) for r in ordered]
-    # Row 0 is the operating point, read at the admitted prefix of the
-    # greedy order; the other rows are the AP thresholds.
-    reports, hits = [], []
-    for gts, preds in scenes:
-        scene = _match_scene(gts, preds, (op.iou_threshold, *AP_IOU_THRESHOLDS))
-        reports.append(_report(gts, preds, range(len(preds)), scene,
-                               sum(1 for p in preds if op.admits(p.confidence))))
-        hits.append(scene.matched[1:] >= 0)
-
+    # Row 0 of the hits is the operating point, rows 1: the AP thresholds.
+    pools = _pool([(r.ground_truth, r.predictions) for r in ordered],
+                  (op.iou_threshold, *AP_IOU_THRESHOLDS), (FUNGAL, ARTEFACT))
     per_class: dict[int, ClassMetrics] = {}
-    for c in class_ids:
-        tp, fp, fn = (sum(r.class_counts.get(c, (0, 0, 0))[k] for r in reports)
-                      for k in range(3))
-        matched = [v for (gts, _), r in zip(scenes, reports)
-                   for g, _, v in r.tp_pairs if gts[g].class_id == c]
+    for c, pool in pools.items():
+        admitted = op.admits(pool.confidences)
+        matched = admitted & pool.hits[0]
+        tp = int(matched.sum())
+        fp, fn = int(admitted.sum()) - tp, pool.total_gt - tp
         precision, recall, f1 = counts_to_prf(tp, fp, fn)
-        if tp + fn > 0:
-            ap50, ap50_95 = _ap_pair(_pooled_curves(scenes, hits, c), interpolation)
-        else:
-            ap50 = ap50_95 = None
-        mean_iou = sum(matched) / len(matched) if matched else None
+        ap50, ap50_95 = (_ap_pair(pool, pool.hits[1:], interpolation)
+                         if pool.total_gt else (None, None))
+        ious = pool.ious[matched].tolist()  # image then greedy order
+        mean_iou = sum(ious) / len(ious) if ious else None
         per_class[c] = ClassMetrics(tp, fp, fn, precision, recall, f1,
                                     ap50, ap50_95, mean_iou)
 

@@ -283,13 +283,13 @@ def render(report: dict, fmt: str) -> str:
 _SVG_COLORS = ("#b03030", "#2060a8", "#208050", "#806020")
 
 
-def pr_curve_svg(curves: Mapping[str, PRCurve],
-                 width: int = 640, height: int = 460) -> str:
+def pr_curve_svg(curves: Mapping[str, PRCurve]) -> str:
     """Self-contained SVG of one or more precision-recall curves.
 
     The raw points ride along in a ``<desc>`` block, so the plot is also
     a data file; nothing is computed here.
     """
+    width, height = 640, 460
     ml, mr, mt, mb = 54, 16, 16, 44
     pw, ph = width - ml - mr, height - mt - mb
 

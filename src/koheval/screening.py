@@ -162,7 +162,6 @@ def _confusion(calls: Sequence[tuple[bool, bool]]) -> ConfusionMatrix:
 
 
 def threshold_sweep(records, thresholds: Sequence[float],
-                    iou_threshold: float = 0.50,
                     gt_labels: Mapping[str, bool] | None = None
                     ) -> list[tuple[float, ConfusionMatrix]]:
     """Confusion matrix at each confidence threshold, ascending.
@@ -170,8 +169,7 @@ def threshold_sweep(records, thresholds: Sequence[float],
     Raising the threshold can only retract positive calls, so sensitivity
     is non-increasing and specificity non-decreasing along the sweep.
     """
-    ops = [OperatingPoint(conf_threshold=t, iou_threshold=iou_threshold)
-           for t in sorted(thresholds)]
+    ops = [OperatingPoint(conf_threshold=t) for t in sorted(thresholds)]
     # Each image is classified once; only its top fungal confidence and
     # reference label matter at the other thresholds.
     diagnoses = screen_dataset(records, ops[0], gt_labels).diagnoses if ops else ()

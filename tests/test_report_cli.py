@@ -512,6 +512,10 @@ class TestCli:
     ["split", "COHORT", "--fractions", "nan,0.5,0.5"],
     ["split", "COHORT", "--seed", "-1"],
     ["synth", "--seed", "-1"],
+    ["synth", "--plant-counts", "1,2"],
+    ["synth", "--plant-counts=--5,1,1"],
+    ["synth", "--plant-counts", "\u00b2,1,1"],
+    ["synth", "--plant-matrix", "1,2,3"],
 ], ids=" ".join)
 def test_bad_split_and_synth_numbers_exit_2(tmp_path, monkeypatch, capsys, argv):
     cohort, outs = tmp_path / "cohort", tmp_path / "outs"
@@ -522,6 +526,34 @@ def test_bad_split_and_synth_numbers_exit_2(tmp_path, monkeypatch, capsys, argv)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not outs.exists()
+
+
+# SHA-256 of the `evaluate --out` report and the `--curves` SVG. The run
+# starts in the cohort's parent, so the report's input path is "cohort".
+_SPARSE = ["--images", "40", "--seed", "5"]
+_SPARSE_SVG = "672c268d6da8350b8577458a3756d77ee1bda5293fc242eec85635acd7540d3c"
+_PLANTED = ["--plant-counts", "37,9,1", "--seed", "3"]
+_PLANTED_SVG = "1c5f3b9472d12c851877ffaad968205e98f7cb502ba68461c7ed9eb2b5305a52"
+
+
+@pytest.mark.parametrize("synth, interp, report_sha256, svg_sha256", [
+    (_SPARSE, "101",
+     "63d8ef9df30a496306c3971034d4a86cd8d6488b77d807111a1bfdddd385d583", _SPARSE_SVG),
+    (_SPARSE, "all",
+     "e2a7ea9bbd524af199bfb4159c8cee6a96b90b80cc60822931f6718b5a1fc0b6", _SPARSE_SVG),
+    (_PLANTED, "101",
+     "58e94930723d7a8479bf2f392571c6e9e90f82f245e574e6894a90336216dabf", _PLANTED_SVG),
+    (_PLANTED, "all",
+     "2b8d1a7ccc7d9cdc29526c529027496a7f6e1b7d5b45f2a611155d240daa8e0e", _PLANTED_SVG),
+], ids=["sparse-101", "sparse-all", "planted-101", "planted-all"])
+def test_evaluate_output_bytes_match_the_pinned_ones(tmp_path, monkeypatch, synth,
+                                                     interp, report_sha256, svg_sha256):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", *synth, "--out", "cohort"]) == 0
+    assert main(["evaluate", "cohort", "--interp", interp, "--out", "report.json",
+                 "--curves", "curves.svg"]) == 0
+    assert hashlib.sha256(Path("report.json").read_bytes()).hexdigest() == report_sha256
+    assert hashlib.sha256(Path("curves.svg").read_bytes()).hexdigest() == svg_sha256
 
 
 @pytest.mark.parametrize("nesting", ["[" * 100_000,

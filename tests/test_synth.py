@@ -440,30 +440,33 @@ _grid_boxes = st.lists(st.tuples(st.sampled_from((FUNGAL, ARTEFACT)),
 _cohorts = st.lists(st.tuples(_grid_boxes, _grid_boxes), min_size=1, max_size=5)
 
 
-def _oracle_ap(records, class_id, interpolation):
-    """AP50 and AP50:95 from reference_match at every AP threshold, pooled
-    by (-confidence, -best IoU, image rank, index), scored by reference_ap."""
+def _oracle_curve(records, class_id, iou_threshold):
+    """The curve from reference_match at ``iou_threshold``, pooled by
+    (-confidence, -best IoU, image rank, index); every prediction is admitted."""
     total_gt = sum(1 for r in records for g in r.ground_truth if g.class_id == class_id)
-    values = []
-    for threshold in AP_IOU_THRESHOLDS:
-        op = OperatingPoint(conf_threshold=0.05, iou_threshold=threshold)
-        pooled = []
-        for rank, r in enumerate(records):
-            hits = {i for _, i, _ in
-                    reference_match(r.ground_truth, r.predictions, op).tp_pairs}
-            for i, p in enumerate(r.predictions):
-                if p.class_id == class_id:
-                    best = max((iou(g, p) for g in r.ground_truth
-                                if g.class_id == class_id), default=0.0)
-                    pooled.append((-p.confidence, -best, rank, i, i in hits))
-        points, tp = [], 0
-        for n, (neg_conf, _, _, _, hit) in enumerate(sorted(pooled), 1):
-            tp += hit
-            if points and points[-1][0] == -neg_conf:
-                points.pop()
-            points.append((-neg_conf, tp / n, tp / total_gt))
-        curve = PRCurve(points=tuple(points), total_gt=total_gt)
-        values.append(reference_ap(curve, interpolation))
+    op = OperatingPoint(conf_threshold=0.05, iou_threshold=iou_threshold)
+    pooled = []
+    for rank, r in enumerate(records):
+        hits = {i for _, i, _ in
+                reference_match(r.ground_truth, r.predictions, op).tp_pairs}
+        for i, p in enumerate(r.predictions):
+            if p.class_id == class_id:
+                best = max((iou(g, p) for g in r.ground_truth
+                            if g.class_id == class_id), default=0.0)
+                pooled.append((-p.confidence, -best, rank, i, i in hits))
+    points, tp = [], 0
+    for n, (neg_conf, _, _, _, hit) in enumerate(sorted(pooled), 1):
+        tp += hit
+        if points and points[-1][0] == -neg_conf:
+            points.pop()
+        points.append((-neg_conf, tp / n, tp / total_gt))
+    return PRCurve(points=tuple(points), total_gt=total_gt)
+
+
+def _oracle_ap(records, class_id, interpolation):
+    """AP50 and AP50:95 of the oracle curves, scored by reference_ap."""
+    values = [reference_ap(_oracle_curve(records, class_id, threshold), interpolation)
+              for threshold in AP_IOU_THRESHOLDS]
     return values[0], sum(values) / len(values)
 
 
@@ -487,11 +490,19 @@ class TestPooledApOracle:
             counts = [rep.class_counts.get(class_id, (0, 0, 0)) for rep in reports]
             assert (got.tp, got.fp, got.fn) == tuple(sum(n[k] for n in counts)
                                                      for k in range(3))
+            # TP IoUs in image then greedy order, the order they are summed in.
+            matched = [v for r, rep in zip(records, reports) for g, _, v in rep.tp_pairs
+                       if r.ground_truth[g].class_id == class_id]
+            assert got.mean_iou == (sum(matched) / len(matched) if matched else None)
             if not any(g.class_id == class_id for r in records for g in r.ground_truth):
                 assert got.ap50 is None and got.ap50_95 is None
                 with pytest.raises(UndefinedMetricError):
                     ap_sweep(scenes, class_id, interpolation)
+                with pytest.raises(UndefinedMetricError):
+                    pr_curve(scenes, class_id, 0.50)
                 continue
+            assert pr_curve(scenes, class_id, 0.50) == \
+                _oracle_curve(records, class_id, 0.50)
             want50, want50_95 = _oracle_ap(records, class_id, interpolation)
             for ap50, ap50_95 in (ap_sweep(scenes, class_id, interpolation),
                                   (got.ap50, got.ap50_95)):
