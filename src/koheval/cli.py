@@ -19,6 +19,7 @@ from .dataset import (
     InputTree,
     atomic_write_text,
     attach_predictions,
+    is_cohort_dir,
     load_ground_truth,
     read_cohort,
     read_cohort_dims,
@@ -74,11 +75,6 @@ def _parse_ints(text: str, n: int, what: str) -> list[int]:
     return values
 
 
-def _is_cohort_dir(path: Path) -> bool:
-    return path.is_dir() and (path / "dims.json").is_file() \
-        and (path / "gt").is_dir()
-
-
 def _read_ground_truth(args) -> tuple[Dataset, tuple[Path, str]]:
     """Resolve the GT argument into ground truth and its (path, SHA-256).
 
@@ -86,7 +82,7 @@ def _read_ground_truth(args) -> tuple[Dataset, tuple[Path, str]]:
     COCO .json file, or a directory of label files (which needs --dims).
     """
     gt, dims = Path(args.gt), args.dims
-    if _is_cohort_dir(gt):
+    if is_cohort_dir(gt):
         dims, gt = read_cohort_dims(gt), gt / "gt"
     tree = InputTree(gt)
     return load_ground_truth(gt, dims, tree), (gt, tree.sha256())
@@ -99,7 +95,7 @@ def _load_inputs(args) -> tuple[Dataset, dict]:
     PRED is a directory of prediction files; it defaults to a cohort
     directory's pred/, and a cohort without pred/ has no detections.
     """
-    if args.pred is None and _is_cohort_dir(Path(args.gt)):
+    if args.pred is None and is_cohort_dir(Path(args.gt)):
         tree = InputTree(args.gt)
         return read_cohort(tree.path, tree), {"cohort": (tree.path, tree.sha256())}
     dataset, gt_input = _read_ground_truth(args)

@@ -295,7 +295,7 @@ def format_coco_json(dataset: Dataset) -> str:
             {"id": 2, "name": "artefact"},
         ],
     }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return dump_json(document)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +335,12 @@ def load_json(text: str | bytes, what: str) -> dict:
     if not isinstance(doc, dict):
         raise SchemaError(f"{what}: top level must be an object")
     return doc
+
+
+def dump_json(doc, indent: int | None = 2) -> str:
+    """Canonical JSON text: sorted keys, ``indent`` (None for one line)
+    and a trailing newline, so equal documents give equal bytes."""
+    return json.dumps(doc, indent=indent, sort_keys=True) + "\n"
 
 
 def require(doc, key: str, kinds: type | tuple[type, ...], what: str):
@@ -495,6 +501,11 @@ def attach_predictions(dataset: Dataset, pred_dir: Path | str,
     return Dataset(records)
 
 
+def is_cohort_dir(path: Path) -> bool:
+    """Whether ``path`` is a cohort directory: dims.json beside gt/."""
+    return (path / "dims.json").is_file() and (path / "gt").is_dir()
+
+
 def read_cohort_dims(path: Path | str,
                      digests: dict[str, str] | None = None) -> ImageDims:
     """The frame size a cohort directory's dims.json records."""
@@ -539,13 +550,8 @@ class SplitAssignment:
             raise SchemaError("split parts are not disjoint")
 
     def to_json(self) -> str:
-        payload = {
-            "seed": self.seed,
-            "train": sorted(self.train),
-            "val": sorted(self.val),
-            "test": sorted(self.test),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return dump_json({"seed": self.seed, "train": sorted(self.train),
+                          "val": sorted(self.val), "test": sorted(self.test)})
 
     @classmethod
     def from_json(cls, text: str) -> "SplitAssignment":

@@ -9,11 +9,10 @@ against the reference protocol this toolkit evaluates.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
-from .dataset import load_json, require
+from .dataset import dump_json, load_json, require
 from .errors import SchemaError
 
 # JSON kinds a field of each type accepts (types are strings under
@@ -59,7 +58,7 @@ class TrainManifest:
             raise SchemaError("optimizer name must be non-empty")
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
+        return dump_json(dataclasses.asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "TrainManifest":

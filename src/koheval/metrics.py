@@ -209,6 +209,7 @@ def pr_curve(scenes: Sequence[ScenePair], class_id: int,
     own image. Callers wanting order-independent output should pass
     scenes sorted by image id.
     """
+    OperatingPoint(iou_threshold=iou_threshold)  # rejects one outside (0, 1]
     pool = _pool(scenes, (iou_threshold,), (class_id,))[class_id]
     confidences, precision, recall = _sweep(pool, pool.hits)
     return PRCurve(points=tuple(zip(confidences.tolist(), precision[0].tolist(),

@@ -10,12 +10,11 @@ integers, everything else to four decimals).
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Mapping
 
-from .dataset import InputTree, load_json, require
+from .dataset import InputTree, dump_json, load_json, require
 from .errors import SchemaError
 from .geometry import CLASS_NAMES
 from .manifest import TrainManifest
@@ -27,8 +26,7 @@ TOOL_VERSION = "0.1.0"
 
 _RATE_NAMES = ("sensitivity", "specificity", "precision", "npv",
                "accuracy", "f1", "balanced_accuracy")
-_CLASS_FIELDS = ("tp", "fp", "fn", "precision", "recall", "f1",
-                 "ap50", "ap50_95", "mean_iou")
+_CLASS_FIELDS = tuple(f.name for f in fields(ClassMetrics))
 
 
 # ---------------------------------------------------------------------------
@@ -48,10 +46,6 @@ def sha256_path(path: Path | str) -> str:
 # Report assembly
 
 
-def _class_payload(metrics: ClassMetrics) -> dict:
-    return {name: getattr(metrics, name) for name in _CLASS_FIELDS}
-
-
 def build_report(*, op: OperatingPoint, interpolation: str = "101",
                  object_metrics: ObjectMetrics | None = None,
                  screening: ScreeningReport | None = None,
@@ -63,8 +57,7 @@ def build_report(*, op: OperatingPoint, interpolation: str = "101",
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "koheval", "version": TOOL_VERSION},
-        "operating_point": {"conf_threshold": op.conf_threshold,
-                            "iou_threshold": op.iou_threshold},
+        "operating_point": asdict(op),
         "interpolation": interpolation,
     }
     if inputs:
@@ -73,30 +66,21 @@ def build_report(*, op: OperatingPoint, interpolation: str = "101",
             for name, (path, sha256) in sorted(inputs.items())
         }
     if object_metrics is not None:
-        per_class = {
-            CLASS_NAMES[class_id]: _class_payload(metrics)
-            for class_id, metrics in sorted(object_metrics.per_class.items())
-        }
         report["object_metrics"] = {
-            "per_class": per_class,
+            "per_class": {CLASS_NAMES[class_id]: asdict(metrics) for class_id, metrics
+                          in sorted(object_metrics.per_class.items())},
             "macro": asdict(object_metrics.macro),
         }
     if screening is not None:
-        matrix = screening.matrix
         report["screening"] = {
-            "matrix": {"tp": matrix.tp, "fn": matrix.fn,
-                       "fp": matrix.fp, "tn": matrix.tn},
-            "rates": {name: getattr(matrix, name) for name in _RATE_NAMES},
+            "matrix": asdict(screening.matrix),
+            "rates": {name: getattr(screening.matrix, name) for name in _RATE_NAMES},
             "false_negative_ids": list(screening.false_negative_ids),
             "false_positive_ids": list(screening.false_positive_ids),
         }
     if manifest is not None:
         report["manifest"] = asdict(manifest)
     return report
-
-
-def render_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def parse_report(text: str) -> dict:
@@ -268,7 +252,7 @@ def render_csv(report: dict) -> str:
 
 def render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return render_json(report)
+        return dump_json(report)
     if fmt == "csv":
         return render_csv(report)
     if fmt == "table":
@@ -303,9 +287,9 @@ def pr_curve_svg(curves: Mapping[str, PRCurve]) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" '
         f'font-size="12">',
-        "<desc>" + json.dumps(
+        "<desc>" + dump_json(
             {name: {"total_gt": c.total_gt, "points": [list(p) for p in c.points]}
-             for name, c in sorted(curves.items())}, sort_keys=True) + "</desc>",
+             for name, c in curves.items()}, indent=None).rstrip() + "</desc>",
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="#404040"/>',
     ]

@@ -12,8 +12,9 @@ default operating point, not merely probable.
 
 from __future__ import annotations
 
-import json
 import math
+import os
+import shutil
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -26,7 +27,9 @@ from .dataset import (
     Dataset,
     ImageRecord,
     atomic_write_text,
+    dump_json,
     format_label_file,
+    is_cohort_dir,
     load_json,
     read_cohort,
     read_cohort_dims,
@@ -212,28 +215,13 @@ class SynthTruth:
         return tp, fn, fp, tn
 
     def to_json(self) -> str:
-        doc = {
+        return dump_json({
             "schema": "koheval-synth-truth/1",
             "seed": self.seed,
-            "images": [
-                {
-                    "image_id": image.image_id,
-                    "planted": [
-                        {
-                            "role": p.role,
-                            "class_id": p.class_id,
-                            "gt_index": p.gt_index,
-                            "pred_index": p.pred_index,
-                            "target_iou": p.target_iou,
-                            "achieved_iou": p.achieved_iou,
-                        }
-                        for p in image.planted
-                    ],
-                }
-                for image in self.images
-            ],
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            "images": [{"image_id": image.image_id,
+                        "planted": [vars(p) for p in image.planted]}
+                       for image in self.images],
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "SynthTruth":
@@ -689,26 +677,51 @@ def reference_ap(curve: PRCurve, interpolation: str = "101") -> float:
 # Cohort files
 
 
+def _replaceable(out: Path) -> bool:
+    """An empty directory, or a cohort holding nothing but cohort files,
+    that does not hold the working directory (it is renamed aside)."""
+    if not out.is_dir() or Path.cwd().is_relative_to(out):
+        return False
+    names = {entry.name for entry in out.iterdir()}
+    return not names or (names <= {"dims.json", "gt", "pred", "truth.json"}
+                         and is_cohort_dir(out))
+
+
 def write_cohort(dataset: Dataset, out_dir: Path | str,
                  truth: SynthTruth | None = None) -> Path:
-    """Write a cohort directory: gt/*.txt, pred/*.txt, dims.json and,
-    when given, truth.json. All writes are atomic."""
-    out = Path(out_dir)
+    """Write a cohort (gt/*.txt, pred/*.txt, dims.json and, when given,
+    truth.json) into a staging directory beside ``out_dir``, then swap it in
+    whole; see ``_replaceable`` for what an existing ``out_dir`` may be."""
+    out = Path(out_dir).resolve()
     dims = {rec.dims for rec in dataset}
     if len(dims) != 1:
         raise SchemaError("cohort directories require uniform image dims")
+    if out.exists() and not _replaceable(out):
+        raise SchemaError(f"{out_dir}: refusing to replace it: not an empty "
+                          "directory or a cohort, or it holds the working directory")
     frame = dims.pop()
-    (out / "gt").mkdir(parents=True, exist_ok=True)
-    (out / "pred").mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "dims.json", json.dumps(
-        {"width": frame.width, "height": frame.height}, sort_keys=True) + "\n")
-    for rec in dataset:
-        atomic_write_text(out / "gt" / f"{rec.image_id}.txt",
-                          format_label_file(rec.ground_truth, rec.dims))
-        atomic_write_text(out / "pred" / f"{rec.image_id}.txt",
-                          format_label_file(rec.predictions, rec.dims))
-    if truth is not None:
-        atomic_write_text(out / "truth.json", truth.to_json())
+    staging = out.with_name(f".{out.name}.staging-{os.getpid()}")
+    old = out.with_name(f".{out.name}.old-{os.getpid()}")
+    staging.mkdir(parents=True)
+    try:
+        atomic_write_text(staging / "dims.json", dump_json(
+            {"width": frame.width, "height": frame.height}, indent=None))
+        for rec in dataset:
+            atomic_write_text(staging / "gt" / f"{rec.image_id}.txt",
+                              format_label_file(rec.ground_truth, rec.dims))
+            atomic_write_text(staging / "pred" / f"{rec.image_id}.txt",
+                              format_label_file(rec.predictions, rec.dims))
+        if truth is not None:
+            atomic_write_text(staging / "truth.json", truth.to_json())
+        if out.exists():
+            out.rename(old)
+        staging.rename(out)
+    except BaseException:
+        if old.exists() and not out.exists():
+            old.rename(out)
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
     return out
 
 

@@ -326,6 +326,7 @@ class TestSplit:
             tuple(sorted(assignment.train)), tuple(sorted(assignment.val)),
             tuple(sorted(assignment.test)), 5)
         assert json.loads(assignment.to_json())["seed"] == 5
+        assert again.to_json() == assignment.to_json()
 
     @pytest.mark.parametrize("key, value", [
         ("seed", "x"), ("seed", 1.7), ("seed", True), ("seed", -1),

@@ -63,6 +63,8 @@ class TestTrainManifest:
     def test_json_round_trip(self):
         manifest = TrainManifest(batch_size=4, mixup_enabled=True)
         assert TrainManifest.from_json(manifest.to_json()) == manifest
+        assert TrainManifest.from_json(manifest.to_json()).to_json() \
+            == manifest.to_json()
 
     def test_from_json_rejects_unknown_field(self):
         doc = json.loads(REFERENCE_PROTOCOL.to_json())

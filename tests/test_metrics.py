@@ -191,6 +191,11 @@ class TestPRCurve:
         with pytest.raises(UndefinedMetricError):
             pr_curve([([], [pred(0, 0, 1, 1, 0.9)])], FUNGAL)
 
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, 1.5, float("nan")])
+    def test_iou_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(SchemaError, match="iou_threshold"):
+            pr_curve(three_point_scenes(), FUNGAL, threshold)
+
     def test_curve_validation(self):
         with pytest.raises(SchemaError):
             PRCurve(points=((0.5, 1.0, 0.5), (0.9, 1.0, 1.0)), total_gt=2)

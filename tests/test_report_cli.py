@@ -12,7 +12,7 @@ import pytest
 import koheval
 import koheval.dataset
 from koheval.cli import main
-from koheval.dataset import InputTree
+from koheval.dataset import InputTree, dump_json, format_coco_json, read_cohort
 from koheval.errors import SchemaError
 from koheval.manifest import REFERENCE_PROTOCOL
 from koheval.metrics import OperatingPoint, PRCurve, evaluate_detections
@@ -23,7 +23,6 @@ from koheval.report import (
     pr_curve_svg,
     render,
     render_csv,
-    render_json,
     render_table,
     sha256_path,
 )
@@ -53,8 +52,8 @@ class TestReportDocument:
         assert "matrix" in sample_report["screening"]
 
     def test_json_round_trip_byte_identical(self, sample_report):
-        text = render_json(sample_report)
-        assert render_json(parse_report(text)) == text
+        text = dump_json(sample_report)
+        assert dump_json(parse_report(text)) == text
 
     def test_parse_rejects_wrong_schema(self):
         with pytest.raises(SchemaError):
@@ -198,7 +197,7 @@ class TestCli:
         stdout_report = parse_report(capsys.readouterr().out)
         file_report = parse_report(run_file.read_text())
         assert stdout_report == file_report
-        assert render_json(file_report) == run_file.read_text()
+        assert dump_json(file_report) == run_file.read_text()
         fungal = file_report["object_metrics"]["per_class"]["fungal"]
         assert (fungal["tp"], fungal["fp"], fungal["fn"]) == (4, 1, 1)
 
@@ -228,6 +227,30 @@ class TestCli:
         main(["synth", "--seed", "9", "--images", "5", "--out", str(a)])
         main(["synth", "--seed", "9", "--images", "5", "--out", str(b)])
         assert sha256_path(a) == sha256_path(b)
+
+    def test_synth_rewrite_leaves_no_file_of_the_old_cohort(self, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        assert main(["synth", "--images", "40", "--seed", "1",
+                     "--out", str(cohort)]) == 0
+        assert main(["synth", "--plant-counts", "37,9,1", "--seed", "3",
+                     "--out", str(cohort)]) == 0
+        assert len(list((cohort / "gt").iterdir())) == 16
+        assert [p.name for p in tmp_path.iterdir()] == ["cohort"]
+        capsys.readouterr()
+        assert main(["evaluate", str(cohort), "--format", "csv"]) == 0
+        rows = set(capsys.readouterr().out.splitlines())
+        assert {"object,tp,fungal,37", "object,fp,fungal,9", "object,fn,fungal,1",
+                "object,tp,artefact,10", "object,fp,artefact,0",
+                "object,fn,artefact,0"} <= rows
+
+    def test_synth_refuses_a_directory_that_is_not_a_cohort(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep me")
+        assert main(["synth", "--images", "2", "--out", str(out)]) == 2
+        assert "refusing to replace" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "keep me"
 
     def test_split_writes_assignment(self, tmp_path, capsys):
         cohort = tmp_path / "cohort"
@@ -556,6 +579,20 @@ def test_evaluate_output_bytes_match_the_pinned_ones(tmp_path, monkeypatch, synt
     assert hashlib.sha256(Path("curves.svg").read_bytes()).hexdigest() == svg_sha256
 
 
+# SHA-256 of JSON outputs the tests above do not pin, from the same cohort.
+def test_json_writer_output_bytes_match_the_pinned_ones(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", *_SPARSE, "--out", "cohort"]) == 0
+    assert main(["split", "cohort", "--seed", "7", "--out", "split.json"]) == 0
+    written = {"split": Path("split.json").read_bytes(),
+               "coco": format_coco_json(read_cohort("cohort")).encode(),
+               "manifest": REFERENCE_PROTOCOL.to_json().encode()}
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in written.items()} == {
+        "split": "07eea0a98339086a4c4e5c94008fb6b347969536e291b99cb92ff624d4729285",
+        "coco": "c13e88d182a41c0c598d3ada35921158e51fbf90a4df59095f17354800e0b5a7",
+        "manifest": "dae378a639693fd1103d9fec02010941a054da4bfeeb143d9c96bb2da5a68522"}
+
+
 @pytest.mark.parametrize("nesting", ["[" * 100_000,
                                      '{"a": ' * 100_000 + "1" + "}" * 100_000],
                          ids=["lists", "objects"])
@@ -603,7 +640,7 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, command, nesting):
 ], ids=str)
 def test_report_with_malformed_block_exits_2(sample_report, tmp_path, capsys,
                                              mutate, path, value):
-    report = json.loads(render_json({**sample_report, "inputs": {
+    report = json.loads(dump_json({**sample_report, "inputs": {
         "cohort": {"path": "cohort", "sha256": "0" * 64}}}))
     mutate(report, path, value)
     stored = tmp_path / "report.json"
@@ -636,7 +673,7 @@ def test_report_with_every_block_renders(sample_report, tmp_path, capsys):
     report = {**sample_report, "inputs": {
         "cohort": {"path": "cohort", "sha256": "0" * 64}}}
     stored = tmp_path / "report.json"
-    stored.write_text(render_json(report))
+    stored.write_text(dump_json(report))
     for fmt in ("table", "csv", "json"):
         assert main(["report", str(stored), "--format", fmt]) == 0
     assert capsys.readouterr().err == ""

@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import koheval.synth
 from koheval.dataset import ImageRecord
 from koheval.errors import (
     GenerationError,
@@ -25,6 +28,7 @@ from koheval.metrics import (
     match_image,
     pr_curve,
 )
+from koheval.report import sha256_path
 from koheval.screening import screen_dataset
 from koheval.synth import (
     PlantedBox,
@@ -304,6 +308,7 @@ class TestTruth:
         _, truth = generate(SynthSpec(n_images=5, seed=2))
         again = SynthTruth.from_json(truth.to_json())
         assert again == truth
+        assert again.to_json() == truth.to_json()
 
     def test_rejects_foreign_document(self):
         with pytest.raises(SchemaError):
@@ -372,6 +377,62 @@ class TestCohortFiles:
         ])
         with pytest.raises(SchemaError):
             write_cohort(mixed, tmp_path / "cohort")
+
+    def test_rewrite_replaces_the_old_cohort_whole(self, tmp_path):
+        out = tmp_path / "cohort"
+        write_cohort(generate(SynthSpec(n_images=9, seed=1))[0], out)
+        dataset, truth = generate(SynthSpec(n_images=3, seed=2))
+        write_cohort(dataset, out, truth=truth)
+        assert read_cohort(out) == dataset and read_truth(out) == truth
+        assert len(list((out / "gt").iterdir())) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["cohort"]
+
+    def test_modes_match_plain_writes(self, tmp_path):
+        out = write_cohort(generate(SynthSpec(n_images=2, seed=1))[0],
+                           tmp_path / "cohort")
+        umask = os.umask(0)
+        os.umask(umask)
+        assert (out.stat().st_mode & 0o777) == 0o777 & ~umask
+        assert ((out / "gt").stat().st_mode & 0o777) == 0o777 & ~umask
+        assert ((out / "dims.json").stat().st_mode & 0o777) == 0o600
+
+    @pytest.mark.parametrize("layout", ["file", "cohort with notes",
+                                        "cohort holding the working directory"])
+    def test_refuses_what_is_not_a_cohort(self, tmp_path, monkeypatch, layout):
+        out = tmp_path / "cohort"
+        if layout == "file":
+            out.write_text("keep me")
+        else:
+            write_cohort(generate(SynthSpec(n_images=2, seed=1))[0], out)
+        if layout == "cohort with notes":
+            (out / "notes.txt").write_text("keep me")
+        if layout == "cohort holding the working directory":
+            monkeypatch.chdir(out / "gt")
+        before = sha256_path(out)
+        with pytest.raises(SchemaError, match="refusing to replace"):
+            write_cohort(generate(SynthSpec(n_images=3, seed=2))[0], out)
+        assert sha256_path(out) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cohort"]
+
+    @pytest.mark.parametrize("step", ["write", "swap"])
+    def test_failed_write_keeps_the_old_cohort(self, tmp_path, monkeypatch, step):
+        out = tmp_path / "cohort"
+        write_cohort(generate(SynthSpec(n_images=4, seed=1))[0], out)
+        before = sha256_path(out)
+
+        def fail(*args):
+            raise OSError("disk full")
+        if step == "write":
+            monkeypatch.setattr(koheval.synth, "format_label_file", fail)
+        else:
+            rename = Path.rename
+            monkeypatch.setattr(Path, "rename", lambda src, dst: fail()
+                                if ".staging-" in src.name else rename(src, dst))
+        smaller = SynthSpec(n_images=2, seed=2, frame=ImageDims(1000, 1000))
+        with pytest.raises(OSError, match="disk full"):
+            write_cohort(generate(smaller)[0], out)
+        assert sha256_path(out) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cohort"]
 
     def test_read_without_pred_dir_has_no_detections(self, tmp_path):
         dataset, _ = generate(SynthSpec(n_images=5, seed=6))
