@@ -87,73 +87,21 @@ from .synth import (
 __version__ = TOOL_VERSION
 
 __all__ = [
-    "ARTEFACT",
-    "Box",
-    "CLASS_NAMES",
-    "ClassError",
-    "ClassMetrics",
-    "ConfusionMatrix",
-    "Dataset",
-    "Diagnosis",
-    "FUNGAL",
-    "FieldVerdict",
-    "GenerationError",
-    "ImageDims",
-    "ImageRecord",
-    "InvalidBoxError",
-    "KohevalError",
-    "LetterboxTransform",
-    "MacroMetrics",
-    "MatchReport",
-    "ObjectMetrics",
-    "OperatingPoint",
-    "OutOfFrameError",
-    "PRCurve",
-    "ParseError",
-    "REFERENCE_PROTOCOL",
-    "RangeError",
-    "ReferentialError",
-    "SCHEMA_VERSION",
-    "SchemaError",
-    "ScreeningReport",
-    "SplitAssignment",
-    "SynthSpec",
-    "SynthTruth",
-    "TrainManifest",
-    "UndefinedMetricError",
-    "__version__",
-    "ap_sweep",
-    "attach_predictions",
-    "average_precision",
-    "box_to_model",
-    "box_to_source",
-    "build_report",
-    "classify_image",
-    "clip_to_frame",
-    "counts_to_prf",
-    "evaluate_detections",
-    "generate",
-    "iou",
-    "iou_matrix",
-    "largest_remainder_sizes",
-    "letterbox_fit",
-    "load_ground_truth",
-    "manifest_conforms",
-    "match_image",
-    "parse_coco_json",
-    "parse_gt_file",
-    "parse_pred_file",
-    "plant_object_counts",
-    "plant_screening_matrix",
-    "pr_curve",
-    "read_cohort",
-    "read_cohort_dims",
-    "reference_ap",
-    "reference_match",
-    "render",
-    "screen_dataset",
-    "stratified_split",
-    "threshold_sweep",
-    "validate_manifest",
-    "write_cohort",
+    "ARTEFACT", "Box", "CLASS_NAMES", "ClassError", "ClassMetrics",
+    "ConfusionMatrix", "Dataset", "Diagnosis", "FUNGAL", "FieldVerdict",
+    "GenerationError", "ImageDims", "ImageRecord", "InvalidBoxError",
+    "KohevalError", "LetterboxTransform", "MacroMetrics", "MatchReport",
+    "ObjectMetrics", "OperatingPoint", "OutOfFrameError", "PRCurve",
+    "ParseError", "REFERENCE_PROTOCOL", "RangeError", "ReferentialError",
+    "SCHEMA_VERSION", "SchemaError", "ScreeningReport", "SplitAssignment",
+    "SynthSpec", "SynthTruth", "TrainManifest", "UndefinedMetricError",
+    "__version__", "ap_sweep", "attach_predictions", "average_precision",
+    "box_to_model", "box_to_source", "build_report", "classify_image",
+    "clip_to_frame", "counts_to_prf", "evaluate_detections", "generate", "iou",
+    "iou_matrix", "largest_remainder_sizes", "letterbox_fit",
+    "load_ground_truth", "manifest_conforms", "match_image", "parse_coco_json",
+    "parse_gt_file", "parse_pred_file", "plant_object_counts",
+    "plant_screening_matrix", "pr_curve", "read_cohort", "read_cohort_dims",
+    "reference_ap", "reference_match", "render", "screen_dataset",
+    "stratified_split", "threshold_sweep", "validate_manifest", "write_cohort",
 ]

@@ -36,7 +36,7 @@ from .manifest import (
     validate_manifest,
     verdict_table,
 )
-from .metrics import OperatingPoint, evaluate_detections, pr_curve
+from .metrics import OperatingPoint, _pr_curves, evaluate_detections
 from .report import build_report, parse_report, pr_curve_svg, render
 from .screening import screen_dataset
 from .synth import (
@@ -143,11 +143,11 @@ def cmd_evaluate(args) -> int:
     if args.curves:
         scenes = [(r.ground_truth, r.predictions)
                   for r in sorted(dataset.records, key=lambda r: r.image_id)]
-        curves = {}
-        for class_id, name in enumerate(CLASS_NAMES):
-            if any(b.class_id == class_id for gts, _ in scenes for b in gts):
-                curves[name] = pr_curve(scenes, class_id, op.iou_threshold)
-        atomic_write_text(args.curves, pr_curve_svg(curves))
+        present = {b.class_id for gts, _ in scenes for b in gts}
+        class_ids = [c for c in range(len(CLASS_NAMES)) if c in present]
+        curves = _pr_curves(scenes, class_ids, op.iou_threshold)
+        atomic_write_text(args.curves, pr_curve_svg(
+            {CLASS_NAMES[c]: curve for c, curve in curves.items()}))
     return 0
 
 

@@ -164,25 +164,29 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
-def iou_matrix(rows: Sequence[Box], cols: Sequence[Box]) -> np.ndarray:
+def _corners(boxes: Sequence[Box] | np.ndarray) -> np.ndarray:
+    if isinstance(boxes, np.ndarray):
+        return boxes
+    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes],
+                    dtype=float).reshape(-1, 4)
+
+
+def iou_matrix(rows: Sequence[Box] | np.ndarray,
+               cols: Sequence[Box] | np.ndarray) -> np.ndarray:
     """Pairwise IoU as a ``(len(rows), len(cols))`` array.
 
-    Uses the same operation order as :func:`iou`, so entries are
-    bit-identical to the scalar result.
+    Either side may also be a ``[..., n, 4]`` array of corners; leading
+    axes broadcast, so ``[N, G, 4]`` against ``[N, P, 4]`` gives
+    ``[N, G, P]``. Uses the same operation order as :func:`iou`, so
+    entries are bit-identical to the scalar result.
     """
-    if not rows or not cols:
-        return np.zeros((len(rows), len(cols)))
-    rx0 = np.array([b.x_min for b in rows])[:, None]
-    ry0 = np.array([b.y_min for b in rows])[:, None]
-    rx1 = np.array([b.x_max for b in rows])[:, None]
-    ry1 = np.array([b.y_max for b in rows])[:, None]
-    cx0 = np.array([b.x_min for b in cols])[None, :]
-    cy0 = np.array([b.y_min for b in cols])[None, :]
-    cx1 = np.array([b.x_max for b in cols])[None, :]
-    cy1 = np.array([b.y_max for b in cols])[None, :]
+    r, c = _corners(rows), _corners(cols)
+    rx0, ry0, rx1, ry1 = (r[..., :, None, k] for k in range(4))
+    cx0, cy0, cx1, cy1 = (c[..., None, :, k] for k in range(4))
 
-    iw = np.minimum(rx1, cx1) - np.maximum(rx0, cx0)
-    ih = np.minimum(ry1, cy1) - np.maximum(ry0, cy0)
-    inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
+    # In place where it can be, so a large block holds few full-size arrays.
+    inter = np.maximum(np.minimum(rx1, cx1) - np.maximum(rx0, cx0), 0.0)
+    inter *= np.maximum(np.minimum(ry1, cy1) - np.maximum(ry0, cy0), 0.0)
     union = (rx1 - rx0) * (ry1 - ry0) + (cx1 - cx0) * (cy1 - cy0) - inter
-    return np.where(inter > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
+    np.copyto(union, 1.0, where=~(union > 0.0))
+    return np.where(inter > 0.0, np.divide(inter, union, out=union), 0.0)

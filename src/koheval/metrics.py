@@ -9,10 +9,13 @@ highest IoU when that IoU clears the threshold (ties go to the lower
 ground-truth index); otherwise it is a false positive. Ground truth left
 unmatched is a false negative. Cross-class IoU is never consulted.
 
-The flow is kernel -> pool -> metrics. ``_match_scene`` runs the rule
-for one image at every IoU threshold in one pass; ``_pool`` concatenates
-those arrays per class over a cohort. Counts, mean IoU, PR curves and AP
-all read the pooled arrays, and ``_integrate`` is the one AP integrator.
+The flow is kernel -> pool -> metrics. ``_match`` runs the rule for a
+whole cohort at every IoU threshold in one pass: it packs runs of
+consecutive images into padded blocks of at most ``_BLOCK_CELLS`` cells
+and matches each block at once. ``match_image`` is the same kernel on
+one image; ``_pool`` splits the kernel's arrays by class. Counts, mean
+IoU, PR curves and AP all read the pooled arrays, and ``_integrate`` is
+the one AP integrator.
 """
 
 from __future__ import annotations
@@ -75,43 +78,95 @@ class MatchReport:
 
 
 class _SceneMatch(NamedTuple):
-    # One image's predictions, each array in greedy processing order.
-    index: np.ndarray  # position in the prediction list
+    # Predictions of a run of images, in image then greedy order.
+    index: np.ndarray  # position in its image's prediction list
     classes: np.ndarray
     confidences: np.ndarray
-    matched: np.ndarray  # thresholds x predictions: ground-truth index or -1
-    ious: np.ndarray  # IoU of the row-0 match, 0.0 where row 0 missed
+    matched: np.ndarray  # ground truth matched at the first threshold, or -1
+    hits: np.ndarray  # thresholds x predictions: matched at that threshold
+    ious: np.ndarray  # IoU of the first threshold's match, 0.0 where it missed
 
 
-def _match_scene(gts: Sequence[Box], preds: Sequence[Box],
-                 thresholds: Sequence[float]) -> _SceneMatch:
-    """The greedy matcher: one image, every IoU threshold in one pass.
+# A block's budget of padded cells: [images, ground truth, predictions]
+# IoU cells plus [images, thresholds, ground truth] availability cells.
+_BLOCK_CELLS = 1 << 16
 
-    Confidence is the first sort key, so the predictions a confidence
-    threshold admits are a prefix of the greedy order.
+
+def _blocks(counts: list[list[int]], thresholds: int):
+    # Runs of consecutive images whose padded cells fit the budget; an image
+    # over it is a block of its own. No images make one empty block.
+    start, rows, cols = 0, 1, 1
+    for n, (g, p) in enumerate(counts):
+        rows, cols = max(rows, g), max(cols, p)
+        if n > start and (n + 1 - start) * rows * (cols + thresholds) > _BLOCK_CELLS:
+            yield start, n
+            start, rows, cols = n, max(g, 1), max(p, 1)
+    yield start, len(counts)
+
+
+def _padded(table: np.ndarray, counts: np.ndarray, fill: tuple) -> np.ndarray:
+    # One block's rows of ``table`` as [images, slots, columns]; the slots
+    # past an image's count hold ``fill``, and there is always one slot.
+    slots = max(counts.max(initial=0), 1)
+    out = np.tile(np.array(fill, dtype=float), (len(counts), slots, 1))
+    out[np.repeat(np.arange(len(counts)), counts),
+        np.arange(len(table)) - np.repeat(np.cumsum(counts) - counts, counts)] = table
+    return out
+
+
+def _match(scenes: Sequence[ScenePair], thresholds: Sequence[float]) -> _SceneMatch:
+    """The greedy matcher: every image at every IoU threshold, in blocks.
+
+    A block pads ground truth with class -1 and predictions with class -1
+    and confidence -inf, so padding sorts after an image's predictions and
+    cannot change what they match. Confidence is the first sort key, so
+    the predictions a confidence threshold admits are a prefix of each
+    image's greedy order.
     """
-    ious = iou_matrix(gts, preds)
-    gt_classes = np.array([g.class_id for g in gts], dtype=int)
-    pred_classes = np.array([p.class_id for p in preds], dtype=int)
-    candidate = np.where(gt_classes[:, None] == pred_classes[None, :], ious, -1.0)
-    best = candidate.max(axis=0, initial=0.0)
-    confidences = np.array([p.confidence for p in preds], dtype=float)
-    order = np.lexsort((-best, -confidences))  # stable: ties keep input order
-
     limits = np.asarray(thresholds, dtype=float)
-    rows = np.arange(len(limits))
-    matched = np.full((len(limits), len(preds)), -1)
-    available = np.ones((len(limits), len(gts)), dtype=bool)
-    for k, j in enumerate(order.tolist() if len(gts) else ()):  # argmax needs gt
-        masked = np.where(available, candidate[:, j], -1.0)
-        g = masked.argmax(axis=1)
-        hit = masked[rows, g] >= limits
-        available[rows[hit], g[hit]] = False
-        matched[hit, k] = g[hit]
-    # Index -1 (no match) reads the appended row of zeros.
-    matched_ious = np.vstack((ious, np.zeros(len(preds))))[matched[0], order]
-    return _SceneMatch(order, pred_classes[order], confidences[order], matched,
-                       matched_ious)
+    counts = np.array([(len(gts), len(preds)) for gts, preds in scenes],
+                      dtype=int).reshape(-1, 2)
+    at = np.vstack(([0, 0], np.cumsum(counts, axis=0)))
+    gt_table = np.array([(b.x_min, b.y_min, b.x_max, b.y_max, b.class_id)
+                         for gts, _ in scenes for b in gts], dtype=float).reshape(-1, 5)
+    pred_table = np.array([(b.x_min, b.y_min, b.x_max, b.y_max, b.class_id,
+                            b.confidence) for _, preds in scenes for b in preds],
+                          dtype=float).reshape(-1, 6)
+    parts = []
+    for start, stop in _blocks(counts.tolist(), len(limits)):
+        n_gt, n_pred = counts[start:stop].T
+        gt = _padded(gt_table[at[start, 0]:at[stop, 0]], n_gt, (0, 0, 0, 0, -1))
+        pred = _padded(pred_table[at[start, 1]:at[stop, 1]], n_pred,
+                       (0, 0, 0, 0, -1, -np.inf))
+        candidate = np.where(gt[:, :, None, 4] == pred[:, None, :, 4],
+                             iou_matrix(gt[..., :4], pred[..., :4]), -1.0)
+        best = candidate.max(axis=1, initial=0.0)
+        # Stable: ties keep input order, and padding (-inf) sorts last.
+        order = np.lexsort((-best, -pred[..., 5]), axis=-1)
+        candidate = np.take_along_axis(candidate, order[:, None], axis=2)
+        pred = np.take_along_axis(pred, order[..., None], axis=1)
+
+        images, slots, width = candidate.shape
+        matched = np.full((images, width), -1)
+        hits = np.zeros((images, len(limits), width), dtype=bool)
+        ious = np.zeros((images, width))
+        available = np.ones((images, len(limits), slots), dtype=bool)
+        for k in range(width):
+            masked = np.where(available, candidate[:, None, :, k], -1.0)
+            g, top = masked.argmax(axis=2), masked.max(axis=2)
+            hit = top >= limits
+            image, row = np.nonzero(hit)
+            available[image, row, g[hit]] = False
+            hits[..., k] = hit
+            # A hit's masked value is its IoU: the classes agree.
+            matched[:, k] = np.where(hit[:, 0], g[:, 0], -1)
+            ious[:, k] = np.where(hit[:, 0], top[:, 0], 0.0)
+
+        valid = np.arange(width) < n_pred[:, None]
+        parts.append(_SceneMatch(order[valid], pred[..., 4][valid].astype(int),
+                                 pred[..., 5][valid], matched[valid],
+                                 hits.transpose(1, 0, 2)[:, valid], ious[valid]))
+    return _SceneMatch(*(np.concatenate(arrays, axis=-1) for arrays in zip(*parts)))
 
 
 def match_image(gts: Sequence[Box], preds: Sequence[Box],
@@ -122,9 +177,9 @@ def match_image(gts: Sequence[Box], preds: Sequence[Box],
     :mod:`koheval.synth`.
     """
     kept = [i for i, p in enumerate(preds) if op.admits(p.confidence)]
-    scene = _match_scene(gts, [preds[i] for i in kept], (op.iou_threshold,))
+    scene = _match([(gts, [preds[i] for i in kept])], (op.iou_threshold,))
     greedy = list(zip([kept[j] for j in scene.index.tolist()],
-                      scene.matched[0].tolist(), scene.ious.tolist()))
+                      scene.matched.tolist(), scene.ious.tolist()))
     tp_pairs = tuple((g, i, v) for i, g, v in greedy if g >= 0)
     fp_indices = sorted(i for i, g, _ in greedy if g < 0)
     fn_indices = sorted(set(range(len(gts))) - {g for g, _, _ in tp_pairs})
@@ -148,11 +203,7 @@ class _ClassPool(NamedTuple):
 def _pool(scenes: Sequence[ScenePair], thresholds: Sequence[float],
           class_ids: Iterable[int]) -> dict[int, _ClassPool]:
     """Match every scene once and pool its arrays by predicted class."""
-    matches = [_match_scene(gts, preds, thresholds) for gts, preds in scenes] \
-        or [_match_scene((), (), thresholds)]
-    classes, confidences, ious = (np.concatenate([getattr(m, name) for m in matches])
-                                  for name in ("classes", "confidences", "ious"))
-    hits = np.concatenate([m.matched for m in matches], axis=1) >= 0
+    _, classes, confidences, _, hits, ious = _match(scenes, thresholds)
     totals = Counter(b.class_id for gts, _ in scenes for b in gts)
     return {c: _ClassPool(c, totals[c], confidences[classes == c],
                           hits[:, classes == c], ious[classes == c])
@@ -200,6 +251,18 @@ def _sweep(pool: _ClassPool, hits: np.ndarray) -> tuple[np.ndarray, ...]:
     return confidences[last], (tp / swept)[:, last], (tp / pool.total_gt)[:, last]
 
 
+def _pr_curves(scenes: Sequence[ScenePair], class_ids: Iterable[int],
+               iou_threshold: float) -> dict[int, PRCurve]:
+    # Every class's curve from one matching pass; see pr_curve.
+    OperatingPoint(iou_threshold=iou_threshold)  # rejects one outside (0, 1]
+    curves = {}
+    for c, pool in _pool(scenes, (iou_threshold,), class_ids).items():
+        confidences, precision, recall = _sweep(pool, pool.hits)
+        points = zip(confidences.tolist(), precision[0].tolist(), recall[0].tolist())
+        curves[c] = PRCurve(points=tuple(points), total_gt=pool.total_gt)
+    return curves
+
+
 def pr_curve(scenes: Sequence[ScenePair], class_id: int,
              iou_threshold: float = 0.50) -> PRCurve:
     """Pooled precision-recall curve for one class across images.
@@ -209,11 +272,7 @@ def pr_curve(scenes: Sequence[ScenePair], class_id: int,
     own image. Callers wanting order-independent output should pass
     scenes sorted by image id.
     """
-    OperatingPoint(iou_threshold=iou_threshold)  # rejects one outside (0, 1]
-    pool = _pool(scenes, (iou_threshold,), (class_id,))[class_id]
-    confidences, precision, recall = _sweep(pool, pool.hits)
-    return PRCurve(points=tuple(zip(confidences.tolist(), precision[0].tolist(),
-                                    recall[0].tolist())), total_gt=pool.total_gt)
+    return _pr_curves(scenes, (class_id,), iou_threshold)[class_id]
 
 
 def _integrate(recall: np.ndarray, precision: np.ndarray,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 import shutil
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -184,15 +184,8 @@ class SynthTruth:
     def expected_counts(self, class_id: int | None = None) -> tuple[int, int, int]:
         """(tp, fp, fn) the matcher must recover at the default operating
         point; suppressed plants surface as FNs there."""
-        tp = fp = fn = 0
-        for p in self._plants(class_id):
-            if p.role == "tp":
-                tp += 1
-            elif p.role == "fp":
-                fp += 1
-            else:
-                fn += 1
-        return tp, fp, fn
+        roles = Counter(p.role for p in self._plants(class_id))
+        return roles["tp"], roles["fp"], roles["fn"] + roles["suppressed"]
 
     def planted_mean_iou(self, class_id: int | None = None) -> float | None:
         achieved = [p.achieved_iou for p in self._plants(class_id)
@@ -201,18 +194,10 @@ class SynthTruth:
 
     def expected_screening(self) -> tuple[int, int, int, int]:
         """(tp, fn, fp, tn) over images under the screening rule."""
-        tp = fn = fp = tn = 0
-        for image in self.images:
-            sick, called = image.gt_positive(), image.predicted_positive()
-            if sick and called:
-                tp += 1
-            elif sick:
-                fn += 1
-            elif called:
-                fp += 1
-            else:
-                tn += 1
-        return tp, fn, fp, tn
+        calls = Counter((image.gt_positive(), image.predicted_positive())
+                        for image in self.images)  # (sick, called)
+        return (calls[True, True], calls[True, False],
+                calls[False, True], calls[False, False])
 
     def to_json(self) -> str:
         return dump_json({

@@ -184,3 +184,38 @@ class TestIou:
         box = Box(0.0, 0.0, 1.0, 1.0, FUNGAL)
         assert iou_matrix([], [box]).shape == (0, 1)
         assert iou_matrix([box], []).shape == (1, 0)
+
+    @pytest.mark.parametrize("n_rows, n_cols", [(4, 5), (0, 5), (4, 0), (0, 0)])
+    def test_padded_blocks_match_scalar_bitwise(self, n_rows, n_cols):
+        # Three images with n, none and n // 2 boxes a side, padded with
+        # all-zero corners the way the matcher pads a block.
+        rng = np.random.default_rng(np.random.SeedSequence((12, n_rows, n_cols)))
+
+        def image(n):
+            boxes = []
+            for _ in range(n):
+                x = np.sort(rng.uniform(0, 100, 2))
+                y = np.sort(rng.uniform(0, 100, 2))
+                boxes.append(Box(x[0], y[0], x[1] + 0.5, y[1] + 0.5, FUNGAL))
+            return boxes
+
+        def padded(images, width):
+            out = np.zeros((len(images), width, 4))
+            for n, boxes in enumerate(images):
+                for k, b in enumerate(boxes):
+                    out[n, k] = (b.x_min, b.y_min, b.x_max, b.y_max)
+            return out
+
+        rows = [image(n) for n in (n_rows, 0, n_rows // 2)]
+        cols = [image(n) for n in (n_cols, n_cols // 2, 0)]
+        block = iou_matrix(padded(rows, n_rows), padded(cols, n_cols))
+        assert block.shape == (3, n_rows, n_cols)
+        for n in range(3):
+            for i in range(n_rows):
+                for j in range(n_cols):
+                    want = (iou(rows[n][i], cols[n][j])
+                            if i < len(rows[n]) and j < len(cols[n]) else 0.0)
+                    assert block[n, i, j] == want
+                    assert np.signbit(block[n, i, j]) == np.signbit(want)
+            assert np.array_equal(block[n, :len(rows[n]), :len(cols[n])],
+                                  iou_matrix(rows[n], cols[n]))

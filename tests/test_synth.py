@@ -6,9 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import koheval.metrics
 import koheval.synth
 from koheval.dataset import ImageRecord
 from koheval.errors import (
@@ -20,6 +21,9 @@ from koheval.errors import (
 from koheval.geometry import ARTEFACT, FUNGAL, Box, ImageDims, iou
 from koheval.metrics import (
     AP_IOU_THRESHOLDS,
+    ClassMetrics,
+    MacroMetrics,
+    ObjectMetrics,
     OperatingPoint,
     PRCurve,
     ap_sweep,
@@ -501,6 +505,17 @@ _grid_boxes = st.lists(st.tuples(st.sampled_from((FUNGAL, ARTEFACT)),
 _cohorts = st.lists(st.tuples(_grid_boxes, _grid_boxes), min_size=1, max_size=5)
 
 
+def _grid_records(cohort):
+    """Records of an 80x80 frame from ``_grid_boxes`` pairs, 8 px a step."""
+    return [ImageRecord(
+        f"img-{k}", ImageDims(80, 80),
+        [Box(x * 8.0, y * 8.0, (x + w) * 8.0, (y + h) * 8.0, c)
+         for c, x, y, w, h, _ in gts],
+        [Box(x * 8.0, y * 8.0, (x + w) * 8.0, (y + h) * 8.0, c, conf / 10)
+         for c, x, y, w, h, conf in preds])
+        for k, (gts, preds) in enumerate(cohort)]
+
+
 def _oracle_curve(records, class_id, iou_threshold):
     """The curve from reference_match at ``iou_threshold``, pooled by
     (-confidence, -best IoU, image rank, index); every prediction is admitted."""
@@ -535,13 +550,7 @@ class TestPooledApOracle:
     @settings(derandomize=True, deadline=None)
     @given(_cohorts, st.sampled_from(("101", "all")))
     def test_pooled_ap_and_counts_match_the_references(self, cohort, interpolation):
-        records = [ImageRecord(
-            f"img-{k}", ImageDims(80, 80),
-            [Box(x * 8.0, y * 8.0, (x + w) * 8.0, (y + h) * 8.0, c)
-             for c, x, y, w, h, _ in gts],
-            [Box(x * 8.0, y * 8.0, (x + w) * 8.0, (y + h) * 8.0, c, conf / 10)
-             for c, x, y, w, h, conf in preds])
-            for k, (gts, preds) in enumerate(cohort)]
+        records = _grid_records(cohort)
         scenes = [(r.ground_truth, r.predictions) for r in records]
         op = OperatingPoint(conf_threshold=0.05, iou_threshold=0.30)
         metrics = evaluate_detections(records, op, interpolation)
@@ -569,3 +578,62 @@ class TestPooledApOracle:
                                   (got.ap50, got.ap50_95)):
                 assert abs(ap50 - want50) <= 1e-12
                 assert abs(ap50_95 - want50_95) <= 1e-12
+
+
+# Images with ground truth and predictions, with only one of them, and with
+# neither, interleaved, so blocks start and end on every kind of image.
+_mixed_cohorts = st.lists(st.one_of(st.tuples(_grid_boxes, _grid_boxes),
+                                    st.tuples(_grid_boxes, st.just([])),
+                                    st.tuples(st.just([]), _grid_boxes),
+                                    st.just(([], []))), min_size=1, max_size=8)
+
+
+class TestMatcherBlocks:
+    """The blocked matcher gives the same arrays however images are packed."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(_mixed_cohorts, st.sampled_from(("101", "all")))
+    # Image 0's match must not use up image 1's ground truth in a shared block.
+    @example([([(0, 0, 0, 2, 2, 0)], [(0, 0, 0, 2, 2, 9)]),
+              ([(0, 0, 0, 2, 2, 0)], [(0, 4, 4, 2, 2, 9), (0, 0, 0, 2, 2, 5)])], "101")
+    def test_block_cap_does_not_change_the_pool(self, cohort, interpolation):
+        records = _grid_records(cohort)
+        scenes = [(r.ground_truth, r.predictions) for r in records]
+        thresholds = (0.30, *AP_IOU_THRESHOLDS)
+        op = OperatingPoint(conf_threshold=0.05, iou_threshold=0.30)
+
+        def pooled():
+            pools = koheval.metrics._pool(scenes, thresholds, (FUNGAL, ARTEFACT))
+            return [(c, p.total_gt, p.confidences.tobytes(), p.hits.tobytes(),
+                     p.hits.shape, p.ious.tobytes()) for c, p in pools.items()]
+
+        default = pooled()
+        metrics = evaluate_detections(records, op, interpolation)
+        # 1 cell gives every image a block of its own; 200 mixes block sizes.
+        for cap in (1, 200):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(koheval.metrics, "_BLOCK_CELLS", cap)
+                assert pooled() == default
+                assert evaluate_detections(records, op, interpolation) == metrics
+
+        reports = [reference_match(g, p, op) for g, p in scenes]
+        for class_id in (FUNGAL, ARTEFACT):
+            got = metrics.per_class[class_id]
+            counts = [rep.class_counts.get(class_id, (0, 0, 0)) for rep in reports]
+            assert (got.tp, got.fp, got.fn) == tuple(sum(n[k] for n in counts)
+                                                     for k in range(3))
+            matched = [v for r, rep in zip(records, reports) for g, _, v in rep.tp_pairs
+                       if r.ground_truth[g].class_id == class_id]
+            assert got.mean_iou == (sum(matched) / len(matched) if matched else None)
+            if not any(g.class_id == class_id for r in records for g in r.ground_truth):
+                assert got.ap50 is None and got.ap50_95 is None
+                continue
+            want50, want50_95 = _oracle_ap(records, class_id, interpolation)
+            assert abs(got.ap50 - want50) <= 1e-12
+            assert abs(got.ap50_95 - want50_95) <= 1e-12
+
+    def test_empty_cohort(self):
+        empty = ClassMetrics(0, 0, 0, 0.0, 0.0, 0.0, None, None, None)
+        assert evaluate_detections([]) == ObjectMetrics(
+            {FUNGAL: empty, ARTEFACT: empty},
+            MacroMetrics(None, None, None, None, None, None))
