@@ -16,6 +16,7 @@ import math
 import os
 import tempfile
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -24,6 +25,7 @@ import numpy as np
 
 from .errors import (
     ClassError,
+    InvalidBoxError,
     KohevalError,
     OutOfFrameError,
     ParseError,
@@ -111,15 +113,12 @@ class Dataset:
 
 
 def _denormalize(values, dims: ImageDims, class_id: int,
-                 confidence: float | None, lineno: int) -> Box:
+                 confidence: float | None) -> Box:
+    """The pixel box of normalized ``(cx, cy, w, h)`` in a ``dims`` frame."""
     cx, cy, w, h = values
-    if w == 0.0 or h == 0.0:
-        raise ParseError("zero-area box", line=lineno)
-    x_min = (cx - w / 2.0) * dims.width
-    x_max = (cx + w / 2.0) * dims.width
-    y_min = (cy - h / 2.0) * dims.height
-    y_max = (cy + h / 2.0) * dims.height
-    return Box(x_min, y_min, x_max, y_max, class_id, confidence)
+    return Box((cx - w / 2.0) * dims.width, (cy - h / 2.0) * dims.height,
+               (cx + w / 2.0) * dims.width, (cy + h / 2.0) * dims.height,
+               class_id, confidence)
 
 
 def _parse_lines(text: str, dims: ImageDims, with_confidence: bool) -> list[Box]:
@@ -148,7 +147,10 @@ def _parse_lines(text: str, dims: ImageDims, with_confidence: bool) -> list[Box]
                 raise RangeError(f"{name}={value} outside [0, 1]", line=lineno)
         if confidence is not None and not 0.0 <= confidence <= 1.0:
             raise RangeError(f"conf={confidence} outside [0, 1]", line=lineno)
-        box = _denormalize(values, dims, class_id, confidence, lineno)
+        try:
+            box = _denormalize(values, dims, class_id, confidence)
+        except InvalidBoxError:  # the confidence passed above: the area failed
+            raise ParseError("zero-area box", line=lineno) from None
         kept = clip_to_frame(box, dims)
         if kept is not box:
             clipped += 1
@@ -581,6 +583,15 @@ def largest_remainder_sizes(n: int, fractions: Sequence[float]) -> list[int]:
     return sizes
 
 
+def _strata(dataset: Dataset) -> dict[tuple[bool, bool], list[str]]:
+    """Image ids by :meth:`ImageRecord.composition_stratum`, in ``STRATA``
+    order, each list in id order."""
+    by_stratum: dict[tuple[bool, bool], list[str]] = {s: [] for s in STRATA}
+    for rec in sorted(dataset.records, key=lambda r: r.image_id):
+        by_stratum[rec.composition_stratum()].append(rec.image_id)
+    return by_stratum
+
+
 def stratified_split(dataset: Dataset,
                      fractions: Sequence[float] = (0.8, 0.1, 0.1),
                      seed: int = 0) -> SplitAssignment:
@@ -600,14 +611,9 @@ def stratified_split(dataset: Dataset,
     if seed < 0:
         raise SchemaError(f"seed must be non-negative, got {seed}")
 
-    by_stratum: dict[tuple[bool, bool], list[str]] = {s: [] for s in STRATA}
-    for rec in sorted(dataset.records, key=lambda r: r.image_id):
-        by_stratum[rec.composition_stratum()].append(rec.image_id)
-
     n_parts = sum(1 for f in fractions if f > 0)
     parts: tuple[list[str], list[str], list[str]] = ([], [], [])
-    for s_index, stratum in enumerate(STRATA):
-        ids = by_stratum[stratum]
+    for s_index, (stratum, ids) in enumerate(_strata(dataset).items()):
         if not ids:
             continue
         if len(ids) < n_parts:
@@ -628,29 +634,16 @@ def stratified_split(dataset: Dataset,
 
 def split_table(dataset: Dataset, assignment: SplitAssignment) -> str:
     """Render per-stratum counts of a split as an aligned text table."""
-    membership: dict[str, str] = {}
-    for name, ids in (("train", assignment.train), ("val", assignment.val),
-                      ("test", assignment.test)):
-        for image_id in ids:
-            membership[image_id] = name
-
-    rows = []
-    for stratum in STRATA:
-        ids = [r.image_id for r in dataset.records
-               if r.composition_stratum() == stratum]
-        if not ids:
-            continue
-        counts = {"train": 0, "val": 0, "test": 0}
-        for image_id in ids:
-            counts[membership[image_id]] += 1
-        label = "+".join(name for name, present
-                         in zip(("fungal", "artefact"), stratum) if present)
-        rows.append((label or "empty", len(ids), counts))
-
-    lines = [f"{'stratum':<16}{'total':>8}{'train':>8}{'val':>8}{'test':>8}"]
-    for label, total, counts in rows:
-        lines.append(f"{label:<16}{total:>8}{counts['train']:>8}"
-                     f"{counts['val']:>8}{counts['test']:>8}")
-    lines.append(f"{'all':<16}{len(dataset):>8}{len(assignment.train):>8}"
-                 f"{len(assignment.val):>8}{len(assignment.test):>8}")
-    return "\n".join(lines) + "\n"
+    parts = ("train", "val", "test")
+    part_of = {image_id: part for part in parts
+               for image_id in getattr(assignment, part)}
+    rows = [("stratum", "total", *parts)]
+    for stratum, ids in _strata(dataset).items():
+        if ids:
+            label = "+".join(name for name, present
+                             in zip(("fungal", "artefact"), stratum) if present)
+            counts = Counter(part_of[image_id] for image_id in ids)
+            rows.append((label or "empty", len(ids), *(counts[p] for p in parts)))
+    rows.append(("all", len(dataset), *(len(getattr(assignment, p)) for p in parts)))
+    return "".join(f"{label:<16}" + "".join(f"{v:>8}" for v in values) + "\n"
+                   for label, *values in rows)

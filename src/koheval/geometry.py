@@ -64,7 +64,8 @@ class Box:
 
 @dataclass(frozen=True)
 class ImageDims:
-    """Positive integer pixel dimensions of an image frame."""
+    """Positive integer pixel dimensions of an image frame, each small
+    enough to convert to a float."""
 
     width: int
     height: int
@@ -72,6 +73,10 @@ class ImageDims:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise SchemaError(f"dims must be >= 1, got {self.width}x{self.height}")
+        try:
+            float(self.width), float(self.height)
+        except OverflowError:
+            raise SchemaError("dims too large to convert to a float") from None
 
 
 @dataclass(frozen=True)

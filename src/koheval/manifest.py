@@ -41,18 +41,19 @@ class TrainManifest:
     confidence_threshold: float = 0.25
 
     def __post_init__(self):
+        # Each check states what must hold, so NaN fails it.
         positive = ("epochs", "initial_lr", "batch_size", "box_loss_weight",
                     "cls_loss_weight", "patience", "input_size",
                     "confidence_threshold")
         for name in positive:
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise SchemaError(f"{name} must be positive")
         for name in ("flip_prob", "confidence_threshold"):
-            if getattr(self, name) > 1.0:
+            if not getattr(self, name) <= 1.0:
                 raise SchemaError(f"{name} must not exceed 1")
         for name in ("flip_prob", "scale_jitter", "translate_jitter",
                      "rotation_jitter_deg"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise SchemaError(f"{name} must be non-negative")
         if not self.optimizer:
             raise SchemaError("optimizer name must be non-empty")
@@ -70,7 +71,11 @@ class TrainManifest:
         coerced = {}
         for spec in fields:
             value = require(doc, spec.name, _KINDS[spec.type], "manifest")
-            coerced[spec.name] = float(value) if spec.type == "float" else value
+            try:
+                coerced[spec.name] = float(value) if spec.type == "float" else value
+            except OverflowError:
+                raise SchemaError(f"manifest: {spec.name!r} is too large "
+                                  "for a float") from None
         return cls(**coerced)
 
 

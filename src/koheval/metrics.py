@@ -56,9 +56,10 @@ class OperatingPoint:
         """Object-level keep rule: confidence >= threshold, elementwise."""
         return confidence >= self.conf_threshold
 
-    def flags_positive(self, confidence: float) -> bool:
-        """Image-level screening rule: confidence strictly > threshold."""
-        return confidence > self.conf_threshold
+    def flags_positive(self, confidence: float | None) -> bool:
+        """Image-level screening rule on an image's top fungal confidence:
+        strictly > threshold. ``None``, no fungal prediction, is negative."""
+        return confidence is not None and confidence > self.conf_threshold
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ def classify_image(record, op: OperatingPoint = OperatingPoint(),
         gt_positive = any(b.class_id == FUNGAL for b in record.ground_truth)
     return Diagnosis(
         image_id=record.image_id,
-        positive=top is not None and op.flags_positive(top),
+        positive=op.flags_positive(top),
         max_fungal_confidence=top,
         gt_positive=gt_positive,
     )
@@ -174,6 +174,6 @@ def threshold_sweep(records, thresholds: Sequence[float],
     # reference label matter at the other thresholds.
     diagnoses = screen_dataset(records, ops[0], gt_labels).diagnoses if ops else ()
     return [(op.conf_threshold, _confusion(
-        [(d.gt_positive, d.max_fungal_confidence is not None
-          and op.flags_positive(d.max_fungal_confidence)) for d in diagnoses]))
+        [(d.gt_positive, op.flags_positive(d.max_fungal_confidence))
+         for d in diagnoses]))
         for op in ops]

@@ -2,12 +2,14 @@
 reference implementations of the matcher and the AP integrator.
 
 Every generated box is snapped to the 6-decimal grid of the line format
-before use, so a cohort written to disk and read back is bit-identical to
-the in-memory one. Placement keeps a 2.5x envelope around each object
-disjoint from all others; perturbed predictions stay inside their own
-envelope, so a planted TP can only match its own ground-truth box and a
-planted FP overlaps nothing. Planted roles are therefore exact at the
-default operating point, not merely probable.
+and built by the parser's own normalized-to-pixel formula, so a cohort
+written to disk and read back is bit-identical to the in-memory one. The
+offset solver measures overlap with ``geometry.iou_matrix``. Placement
+keeps a 2.5x envelope around each object disjoint from all others;
+perturbed predictions stay inside their own envelope, so a planted TP can
+only match its own ground-truth box and a planted FP overlaps nothing.
+Planted roles are therefore exact at the default operating point, not
+merely probable.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from .dataset import (
     Dataset,
     ImageRecord,
+    _denormalize,
     atomic_write_text,
     dump_json,
     format_label_file,
@@ -37,7 +40,7 @@ from .dataset import (
     require,
 )
 from .errors import GenerationError, SchemaError
-from .geometry import ARTEFACT, FUNGAL, Box, ImageDims, iou
+from .geometry import ARTEFACT, FUNGAL, Box, ImageDims, iou, iou_matrix
 from .metrics import MatchReport, OperatingPoint, PRCurve
 
 ROLES = ("tp", "fp", "fn", "suppressed")
@@ -58,20 +61,14 @@ def _grid_box(frame: ImageDims, class_id: int, cx: float, cy: float,
               w: float, h: float, confidence: float | None) -> Box:
     """Build a box from pixel center/size, snapped to the file grid.
 
-    Denormalization mirrors the parser exactly, so this box survives a
+    The snapped fractions go through the parser's own
+    :func:`koheval.dataset._denormalize`, so this box survives a
     write/read round-trip bit for bit.
     """
-    ncx = _q6(cx / frame.width)
-    ncy = _q6(cy / frame.height)
-    nw = _q6(w / frame.width)
-    nh = _q6(h / frame.height)
-    if confidence is not None:
-        confidence = _q6(confidence)
-    return Box((ncx - nw / 2.0) * frame.width,
-               (ncy - nh / 2.0) * frame.height,
-               (ncx + nw / 2.0) * frame.width,
-               (ncy + nh / 2.0) * frame.height,
-               class_id, confidence)
+    normalized = (_q6(cx / frame.width), _q6(cy / frame.height),
+                  _q6(w / frame.width), _q6(h / frame.height))
+    return _denormalize(normalized, frame, class_id,
+                        None if confidence is None else _q6(confidence))
 
 
 @dataclass(frozen=True)
@@ -311,27 +308,26 @@ def _solve_offsets(frame: ImageDims, pending: Sequence[_Perturbation]
     (80 steps) every pending offset at once; return each snapped
     prediction and its achieved IoU, in ``pending`` order.
 
-    The arrays repeat :func:`koheval.geometry.iou`'s operations in order,
-    and float64 + - * / min max round as Python floats do, so each offset
-    is bit for bit the one a scalar loop over the element finds.
+    Each step measures all candidates with one
+    :func:`koheval.geometry.iou_matrix` call on ``[M, 1, 4]`` corners.
+    It repeats :func:`koheval.geometry.iou`'s operations in order, and
+    float64 + - * / min max round as Python floats do, so each offset is
+    bit for bit the one a scalar loop over the element finds.
     """
     if not pending:
         return []
-    gx0, gy0, gx1, gy1, w, h, dx, dy, target = np.array(
-        [(p.gt.x_min, p.gt.y_min, p.gt.x_max, p.gt.y_max,
-          p.w, p.h, p.dx, p.dy, p.target) for p in pending]).T
+    table = np.array([(p.gt.x_min, p.gt.y_min, p.gt.x_max, p.gt.y_max,
+                       p.w, p.h, p.dx, p.dy, p.target) for p in pending])
+    gt = table[:, None, :4]
+    gx0, gy0, gx1, gy1, w, h, dx, dy, target = table.T
     cx0, cy0 = (gx0 + gx1) / 2.0, (gy0 + gy1) / 2.0
-    gt_area = (gx1 - gx0) * (gy1 - gy0)
 
     def iou_at(t: np.ndarray) -> np.ndarray:
         cx, cy = cx0 + t * dx, cy0 + t * dy
         x0, y0, x1, y1 = cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
         for k in np.flatnonzero(~((x1 > x0) & (y1 > y0)))[:1]:
             Box(x0[k], y0[k], x1[k], y1[k], FUNGAL)  # raises InvalidBoxError
-        iw = np.minimum(gx1, x1) - np.maximum(gx0, x0)
-        ih = np.minimum(gy1, y1) - np.maximum(gy0, y0)
-        inter = np.maximum(iw, 0.0) * np.maximum(ih, 0.0)
-        return inter / (gt_area + (x1 - x0) * (y1 - y0) - inter)
+        return iou_matrix(gt, np.stack((x0, y0, x1, y1), axis=-1)[:, None])[:, 0, 0]
 
     t_hi = (gx1 - gx0) + (gy1 - gy0)
     unbracketed = np.ones(len(pending), dtype=bool)
@@ -371,20 +367,20 @@ def _sample_target_iou(rng: np.random.Generator, spec: SynthSpec) -> float:
 
 
 def _build_scene(rng: np.random.Generator, spec: SynthSpec, image_id: str,
-                 gt_plants: Sequence[tuple[int, str]],
-                 fp_classes: Sequence[int], pending: list[_Perturbation]
-                 ) -> tuple[str, list[Box], list[Box | int], list[PlantedBox]]:
+                 gt_plants: Sequence[tuple[int, str]], fp_classes: Sequence[int]
+                 ) -> tuple[str, list[Box], list[Box | _Perturbation],
+                            list[PlantedBox]]:
     """Place the requested plants in one frame.
 
     ``gt_plants`` lists (class_id, role) for ground-truth boxes, role in
     {"tp", "fn", "suppressed"}; ``fp_classes`` lists classes of extra
-    unmatched predictions. Perturbed predictions go to ``pending``; the
-    scene lists each as its index there, for :func:`_assemble` to solve.
+    unmatched predictions. The scene lists each perturbed prediction as
+    its :class:`_Perturbation`, for :func:`_assemble` to solve.
     """
     taken: list = []
     gt_boxes: list[Box] = []
-    # (prediction or its index in pending, plant position)
-    staged: list[tuple[Box | int, int]] = []
+    # (prediction or its perturbation, plant position)
+    staged: list[tuple[Box | _Perturbation, int]] = []
     planted: list[PlantedBox] = []
 
     for class_id, role in gt_plants:
@@ -399,9 +395,8 @@ def _build_scene(rng: np.random.Generator, spec: SynthSpec, image_id: str,
         band = (spec.tp_confidence if role == "tp"
                 else spec.suppressed_confidence)
         target = _sample_target_iou(rng, spec)
-        staged.append((len(pending), len(planted)))
-        pending.append(_perturb_to_iou(rng, gt, target, rng.uniform(*band),
-                                       image_id))
+        staged.append((_perturb_to_iou(rng, gt, target, rng.uniform(*band),
+                                       image_id), len(planted)))
         planted.append(PlantedBox(role, class_id, gt_index=gt_index,
                                   target_iou=target))
 
@@ -415,7 +410,7 @@ def _build_scene(rng: np.random.Generator, spec: SynthSpec, image_id: str,
 
     # Shuffle prediction order so matching never sees generation order.
     order = rng.permutation(len(staged))
-    predictions: list[Box | int] = []
+    predictions: list[Box | _Perturbation] = []
     for new_index, old_index in enumerate(order):
         box, plant_pos = staged[old_index]
         predictions.append(box)
@@ -423,18 +418,21 @@ def _build_scene(rng: np.random.Generator, spec: SynthSpec, image_id: str,
     return image_id, gt_boxes, predictions, planted
 
 
-def _assemble(spec: SynthSpec, scenes: list, pending: list[_Perturbation]
-              ) -> tuple[Dataset, SynthTruth]:
-    """Solve a cohort's pending perturbations, then build its records and
-    truth from the scenes :func:`_build_scene` returned."""
-    solved = _solve_offsets(spec.frame, pending)
+def _assemble(spec: SynthSpec, scenes: list) -> tuple[Dataset, SynthTruth]:
+    """Solve the perturbations of the scenes :func:`_build_scene` returned,
+    all at once and in cohort order, then build the records and truth."""
+    solved = iter(_solve_offsets(spec.frame, [
+        p for _, _, staged, _ in scenes for p in staged
+        if isinstance(p, _Perturbation)]))
     records, truths = [], []
     for image_id, gt_boxes, staged, planted in scenes:
-        predictions = [solved[p][0] if isinstance(p, int) else p for p in staged]
+        outcomes = [next(solved) if isinstance(p, _Perturbation) else (p, None)
+                    for p in staged]  # (prediction, achieved IoU)
         planted = tuple(p if p.target_iou is None else replace(
-            p, achieved_iou=solved[staged[p.pred_index]][1]) for p in planted)
+            p, achieved_iou=outcomes[p.pred_index][1]) for p in planted)
         records.append(ImageRecord(image_id=image_id, dims=spec.frame,
-                                   ground_truth=gt_boxes, predictions=predictions))
+                                   ground_truth=gt_boxes,
+                                   predictions=[box for box, _ in outcomes]))
         truths.append(ImageTruth(image_id=image_id, planted=planted))
     return Dataset(records=records), SynthTruth(seed=spec.seed,
                                                 images=tuple(truths))
@@ -456,7 +454,7 @@ def generate(spec: SynthSpec) -> tuple[Dataset, SynthTruth]:
     stream, so images are independent of cohort size and order.
     """
     _check_bands(spec, OperatingPoint())
-    scenes, pending = [], []
+    scenes = []
     for i in range(spec.n_images):
         rng = _image_rng(spec.seed, i)
         gt_plants: list[tuple[int, str]] = []
@@ -473,8 +471,8 @@ def generate(spec: SynthSpec) -> tuple[Dataset, SynthTruth]:
         n_fp = int(rng.binomial(2, spec.fp_extra_rate))
         fp_classes = [int(rng.integers(0, 2)) for _ in range(n_fp)]
         scenes.append(_build_scene(rng, spec, f"synth-{i:04d}",
-                                   gt_plants, fp_classes, pending))
-    return _assemble(spec, scenes, pending)
+                                   gt_plants, fp_classes))
+    return _assemble(spec, scenes)
 
 
 def _deal(rng: np.random.Generator, items: list, n_buckets: int) -> list[list]:
@@ -486,51 +484,46 @@ def _deal(rng: np.random.Generator, items: list, n_buckets: int) -> list[list]:
     return buckets
 
 
-def plant_object_counts(tp: int, fp: int, fn: int, *, class_id: int = FUNGAL,
-                        seed: int = 0, frame: ImageDims = ImageDims(2048, 2048),
-                        max_per_image: int = 3,
+def plant_object_counts(tp: int, fp: int, fn: int, *, seed: int = 0,
                         dressing: bool = True) -> tuple[Dataset, SynthTruth]:
-    """Cohort whose object-level counts for ``class_id`` are exactly
-    (tp, fp, fn) at the default operating point.
+    """Cohort whose fungal object-level counts are exactly (tp, fp, fn) at
+    the default operating point, at most three plants to an image.
 
-    ``dressing`` sprinkles matched other-class objects through the cohort;
-    they exercise class-aware matching without touching the target counts.
+    ``dressing`` sprinkles matched artefacts through the cohort; they
+    exercise class-aware matching without touching the fungal counts.
     """
     if min(tp, fp, fn) < 0 or tp + fp + fn == 0:
         raise SchemaError("counts must be non-negative and not all zero")
-    spec = SynthSpec(frame=frame, seed=seed)
+    spec = SynthSpec(seed=seed)
     plants = (["tp"] * tp + ["fn"] * fn + ["fp"] * fp)
-    n_images = max(1, math.ceil(len(plants) / max_per_image))
+    n_images = max(1, math.ceil(len(plants) / 3))
     assign = _image_rng(seed, _ASSIGN_STREAM)
     buckets = _deal(assign, plants, n_images)
-    other = ARTEFACT if class_id == FUNGAL else FUNGAL
 
-    scenes, pending = [], []
+    scenes = []
     for i, bucket in enumerate(buckets):
         rng = _image_rng(seed, i)
-        gt_plants = [(class_id, role) for role in bucket if role != "fp"]
-        fp_classes = [class_id] * sum(1 for role in bucket if role == "fp")
+        gt_plants = [(FUNGAL, role) for role in bucket if role != "fp"]
+        fp_classes = [FUNGAL] * sum(1 for role in bucket if role == "fp")
         if dressing and rng.random() < 0.5:
-            gt_plants.append((other, "tp"))
+            gt_plants.append((ARTEFACT, "tp"))
         scenes.append(_build_scene(rng, spec, f"plant-{i:04d}",
-                                   gt_plants, fp_classes, pending))
-    return _assemble(spec, scenes, pending)
+                                   gt_plants, fp_classes))
+    return _assemble(spec, scenes)
 
 
 def plant_screening_matrix(tp: int, fn: int, fp: int, tn: int, *,
-                           seed: int = 0,
-                           frame: ImageDims = ImageDims(2048, 2048)
-                           ) -> tuple[Dataset, SynthTruth]:
+                           seed: int = 0) -> tuple[Dataset, SynthTruth]:
     """Cohort of tp+fn+fp+tn images whose screening confusion matrix is
     exactly (tp, fn, fp, tn) at the default operating point."""
     if min(tp, fn, fp, tn) < 0 or tp + fn + fp + tn == 0:
         raise SchemaError("matrix cells must be non-negative and not all zero")
-    spec = SynthSpec(frame=frame, seed=seed)
+    spec = SynthSpec(seed=seed)
     outcomes = ["tp"] * tp + ["fn"] * fn + ["fp"] * fp + ["tn"] * tn
     assign = _image_rng(seed, _ASSIGN_STREAM)
     order = assign.permutation(len(outcomes))
 
-    scenes, pending = [], []
+    scenes = []
     for i, outcome_index in enumerate(order):
         outcome = outcomes[outcome_index]
         rng = _image_rng(seed, i)
@@ -547,14 +540,13 @@ def plant_screening_matrix(tp: int, fn: int, fp: int, tn: int, *,
         if rng.random() < 0.5:
             gt_plants.append((ARTEFACT, "tp"))
         scenes.append(_build_scene(rng, spec, f"screen-{i:04d}",
-                                   gt_plants, fp_classes, pending))
-    return _assemble(spec, scenes, pending)
+                                   gt_plants, fp_classes))
+    return _assemble(spec, scenes)
 
 
-def plant_uniform_iou_cohort(n_images: int = 8,
-                             frame: ImageDims = ImageDims(2000, 2000)
-                             ) -> Dataset:
-    """Every prediction overlaps its ground truth at IoU exactly 7/10.
+def plant_uniform_iou_cohort(n_images: int = 8) -> Dataset:
+    """Every prediction overlaps its ground truth at IoU exactly 7/10, in
+    2000x2000 frames.
 
     Integer pixel coordinates make the ratio land on the float64 literal
     0.7, so threshold sweeps flip from all-TP to all-FP precisely between
@@ -568,7 +560,8 @@ def plant_uniform_iou_cohort(n_images: int = 8,
         gt = Box(200 + ox, 500 + oy, 500 + ox, 1500 + oy, FUNGAL)
         pred = Box(200 + ox, 500 + oy, 500 + ox, 1200 + oy, FUNGAL,
                    confidence=_q6(0.9 - 0.4 * i / max(1, n_images - 1)))
-        records.append(ImageRecord(image_id=f"uniform-{i:04d}", dims=frame,
+        records.append(ImageRecord(image_id=f"uniform-{i:04d}",
+                                   dims=ImageDims(2000, 2000),
                                    ground_truth=[gt], predictions=[pred]))
     return Dataset(records=records)
 

@@ -26,6 +26,7 @@ from koheval.errors import (
     SchemaError,
 )
 from koheval.geometry import ARTEFACT, FUNGAL, Box, ImageDims
+from koheval.synth import plant_screening_matrix
 
 DIMS = ImageDims(2048, 2048)
 
@@ -189,6 +190,12 @@ class TestCoco:
         with pytest.raises(SchemaError):
             parse_coco_json(doc)
 
+    def test_dims_past_float_range(self):
+        doc = self.document()
+        doc["images"][0]["width"] = 10**400
+        with pytest.raises(SchemaError, match="too large"):
+            parse_coco_json(doc)
+
     def test_bad_json_text(self):
         with pytest.raises(SchemaError):
             parse_coco_json("{not json")
@@ -246,6 +253,15 @@ class TestLoading:
         with pytest.raises(ParseError) as err:
             load_ground_truth(gt_dir, dims=DIMS)
         assert "img-a.txt" in str(err.value)
+
+    def test_sub_pixel_box_error_names_file_and_line(self, tmp_path):
+        gt_dir = tmp_path / "gt"
+        gt_dir.mkdir()
+        # 1e-300 is not 0.0, but 0.5 +- 5e-301 is one float: no pixel width.
+        (gt_dir / "img-a.txt").write_text("0 0.5 0.5 1e-300 0.1\n")
+        with pytest.raises(ParseError) as err:
+            load_ground_truth(gt_dir, dims=ImageDims(1024, 1024))
+        assert str(err.value) == f"{gt_dir / 'img-a.txt'}: line 1: zero-area box"
 
 
 def _registry(n_fungal_only=6, n_both=10, n_artefact_only=4, n_empty=4):
@@ -354,3 +370,14 @@ class TestSplit:
         last = table.strip().splitlines()[-1].split()
         assert last[0] == "all"
         assert int(last[1]) == len(dataset)
+
+    def test_split_table_text_is_pinned(self):
+        dataset, _ = plant_screening_matrix(12, 2, 3, 20, seed=7)
+        assignment = stratified_split(dataset, fractions=(0.6, 0.2, 0.2), seed=3)
+        assert split_table(dataset, assignment) == (
+            "stratum            total   train     val    test\n"
+            "empty                 12       7       3       2\n"
+            "artefact              11       7       2       2\n"
+            "fungal                 8       5       2       1\n"
+            "fungal+artefact        6       4       1       1\n"
+            "all                   37      23       8       6\n")

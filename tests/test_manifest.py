@@ -84,6 +84,23 @@ class TestTrainManifest:
         with pytest.raises(SchemaError):
             TrainManifest.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("field", ["initial_lr", "flip_prob", "scale_jitter",
+                                       "confidence_threshold", "translate_jitter"])
+    def test_nan_fails_the_range_checks(self, field):
+        with pytest.raises(SchemaError, match=field):
+            TrainManifest(**{field: float("nan")})
+        doc = REFERENCE_PROTOCOL.to_json().replace(
+            f'"{field}": {getattr(REFERENCE_PROTOCOL, field)!r}', f'"{field}": NaN')
+        assert "NaN" in doc
+        with pytest.raises(SchemaError, match=field):
+            TrainManifest.from_json(doc)
+
+    def test_from_json_rejects_a_float_field_past_float_range(self):
+        doc = json.loads(REFERENCE_PROTOCOL.to_json())
+        doc["initial_lr"] = 10**400
+        with pytest.raises(SchemaError, match="initial_lr.*too large"):
+            TrainManifest.from_json(json.dumps(doc))
+
     def test_from_json_coerces_int_to_float(self):
         doc = json.loads(REFERENCE_PROTOCOL.to_json())
         doc["cls_loss_weight"] = 1

@@ -45,6 +45,7 @@ class TestOperatingPoint:
         assert not op.admits(0.2499)
         assert not op.flags_positive(0.25)
         assert op.flags_positive(0.2501)
+        assert op.flags_positive(None) is False  # no fungal prediction
 
 
 class TestMatchImage:

@@ -9,10 +9,11 @@ documents nested deeper than the decoder's recursion limit.
 """
 
 import json
+import math
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koheval.dataset import (
@@ -36,8 +37,9 @@ DIMS = ImageDims(64, 48)
 DELETE = object()
 
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats()
-    | st.text(max_size=6),
+    # st.integers() practically never leaves float range; +-10**400 does.
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -10**400])
+    | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=12,
@@ -137,11 +139,14 @@ def test_truth_parser(text):
 @PROPERTY
 @given(st.binary(max_size=40)
        | documents({"width": 2048, "height": 2048}).map(str.encode))
+@example(b'{"width": 1' + b"0" * 400 + b', "height": 2048}')
 def test_cohort_dims_reader(tmp_path_factory, data):
     cohort = tmp_path_factory.getbasetemp() / "dims-property"
     cohort.mkdir(exist_ok=True)
     (cohort / "dims.json").write_bytes(data)
-    parses_or_raises_koheval_error(read_cohort_dims, cohort)
+    dims = parses_or_raises_koheval_error(read_cohort_dims, cohort)
+    if dims is not None:
+        parse_pred_file("0 0.5 0.5 0.25 0.25 0.9\n1 0.999 0.001 0.5 0.5 0.3\n", dims)
 
 
 @PROPERTY
@@ -152,8 +157,13 @@ def test_split_file_parser(text):
 
 @PROPERTY
 @given(documents(MANIFEST))
+@example(json.dumps({**MANIFEST, "initial_lr": 10**400}))
+@example(json.dumps({**MANIFEST, "flip_prob": math.nan}))
 def test_manifest_parser(text):
-    parses_or_raises_koheval_error(TrainManifest.from_json, text)
+    manifest = parses_or_raises_koheval_error(TrainManifest.from_json, text)
+    if manifest is not None:
+        assert not any(isinstance(value, float) and math.isnan(value)
+                       for value in vars(manifest).values())
 
 
 def _read_dims_file(text, directory):

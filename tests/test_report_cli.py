@@ -284,6 +284,12 @@ class TestCli:
         assert code == 2
         assert "fractions" in capsys.readouterr().err
 
+    def test_dims_flag_past_float_range_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:  # argparse rejects the value
+            main(["evaluate", str(tmp_path), "--dims", f"{10**400}x2048"])
+        assert exit_.value.code == 2
+        assert "expected WIDTHxHEIGHT" in capsys.readouterr().err
+
     def test_validate_manifest_exit_codes(self, tmp_path, capsys):
         good = tmp_path / "good.json"
         good.write_text(REFERENCE_PROTOCOL.to_json())
@@ -299,6 +305,14 @@ class TestCli:
         broken = tmp_path / "broken.json"
         broken.write_text("{")
         assert main(["validate-manifest", str(broken)]) == 2
+
+        capsys.readouterr()
+        for value in ("1" + "0" * 400, "NaN"):
+            broken.write_text(json.dumps(doc).replace("0.005", value))
+            assert main(["validate-manifest", str(broken)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "initial_lr" in err
 
     def test_missing_input_is_toolkit_error(self, tmp_path, capsys):
         assert main(["evaluate", str(tmp_path / "nowhere")]) == 2
@@ -365,7 +379,8 @@ class TestCli:
     @pytest.mark.parametrize("dims", ['{"width": 2048}',
                                       '{"width": 2048, "height": "2048"}',
                                       '{"width": 2048, "height": 20.5}',
-                                      '[2048, 2048]', '{"width":'])
+                                      '[2048, 2048]', '{"width":',
+                                      '{"width": 1' + "0" * 400 + ', "height": 2048}'])
     def test_bad_dims_json_exits_2_without_traceback(self, tmp_path, dims):
         cohort = tmp_path / "cohort"
         main(["synth", "--images", "2", "--out", str(cohort)])

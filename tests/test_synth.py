@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 import koheval.metrics
 import koheval.synth
-from koheval.dataset import ImageRecord
+from koheval.dataset import (
+    ImageRecord,
+    format_label_file,
+    parse_gt_file,
+    parse_pred_file,
+)
 from koheval.errors import (
     GenerationError,
     InvalidBoxError,
@@ -203,6 +208,31 @@ class TestGoldenOutput:
     def test_plant_screening_matrix(self):
         assert _digest(plant_screening_matrix(20, 3, 5, 30, seed=4)) == \
             "d7ddd9687df7fb8df1f8eb0848aa080d21b6f5f011be05cc03e6eedc3d0bac67"
+
+
+# (class, (x0, x1), (y0, y1), confidence), corners as fractions of the frame.
+_fraction_span = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted) \
+    .filter(lambda span: span[1] - span[0] >= 1e-6)
+_drawn_boxes = st.lists(st.tuples(st.sampled_from((FUNGAL, ARTEFACT)), _fraction_span,
+                                  _fraction_span, st.floats(0.0, 1.0)), max_size=6)
+
+
+class TestGridBox:
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(1, 10_000), st.integers(1, 10_000), _drawn_boxes)
+    def test_in_frame_boxes_survive_a_label_file_round_trip(self, width, height,
+                                                           drawn):
+        frame = ImageDims(width, height)
+        for parse, with_confidence in ((parse_gt_file, False),
+                                       (parse_pred_file, True)):
+            boxes = [_grid_box(frame, class_id, (x0 + x1) / 2 * width,
+                               (y0 + y1) / 2 * height, (x1 - x0) * width,
+                               (y1 - y0) * height, conf if with_confidence else None)
+                     for class_id, (x0, x1), (y0, y1), conf in drawn]
+            # Snapping may carry an edge past the frame; the parser would clip it.
+            boxes = [b for b in boxes if b.x_min >= 0.0 and b.y_min >= 0.0
+                     and b.x_max <= width and b.y_max <= height]
+            assert repr(parse(format_label_file(boxes, frame), frame)) == repr(boxes)
 
 
 _FRAME = ImageDims(2048, 2048)
