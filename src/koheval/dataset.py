@@ -126,25 +126,26 @@ def _parse_lines(text: str, dims: ImageDims, with_confidence: bool) -> list[Box]
     boxes: list[Box] = []
     clipped = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()  # the fields of raw.strip(): both split on isspace()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != n_fields:
             raise ParseError(
                 f"expected {n_fields} fields, got {len(parts)}", line=lineno
             )
         try:
             class_id = int(parts[0])
-            values = [float(p) for p in parts[1:5]]
+            cx, cy, w, h = values = tuple(map(float, parts[1:5]))
             confidence = float(parts[5]) if with_confidence else None
         except ValueError:
-            raise ParseError(f"non-numeric field in {line!r}", line=lineno) from None
+            raise ParseError(f"non-numeric field in {raw.strip()!r}",
+                             line=lineno) from None
         if class_id not in (FUNGAL, ARTEFACT):
             raise ClassError(f"unknown class id {class_id}", line=lineno)
-        for name, value in zip(("cx", "cy", "w", "h"), values):
-            if not 0.0 <= value <= 1.0:
-                raise RangeError(f"{name}={value} outside [0, 1]", line=lineno)
+        if not 0.0 <= cx <= 1.0 >= cy >= 0.0 <= w <= 1.0 >= h >= 0.0:
+            for name, value in zip(("cx", "cy", "w", "h"), values):
+                if not 0.0 <= value <= 1.0:
+                    raise RangeError(f"{name}={value} outside [0, 1]", line=lineno)
         if confidence is not None and not 0.0 <= confidence <= 1.0:
             raise RangeError(f"conf={confidence} outside [0, 1]", line=lineno)
         try:
@@ -310,8 +311,13 @@ def read_text(path: Path | str, error: type[KohevalError] = ParseError,
     ``error`` naming the file. Line endings are kept: every reader here
     splits lines or parses JSON, and both accept CRLF. ``digests``, when
     given, gets the SHA-256 of the bytes read, under ``str(path)``."""
-    with open(path, "rb") as handle:
-        data = handle.read()
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        data = b"".join(iter(lambda: os.read(fd, 65536), b""))
+    except OSError as exc:  # os.read names no file: reading a directory, say
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
     if digests is not None:
         digests[str(path)] = hashlib.sha256(data).hexdigest()
     try:
@@ -326,12 +332,20 @@ _JSON_KINDS = {dict: "an object", list: "a list", str: "a string",
                type(None): "null"}
 
 
+def _finite(token: str) -> float:
+    # JSON has no NaN or infinity, spelled out (NaN, -Infinity) or past range (1e400).
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} is not a finite number")
+    return value
+
+
 def load_json(text: str | bytes, what: str) -> dict:
     """Decode a JSON document whose top level must be an object. Malformed
-    text, and nesting deeper than the decoder's recursion limit, raise
-    SchemaError naming ``what``."""
+    text, NaN and infinite numbers, and nesting deeper than the decoder's
+    recursion limit raise SchemaError naming ``what``."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_finite, parse_float=_finite)
     except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{what}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -341,8 +355,9 @@ def load_json(text: str | bytes, what: str) -> dict:
 
 def dump_json(doc, indent: int | None = 2) -> str:
     """Canonical JSON text: sorted keys, ``indent`` (None for one line)
-    and a trailing newline, so equal documents give equal bytes."""
-    return json.dumps(doc, indent=indent, sort_keys=True) + "\n"
+    and a trailing newline, so equal documents give equal bytes. NaN and
+    infinite floats, which :func:`load_json` refuses, raise ValueError."""
+    return json.dumps(doc, indent=indent, sort_keys=True, allow_nan=False) + "\n"
 
 
 def require(doc, key: str, kinds: type | tuple[type, ...], what: str):
@@ -389,7 +404,7 @@ def _walk(directory: str, prefix: tuple[str, ...], found: list) -> list:
     # "" stands for ".", so that paths read as str(Path(...)) reads them.
     with os.scandir(directory or ".") as entries:
         for entry in entries:
-            parts, path = (*prefix, entry.name), os.path.join(directory, entry.name)
+            parts, path = (*prefix, entry.name), entry.path if directory else entry.name
             if entry.is_dir(follow_symlinks=False):
                 _walk(path, parts, found)
             elif entry.is_file():
@@ -412,6 +427,10 @@ class InputTree:
                  else [((), root)])
         self.files = {file: parts for parts, file in sorted(found)}
         self.digests: dict[str, str] = {}
+        self._labels: dict[tuple[str, ...], list[str]] = {}
+        for file, parts in self.files.items():
+            if parts and parts[-1].endswith(".txt"):
+                self._labels.setdefault(parts[:-1], []).append(file)
 
     def label_files(self, directory: Path) -> dict[str, str]:
         """Image id (the name's ``Path.stem``) -> path of each ``.txt``
@@ -419,10 +438,9 @@ class InputTree:
         if directory != self.path and directory.is_symlink():
             # The walk does not enter it, but its labels are still read.
             return InputTree(directory).label_files(directory)
-        where = directory.relative_to(self.path).parts
-        return {parts[-1][:-4] or parts[-1]: file
-                for file, parts in self.files.items()
-                if parts[:-1] == where and parts[-1].endswith(".txt")}
+        names = ((self.files[file][-1], file) for file in
+                 self._labels.get(directory.relative_to(self.path).parts, ()))
+        return {name[:-4] or name: file for name, file in names}
 
     def sha256(self) -> str:
         """Digest of the file, or of the directory as the digest of its
@@ -515,8 +533,11 @@ def read_cohort_dims(path: Path | str,
     if not dims_file.is_file():
         raise SchemaError(f"{path}: not a cohort directory (no dims.json)")
     doc = load_json(read_text(dims_file, SchemaError, digests), str(dims_file))
-    return ImageDims(*(require(doc, side, int, str(dims_file))
-                       for side in ("width", "height")))
+    sides = [require(doc, side, int, str(dims_file)) for side in ("width", "height")]
+    try:
+        return ImageDims(*sides)
+    except SchemaError as exc:
+        raise SchemaError(f"{dims_file}: {exc}") from None
 
 
 def read_cohort(path: Path | str, tree: InputTree | None = None) -> Dataset:

@@ -113,17 +113,18 @@ def clip_to_frame(box: Box, dims: ImageDims) -> Box:
 
     Raises OutOfFrameError when nothing of the box remains inside.
     """
+    width, height = float(dims.width), float(dims.height)
+    if box.x_min >= 0.0 <= box.y_min and box.x_max <= width and box.y_max <= height:
+        return box
     x0 = max(box.x_min, 0.0)
     y0 = max(box.y_min, 0.0)
-    x1 = min(box.x_max, float(dims.width))
-    y1 = min(box.y_max, float(dims.height))
+    x1 = min(box.x_max, width)
+    y1 = min(box.y_max, height)
     if x1 - x0 <= 0.0 or y1 - y0 <= 0.0:
         raise OutOfFrameError(
             f"box ({box.x_min}, {box.y_min}, {box.x_max}, {box.y_max}) "
             f"lies outside the {dims.width}x{dims.height} frame"
         )
-    if (x0, y0, x1, y1) == (box.x_min, box.y_min, box.x_max, box.y_max):
-        return box
     return replace(box, x_min=x0, y_min=y0, x_max=x1, y_max=y1)
 
 

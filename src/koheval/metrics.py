@@ -58,7 +58,8 @@ class OperatingPoint:
 
     def flags_positive(self, confidence: float | None) -> bool:
         """Image-level screening rule on an image's top fungal confidence:
-        strictly > threshold. ``None``, no fungal prediction, is negative."""
+        strictly > threshold. ``None``, no fungal prediction, is negative.
+        On an array of confidences it answers elementwise."""
         return confidence is not None and confidence > self.conf_threshold
 
 

@@ -12,6 +12,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import SchemaError, UndefinedMetricError
 from .geometry import FUNGAL
 from .metrics import OperatingPoint, counts_to_prf
@@ -170,10 +172,15 @@ def threshold_sweep(records, thresholds: Sequence[float],
     is non-increasing and specificity non-decreasing along the sweep.
     """
     ops = [OperatingPoint(conf_threshold=t) for t in sorted(thresholds)]
-    # Each image is classified once; only its top fungal confidence and
-    # reference label matter at the other thresholds.
-    diagnoses = screen_dataset(records, ops[0], gt_labels).diagnoses if ops else ()
-    return [(op.conf_threshold, _confusion(
-        [(d.gt_positive, op.flags_positive(d.max_fungal_confidence))
-         for d in diagnoses]))
-        for op in ops]
+    if not ops:
+        return []
+    # Each image is classified once; its top fungal confidence (None as
+    # -inf, which no threshold flags) then meets every threshold at once.
+    diagnoses = screen_dataset(records, ops[0], gt_labels).diagnoses
+    top = np.array([-np.inf if d.max_fungal_confidence is None
+                    else d.max_fungal_confidence for d in diagnoses])
+    truth = np.array([bool(d.gt_positive) for d in diagnoses])
+    called = np.array([op.flags_positive(top) for op in ops])  # [threshold, image]
+    cells = (called & truth, ~called & truth, called & ~truth, ~called & ~truth)
+    counts = np.array([cell.sum(axis=1) for cell in cells]).T.tolist()  # tp fn fp tn
+    return [(op.conf_threshold, ConfusionMatrix(*row)) for op, row in zip(ops, counts)]

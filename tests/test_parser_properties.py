@@ -11,6 +11,7 @@ documents nested deeper than the decoder's recursion limit.
 import json
 import math
 import warnings
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,14 +19,23 @@ from hypothesis import strategies as st
 
 from koheval.dataset import (
     SplitAssignment,
+    _denormalize,
     format_coco_json,
     parse_coco_json,
     parse_gt_file,
     parse_pred_file,
     read_cohort_dims,
 )
-from koheval.errors import KohevalError, SchemaError
-from koheval.geometry import ImageDims
+from koheval.errors import (
+    ClassError,
+    InvalidBoxError,
+    KohevalError,
+    OutOfFrameError,
+    ParseError,
+    RangeError,
+    SchemaError,
+)
+from koheval.geometry import ARTEFACT, FUNGAL, Box, ImageDims
 from koheval.manifest import REFERENCE_PROTOCOL, TrainManifest
 from koheval.metrics import OperatingPoint, evaluate_detections
 from koheval.report import build_report, parse_report, render
@@ -50,8 +60,22 @@ label_token = st.sampled_from(
     ["0", "1", "2", "-1", "0.5", "1.0", "1", "0.0", "1e-320", "5e-324",
      "0.999999", "nan", "inf", "-0.0", "1_0", "x", "0x1", "٣", "1e400"]
 ) | st.floats().map(repr)
-label_text = st.lists(st.lists(label_token, max_size=7).map(" ".join),
-                      max_size=5).map("\n".join)
+# Well-formed lines of five or six fields, so that parsed boxes are compared
+# too, not only errors; and the same with one field swapped for an edge token.
+well_formed = st.builds(lambda class_id, values: [class_id, *map(repr, values)],
+                        st.sampled_from(["0", "1"]),
+                        st.lists(st.floats(0.0, 1.0), min_size=4, max_size=5))
+spoiled = st.builds(lambda fields, i, token: [*fields[:i], token, *fields[i + 1:]],
+                    well_formed, st.integers(0, 5), label_token)
+padding = st.sampled_from(["", " ", "\t", " \x0b"])
+label_line = st.builds("{}{}{}".format, padding,
+                       st.lists(label_token, max_size=7).map(" ".join)
+                       | (well_formed | spoiled).map(" ".join) | padding, padding)
+# Every line boundary str.splitlines knows that a label file may hold.
+line_end = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85",
+                            "\u2028"])
+label_text = st.lists(st.tuples(label_line, line_end).map("".join),
+                      max_size=5).map("".join)
 
 
 def _paths(doc, prefix=()):
@@ -113,6 +137,86 @@ REPORT = json.loads(json.dumps(build_report(
 def test_label_file_parsers(text):
     parses_or_raises_koheval_error(parse_gt_file, text, DIMS)
     parses_or_raises_koheval_error(parse_pred_file, text, DIMS)
+
+
+def _reference_clip_to_frame(box: Box, dims: ImageDims) -> Box:
+    # geometry.clip_to_frame before its early return for boxes inside.
+    x0 = max(box.x_min, 0.0)
+    y0 = max(box.y_min, 0.0)
+    x1 = min(box.x_max, float(dims.width))
+    y1 = min(box.y_max, float(dims.height))
+    if x1 - x0 <= 0.0 or y1 - y0 <= 0.0:
+        raise OutOfFrameError(
+            f"box ({box.x_min}, {box.y_min}, {box.x_max}, {box.y_max}) "
+            f"lies outside the {dims.width}x{dims.height} frame"
+        )
+    if (x0, y0, x1, y1) == (box.x_min, box.y_min, box.x_max, box.y_max):
+        return box
+    return replace(box, x_min=x0, y_min=y0, x_max=x1, y_max=y1)
+
+
+def _reference_parse_lines(text: str, dims: ImageDims,
+                           with_confidence: bool) -> list[Box]:
+    # dataset._parse_lines as it was before its one-split, one-comparison
+    # fast path: the reference the parser must agree with.
+    n_fields = 6 if with_confidence else 5
+    boxes: list[Box] = []
+    clipped = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != n_fields:
+            raise ParseError(
+                f"expected {n_fields} fields, got {len(parts)}", line=lineno
+            )
+        try:
+            class_id = int(parts[0])
+            values = [float(p) for p in parts[1:5]]
+            confidence = float(parts[5]) if with_confidence else None
+        except ValueError:
+            raise ParseError(f"non-numeric field in {line!r}", line=lineno) from None
+        if class_id not in (FUNGAL, ARTEFACT):
+            raise ClassError(f"unknown class id {class_id}", line=lineno)
+        for name, value in zip(("cx", "cy", "w", "h"), values):
+            if not 0.0 <= value <= 1.0:
+                raise RangeError(f"{name}={value} outside [0, 1]", line=lineno)
+        if confidence is not None and not 0.0 <= confidence <= 1.0:
+            raise RangeError(f"conf={confidence} outside [0, 1]", line=lineno)
+        try:
+            box = _denormalize(values, dims, class_id, confidence)
+        except InvalidBoxError:  # the confidence passed above: the area failed
+            raise ParseError("zero-area box", line=lineno) from None
+        kept = _reference_clip_to_frame(box, dims)
+        if kept is not box:
+            clipped += 1
+        boxes.append(kept)
+    if clipped:
+        warnings.warn(f"{clipped} box(es) clipped to the frame", stacklevel=3)
+    return boxes
+
+
+def _outcome(parse, *args):
+    """Boxes as the repr of each field (bit for bit: repr tells -0.0 from
+    0.0), or the error's type, message and line; and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = [tuple(map(repr, astuple(box))) for box in parse(*args)]
+        except KohevalError as exc:
+            result = (type(exc), str(exc), getattr(exc, "line", None))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(PROPERTY, max_examples=400)
+@given(label_text | st.text(max_size=80), st.sampled_from([DIMS, ImageDims(7, 3000)]))
+@example("0 0.5 0.5 1.0 1.0\r\n1 1.0 0.0 0.5 0.5\r\n", DIMS)
+@example("0 -0.0 0.5 0.5 0.5 1\u2028\x85 \x0b1 0.5 0.5 1e-300 0.2 0.5", DIMS)
+def test_label_file_parsers_agree_with_the_reference(text, dims):
+    for parse, with_confidence in ((parse_gt_file, False), (parse_pred_file, True)):
+        assert _outcome(parse, text, dims) \
+            == _outcome(_reference_parse_lines, text, dims, with_confidence)
 
 
 @PROPERTY

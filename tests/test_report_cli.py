@@ -307,12 +307,21 @@ class TestCli:
         assert main(["validate-manifest", str(broken)]) == 2
 
         capsys.readouterr()
-        for value in ("1" + "0" * 400, "NaN"):
-            broken.write_text(json.dumps(doc).replace("0.005", value))
+        # The field check names the field; the JSON reader, which refuses
+        # NaN and infinities before any field is checked, names the token.
+        for field, value, named in (("initial_lr", "1" + "0" * 400, "initial_lr"),
+                                    ("initial_lr", "NaN", "NaN"),
+                                    ("scale_jitter", "Infinity", "Infinity"),
+                                    ("scale_jitter", "-1e400", "-1e400")):
+            text = REFERENCE_PROTOCOL.to_json().replace(
+                f'"{field}": {getattr(REFERENCE_PROTOCOL, field)!r}',
+                f'"{field}": {value}')
+            assert value in text
+            broken.write_text(text)
             assert main(["validate-manifest", str(broken)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
-            assert "initial_lr" in err
+            assert named in err
 
     def test_missing_input_is_toolkit_error(self, tmp_path, capsys):
         assert main(["evaluate", str(tmp_path / "nowhere")]) == 2
@@ -380,7 +389,8 @@ class TestCli:
                                       '{"width": 2048, "height": "2048"}',
                                       '{"width": 2048, "height": 20.5}',
                                       '[2048, 2048]', '{"width":',
-                                      '{"width": 1' + "0" * 400 + ', "height": 2048}'])
+                                      '{"width": 1' + "0" * 400 + ', "height": 2048}',
+                                      '{"width": 0, "height": 2048}'])
     def test_bad_dims_json_exits_2_without_traceback(self, tmp_path, dims):
         cohort = tmp_path / "cohort"
         main(["synth", "--images", "2", "--out", str(cohort)])
@@ -394,6 +404,7 @@ class TestCli:
         assert "Traceback" not in result.stderr
         assert result.stderr.startswith("error: ") \
             and result.stderr.count("\n") == 1
+        assert str(cohort / "dims.json") in result.stderr
 
     def test_cohort_without_pred_dir_has_no_detections(self, tmp_path, capsys):
         cohort = tmp_path / "cohort"
@@ -418,12 +429,15 @@ class TestCli:
         cohort = tmp_path / "cohort"
         main(["synth", "--images", "12", "--seed", "5", "--out", str(cohort)])
         opened = Counter()
-        real_open = builtins.open
 
-        def counting_open(file, *args, **kwargs):
-            opened[os.path.abspath(file)] += 1
-            return real_open(file, *args, **kwargs)
-        monkeypatch.setattr(builtins, "open", counting_open)
+        def counting(real_open):
+            def counting_open(file, *args, **kwargs):
+                opened[os.path.abspath(file)] += 1
+                return real_open(file, *args, **kwargs)
+            return counting_open
+        # read_text reads through os.open, sha256_file through open.
+        monkeypatch.setattr(builtins, "open", counting(builtins.open))
+        monkeypatch.setattr(os, "open", counting(os.open))
         monkeypatch.chdir(cohort)
         every = {str(p) for p in cohort.rglob("*") if p.is_file()}
         labels = {f for f in every if "/gt/" in f or "/pred/" in f}
@@ -682,6 +696,33 @@ def test_non_utf8_report_exits_2(tmp_path, capsys):
     stored.write_bytes(b"\xff\xfe{}")
     assert main(["report", str(stored)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {stored}: not UTF-8")
+
+
+@pytest.mark.parametrize("command", ["report", "validate-manifest"])
+def test_directory_given_as_a_file_exits_2_naming_it(tmp_path, capsys, command):
+    assert main([command, str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(tmp_path) in captured.err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_report_holding_a_non_finite_number_exits_2(sample_report, tmp_path,
+                                                    capsys, value):
+    report = {**sample_report, "inputs": {
+        "cohort": {"path": "cohort", "sha256": "0" * 64}}}
+    report["object_metrics"]["per_class"]["fungal"]["ap50"] = "@"
+    stored = tmp_path / "report.json"
+    stored.write_text(dump_json(report).replace('"@"', value))
+    for fmt in ("table", "csv", "json"):
+        assert main(["report", str(stored), "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: report: not valid JSON: {value} is not a finite number\n"
+    # The writer refuses what the reader refuses.
+    report["object_metrics"]["per_class"]["fungal"]["ap50"] = float(value)
+    with pytest.raises(ValueError):
+        dump_json(report)
 
 
 def test_report_with_every_block_renders(sample_report, tmp_path, capsys):

@@ -1,8 +1,13 @@
+from dataclasses import astuple
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koheval.dataset import ImageRecord
 from koheval.errors import SchemaError, UndefinedMetricError
 from koheval.geometry import ARTEFACT, FUNGAL, Box, ImageDims
+from koheval.metrics import OperatingPoint
 from koheval.screening import (
     ConfusionMatrix,
     classify_image,
@@ -132,3 +137,50 @@ class TestThresholdSweep:
         cohort = [record("a", (FUNGAL,), [(FUNGAL, 0.5)])]
         sweep = threshold_sweep(cohort, [0.9, 0.1, 0.5])
         assert [t for t, _ in sweep] == [0.1, 0.5, 0.9]
+
+
+# Thresholds and confidences share values, so a confidence equal to a
+# threshold (not flagged: the rule is strictly greater) comes up often.
+SHARED = [0.1, 0.25, 0.5, 0.75, 1.0]
+thresholds = st.sampled_from(SHARED) | st.floats(0.0, 1.0, exclude_min=True)
+
+
+@st.composite
+def sweep_inputs(draw):
+    """A cohort (images with no fungal prediction included), thresholds
+    (duplicated and unsorted ones included) and an optional label map."""
+    n = draw(st.integers(1, 8))
+    images = [record(f"img-{i}",
+                     draw(st.lists(st.sampled_from([FUNGAL, ARTEFACT]), max_size=2)),
+                     draw(st.lists(st.tuples(st.sampled_from([FUNGAL, ARTEFACT]),
+                                             st.sampled_from(SHARED)
+                                             | st.floats(0.0, 1.0)), max_size=3)))
+              for i in range(n)]
+    labels = draw(st.none() | st.dictionaries(
+        st.sampled_from([r.image_id for r in images]), st.booleans()))
+    return images, draw(st.lists(thresholds, max_size=6)), labels
+
+
+class CountingRecord:
+    """An image record that counts reads of its predictions."""
+
+    def __init__(self, rec):
+        self.image_id, self.ground_truth = rec.image_id, rec.ground_truth
+        self._predictions, self.reads = rec.predictions, 0
+
+    @property
+    def predictions(self):
+        self.reads += 1
+        return self._predictions
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(sweep_inputs())
+def test_sweep_equals_screening_at_each_threshold(inputs):
+    images, ts, labels = inputs
+    counted = [CountingRecord(rec) for rec in images]
+    sweep = threshold_sweep(counted, ts, labels)
+    assert sweep == [(t, screen_dataset(images, OperatingPoint(conf_threshold=t),
+                                        labels).matrix) for t in sorted(ts)]
+    assert all(type(cell) is int for _, matrix in sweep for cell in astuple(matrix))
+    assert [rec.reads for rec in counted] == [1 if ts else 0] * len(images)
