@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -58,10 +59,12 @@ def _parse_dims(text: str) -> ImageDims:
     try:
         w, _, h = text.lower().partition("x")
         return ImageDims(width=int(w), height=int(h))
-    except ValueError:
+    except ValueError as exc:  # ImageDims' SchemaError is a ValueError too
+        reason = f" ({exc})" if isinstance(exc, SchemaError) else ""
+        message = f"expected WIDTHxHEIGHT, for example 2048x2048, got {text!r}{reason}"
+        # Cut each long run of digits, in the argument and in the reason.
         raise argparse.ArgumentTypeError(
-            f"expected WIDTHxHEIGHT, for example 2048x2048, got {text!r}"
-        )
+            re.sub(r"([0-9]{8})[0-9]{8,}", r"\1...", message)) from None
 
 
 def _parse_ints(text: str, n: int, what: str) -> list[int]:
@@ -75,8 +78,9 @@ def _parse_ints(text: str, n: int, what: str) -> list[int]:
     return values
 
 
-def _read_ground_truth(args) -> tuple[Dataset, tuple[Path, str]]:
-    """Resolve the GT argument into ground truth and its (path, SHA-256).
+def _read_ground_truth(args) -> tuple[Dataset, InputTree]:
+    """Resolve the GT argument into ground truth and the walk it was read
+    through.
 
     GT is a cohort directory (dims.json + gt/), of which gt/ is read, a
     COCO .json file, or a directory of label files (which needs --dims).
@@ -85,7 +89,7 @@ def _read_ground_truth(args) -> tuple[Dataset, tuple[Path, str]]:
     if is_cohort_dir(gt):
         dims, gt = read_cohort_dims(gt), gt / "gt"
     tree = InputTree(gt)
-    return load_ground_truth(gt, dims, tree), (gt, tree.sha256())
+    return load_ground_truth(gt, dims, tree), tree
 
 
 def _load_inputs(args) -> tuple[Dataset, dict]:
@@ -98,13 +102,14 @@ def _load_inputs(args) -> tuple[Dataset, dict]:
     if args.pred is None and is_cohort_dir(Path(args.gt)):
         tree = InputTree(args.gt)
         return read_cohort(tree.path, tree), {"cohort": (tree.path, tree.sha256())}
-    dataset, gt_input = _read_ground_truth(args)
+    dataset, gt = _read_ground_truth(args)
     if args.pred is None:
         raise KohevalError("a prediction directory is required unless the "
                            "ground-truth path is a cohort directory")
     preds = InputTree(args.pred)
     return (attach_predictions(dataset, preds.path, preds),
-            {"ground_truth": gt_input, "predictions": (preds.path, preds.sha256())})
+            {"ground_truth": (gt.path, gt.sha256()),
+             "predictions": (preds.path, preds.sha256())})
 
 
 def _op(args) -> OperatingPoint:

@@ -4,8 +4,10 @@ stratified train/val/test split.
 Two interchange formats are supported: a line-oriented normalized format
 (``class cx cy w h`` for ground truth, plus a trailing confidence for
 predictions) and a COCO-style JSON document for ground truth with image
-dimensions attached. Parsing is pure per file; a Dataset is treated as
-immutable after construction.
+dimensions attached. A directory of label files is read as one batch:
+files in the spelling :func:`format_label_file` writes are checked and
+converted together, and every other file goes through the per-file
+parsers. A Dataset is treated as immutable after construction.
 """
 
 from __future__ import annotations
@@ -14,10 +16,13 @@ import hashlib
 import json
 import math
 import os
+import re
 import tempfile
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -305,26 +310,43 @@ def format_coco_json(dataset: Dataset) -> str:
 # Loading datasets from disk
 
 
-def read_text(path: Path | str, error: type[KohevalError] = ParseError,
-              digests: dict[str, str] | None = None) -> str:
-    """A file's contents decoded as UTF-8; bytes that do not decode raise
-    ``error`` naming the file. Line endings are kept: every reader here
-    splits lines or parses JSON, and both accept CRLF. ``digests``, when
-    given, gets the SHA-256 of the bytes read, under ``str(path)``."""
+_READ_SIZE = 65536
+
+
+def _read_bytes(path: Path | str, digests: dict[str, str] | None = None,
+                regular: bool = False) -> bytes:
+    """A file's bytes; ``digests``, when given, gets their SHA-256 under
+    ``str(path)``. A ``regular`` file (one a walk found) ends at its first
+    short read, so a small one takes one ``os.read``."""
     fd = os.open(path, os.O_RDONLY)
     try:
-        data = b"".join(iter(lambda: os.read(fd, 65536), b""))
+        data = os.read(fd, _READ_SIZE)
+        if data and (len(data) == _READ_SIZE or not regular):
+            data += b"".join(iter(lambda: os.read(fd, _READ_SIZE), b""))
     except OSError as exc:  # os.read names no file: reading a directory, say
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     finally:
         os.close(fd)
     if digests is not None:
         digests[str(path)] = hashlib.sha256(data).hexdigest()
+    return data
+
+
+def _decode(data: bytes, path: Path | str, error: type[KohevalError]) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte "
                     f"{exc.start})") from None
+
+
+def read_text(path: Path | str, error: type[KohevalError] = ParseError,
+              digests: dict[str, str] | None = None) -> str:
+    """A file's contents decoded as UTF-8; bytes that do not decode raise
+    ``error`` naming the file. Line endings are kept: every reader here
+    splits lines or parses JSON, and both accept CRLF. ``digests``, when
+    given, gets the SHA-256 of the bytes read, under ``str(path)``."""
+    return _decode(_read_bytes(path, digests), path, error)
 
 
 _JSON_KINDS = {dict: "an object", list: "a list", str: "a string",
@@ -400,37 +422,38 @@ def sha256_file(path: Path | str) -> str:
     return digest.hexdigest()
 
 
-def _walk(directory: str, prefix: tuple[str, ...], found: list) -> list:
-    # "" stands for ".", so that paths read as str(Path(...)) reads them.
-    with os.scandir(directory or ".") as entries:
-        for entry in entries:
-            parts, path = (*prefix, entry.name), entry.path if directory else entry.name
-            if entry.is_dir(follow_symlinks=False):
-                _walk(path, parts, found)
-            elif entry.is_file():
-                found.append((parts, path))
-    return found
-
-
 class InputTree:
     """The files under an input path, walked once with ``os.scandir`` in
-    the order of ``sorted(path.rglob("*"))``: sorted by path parts (``gt/``
-    before ``gt.x/``), dotfiles included, symlinked directories not
-    entered. A path that is no directory is a tree of its one file.
-    Readers pass ``digests`` to :func:`read_text`, so :meth:`sha256`
-    reads only the files they did not."""
+    the order of ``sorted(path.rglob("*"))``: each directory's entries in
+    name order (``gt/`` before ``gt.x/``), dotfiles included, symlinked
+    directories not entered. A path that is no directory is a tree of its
+    one file. Readers record the digests of the files they read in
+    ``digests``, so :meth:`sha256` reads only the files they did not."""
 
     def __init__(self, path: Path | str):
         self.path = Path(path)
-        root = "" if self.path == Path(".") else str(self.path)
-        found = (_walk(root, (), []) if self.path.is_dir()
-                 else [((), root)])
-        self.files = {file: parts for parts, file in sorted(found)}
+        self.files: dict[str, tuple[str, ...]] = {}
         self.digests: dict[str, str] = {}
-        self._labels: dict[tuple[str, ...], list[str]] = {}
-        for file, parts in self.files.items():
-            if parts and parts[-1].endswith(".txt"):
-                self._labels.setdefault(parts[:-1], []).append(file)
+        # Directory parts -> (name, path) of each .txt file in it.
+        self._labels: dict[tuple[str, ...], list[tuple[str, str]]] = {}
+        root = "" if self.path == Path(".") else str(self.path)
+        if self.path.is_dir():
+            self._walk(root, ())
+        else:
+            self.files[root] = ()
+
+    def _walk(self, directory: str, prefix: tuple[str, ...]) -> None:
+        # "" stands for ".", so that paths read as str(Path(...)) reads them.
+        with os.scandir(directory or ".") as entries:
+            entries = sorted(entries, key=attrgetter("name"))
+        for entry in entries:
+            parts, path = (*prefix, entry.name), entry.path if directory else entry.name
+            if entry.is_dir(follow_symlinks=False):
+                self._walk(path, parts)
+            elif entry.is_file():
+                self.files[path] = parts
+                if entry.name.endswith(".txt"):
+                    self._labels.setdefault(prefix, []).append((entry.name, path))
 
     def label_files(self, directory: Path) -> dict[str, str]:
         """Image id (the name's ``Path.stem``) -> path of each ``.txt``
@@ -438,29 +461,99 @@ class InputTree:
         if directory != self.path and directory.is_symlink():
             # The walk does not enter it, but its labels are still read.
             return InputTree(directory).label_files(directory)
-        names = ((self.files[file][-1], file) for file in
-                 self._labels.get(directory.relative_to(self.path).parts, ()))
-        return {name[:-4] or name: file for name, file in names}
+        return {name[:-4] or name: file for name, file in
+                self._labels.get(directory.relative_to(self.path).parts, ())}
 
     def sha256(self) -> str:
         """Digest of the file, or of the directory as the digest of its
         sorted (relative name, file digest) pairs."""
-        digest = hashlib.sha256()
-        for file, parts in self.files.items():
-            file_digest = self.digests.get(file) or sha256_file(file)
-            if not parts:
-                return file_digest
-            digest.update(f"{'/'.join(parts)}\0{file_digest}\0".encode())
-        return digest.hexdigest()
+        pairs = [(parts, self.digests.get(file) or sha256_file(file))
+                 for file, parts in self.files.items()]
+        if len(pairs) == 1 and not pairs[0][0]:  # the tree of one file
+            return pairs[0][1]
+        joined = "".join(f"{'/'.join(parts)}\0{digest}\0" for parts, digest in pairs)
+        return hashlib.sha256(joined.encode()).hexdigest()
 
 
-def _parse_label_file(file: str, parse, dims: ImageDims,
-                      digests: dict[str, str]) -> list[Box]:
-    text = read_text(file, digests=digests)
-    try:
-        return parse(text, dims)
-    except ParseError as exc:
-        raise type(exc)(f"{file}: {exc}") from None
+# A line in the spelling format_label_file writes: ASCII, a class digit and
+# plain decimals after single spaces, ending in "\n"; for ground truth (5
+# fields) and for predictions (6).
+_CANONICAL_LINE = {with_confidence: re.compile(
+    rb"[01](?: [0-9]+(?:\.[0-9]+)?){%d}\n" % (5 if with_confidence else 4))
+    for with_confidence in (False, True)}
+
+
+def _canonical_boxes(datas: list, dims: Sequence[ImageDims],
+                     with_confidence: bool) -> list[list[Box] | None]:
+    """The boxes of each file in ``datas`` (bytes, or the OSError reading
+    it raised) that is in canonical spelling and whose boxes lie in its
+    ``dims`` frame, converted together; None for every other file.
+
+    The arithmetic and checks are those of :func:`_parse_lines` on each
+    box, so an accepted file gets the boxes its per-file parse would, and
+    a box that parse would reject or clip rejects its file.
+    """
+    line = _CANONICAL_LINE[with_confidence]
+    # A file not ending in "\n" could join the next one's first line.
+    canon = [i for i, data in enumerate(datas)
+             if isinstance(data, bytes) and (not data or data[-1] == 10)]
+    if line.sub(b"", b"".join(datas[i] for i in canon)):
+        canon = [i for i in canon if not line.sub(b"", datas[i])]
+    counts = np.array([datas[i].count(b"\n") for i in canon], dtype=np.intp)
+    rows = np.fromstring(b"".join(datas[i] for i in canon), sep=" ").reshape(
+        -1, 6 if with_confidence else 5)
+    width = np.repeat([float(dims[i].width) for i in canon], counts)
+    height = np.repeat([float(dims[i].height) for i in canon], counts)
+    class_id, cx, cy, w, h = rows.T[:5]
+    x0, y0 = (cx - w / 2.0) * width, (cy - h / 2.0) * height
+    x1, y1 = (cx + w / 2.0) * width, (cy + h / 2.0) * height
+    # No field carries a sign, so each is >= 0; the class is 0 or 1.
+    good = ((rows <= 1.0).all(axis=1) & (x1 > x0) & (y1 > y0)
+            & (x0 >= 0.0) & (y0 >= 0.0) & (x1 <= width) & (y1 <= height))
+    rejected = np.zeros(len(canon), dtype=bool)
+    rejected[np.searchsorted(np.cumsum(counts), np.flatnonzero(~good),
+                             side="right")] = True
+    keep = np.repeat(~rejected, counts)
+    boxes = list(map(Box, *(c[keep].tolist() for c in (x0, y0, x1, y1)),
+                     class_id[keep].astype(int).tolist(),
+                     rows[keep, 5].tolist() if with_confidence else repeat(None)))
+    out: list[list[Box] | None] = [None] * len(datas)
+    start = 0
+    for i, n, skip in zip(canon, counts.tolist(), rejected.tolist()):
+        if not skip:
+            out[i], start = boxes[start:start + n], start + n
+    return out
+
+
+def _read_label_files(files: Sequence[str], dims: Sequence[ImageDims],
+                      with_confidence: bool,
+                      digests: dict[str, str]) -> list[list[Box]]:
+    """The boxes of each label file, ``files[i]`` in the frame ``dims[i]``.
+
+    Each file is read once. Files in canonical spelling are converted
+    together by :func:`_canonical_boxes`; every other one goes through
+    :func:`parse_gt_file` or :func:`parse_pred_file`, in order. So the
+    first file that fails to read, decode or parse raises, with the error
+    and warnings a file-by-file read gives.
+    """
+    datas: list = []
+    for file in files:
+        try:
+            datas.append(_read_bytes(file, digests, regular=True))
+        except OSError as exc:
+            datas.append(exc)
+    boxes = _canonical_boxes(datas, dims, with_confidence)
+    parse = parse_pred_file if with_confidence else parse_gt_file
+    for i, (file, data) in enumerate(zip(files, datas)):
+        if boxes[i] is None:
+            if isinstance(data, OSError):
+                raise data
+            text = _decode(data, file, ParseError)
+            try:
+                boxes[i] = parse(text, dims[i])
+            except ParseError as exc:
+                raise type(exc)(f"{file}: {exc}") from None
+    return boxes
 
 
 def load_ground_truth(path: Path | str, dims: ImageDims | None = None,
@@ -481,11 +574,11 @@ def load_ground_truth(path: Path | str, dims: ImageDims | None = None,
             raise SchemaError(
                 "line-format ground truth needs image dimensions (--dims)"
             )
-        records = [
-            ImageRecord(image_id, dims,
-                        _parse_label_file(file, parse_gt_file, dims, tree.digests))
-            for image_id, file in tree.label_files(path).items()
-        ]
+        files = tree.label_files(path)
+        boxes = _read_label_files(list(files.values()), [dims] * len(files),
+                                  False, tree.digests)
+        records = [ImageRecord(image_id, dims, gt)
+                   for image_id, gt in zip(files, boxes)]
         if not records:
             raise SchemaError(f"no .txt annotation files under {path}")
         return Dataset(records)
@@ -511,14 +604,13 @@ def attach_predictions(dataset: Dataset, pred_dir: Path | str,
             raise ReferentialError(
                 f"prediction file {os.path.basename(file)} has no matching image"
             )
-    records = []
-    for rec in dataset.records:
-        file = files.get(rec.image_id)
-        preds = ([] if file is None else
-                 _parse_label_file(file, parse_pred_file, rec.dims, tree.digests))
-        records.append(ImageRecord(rec.image_id, rec.dims,
-                                   list(rec.ground_truth), preds))
-    return Dataset(records)
+    paired = [rec for rec in dataset.records if rec.image_id in files]
+    preds = dict(zip((rec.image_id for rec in paired), _read_label_files(
+        [files[rec.image_id] for rec in paired], [rec.dims for rec in paired],
+        True, tree.digests)))
+    return Dataset([ImageRecord(rec.image_id, rec.dims, list(rec.ground_truth),
+                                preds.get(rec.image_id, []))
+                    for rec in dataset.records])
 
 
 def is_cohort_dir(path: Path) -> bool:

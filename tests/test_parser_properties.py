@@ -18,9 +18,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koheval.dataset import (
+    Dataset,
+    ImageRecord,
+    InputTree,
     SplitAssignment,
     _denormalize,
+    attach_predictions,
     format_coco_json,
+    format_label_file,
+    load_ground_truth,
     parse_coco_json,
     parse_gt_file,
     parse_pred_file,
@@ -217,6 +223,140 @@ def test_label_file_parsers_agree_with_the_reference(text, dims):
     for parse, with_confidence in ((parse_gt_file, False), (parse_pred_file, True)):
         assert _outcome(parse, text, dims) \
             == _outcome(_reference_parse_lines, text, dims, with_confidence)
+
+
+def _in_frame_box(xs, ys, class_id, confidence):
+    (x0, x1), (y0, y1) = sorted(xs), sorted(ys)
+    return Box(x0 * DIMS.width, y0 * DIMS.height, x1 * DIMS.width,
+               y1 * DIMS.height, class_id, confidence)
+
+
+def in_frame_boxes(confidence):
+    unit_pair = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True)
+    return st.lists(st.builds(_in_frame_box, unit_pair, unit_pair,
+                              st.sampled_from([0, 1]), confidence), max_size=4)
+
+
+plain_decimal = (st.sampled_from(["0", "1", "2", "0.0", "1.0", "0.5", "00.25",
+                                  "1.000001", "0." + "0" * 30 + "1"])
+                 | st.floats(0.0, 1.5).map("{:.6f}".format)
+                 | st.floats(0.0, 1.0).map("{:.17f}".format))
+
+
+@st.composite
+def canonical_file(draw):
+    """Lines in canonical spelling, all ground truth or all predictions,
+    whose values may lie outside [0, 1] or give a box of zero area, on
+    the frame's edge or past it."""
+    confidence = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):  # corners on eighths of the frame, exactly
+            (x0, x1), (y0, y1) = (sorted(draw(st.lists(
+                st.sampled_from([-1, 0, 1, 4, 7, 8, 9]), min_size=2, max_size=2)))
+                for _ in range(2))
+            x0, x1, y0, y1 = x0 / 8, x1 / 8, y0 / 8, y1 / 8
+            values = [f"{v:.6f}" for v in ((x0 + x1) / 2, (y0 + y1) / 2,
+                                           x1 - x0, y1 - y0)]
+        else:
+            values = draw(st.lists(plain_decimal, min_size=4, max_size=4))
+        values += [draw(plain_decimal)] if confidence else []
+        lines.append(" ".join([draw(st.sampled_from("01")), *values]) + "\n")
+    return "".join(lines).encode()
+
+
+# A directory's files: arbitrary text, bytes that need not decode, files
+# that format_label_file writes and other files in its spelling; None is a
+# file removed after the walk, so reading it fails.
+label_file = (label_text.map(str.encode) | st.binary(max_size=30)
+              | (in_frame_boxes(st.none()) | in_frame_boxes(st.floats(0.0, 1.0))).map(
+                  lambda boxes: format_label_file(boxes, DIMS).encode())
+              | canonical_file() | st.none())
+FRAMES = st.lists(st.sampled_from([DIMS, ImageDims(7, 3000)]), min_size=6, max_size=6)
+
+
+def _file_by_file(files, frames, parse):
+    """Each file read, decoded and parsed on its own, in order: the
+    reference for the directory reader."""
+    boxes = []
+    for file, dims in zip(files, frames):
+        data = file.read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{file}: not UTF-8 text ({exc.reason} at byte "
+                             f"{exc.start})") from None
+        try:
+            boxes.append(parse(text, dims))
+        except ParseError as exc:
+            raise type(exc)(f"{file}: {exc}") from None
+    return boxes
+
+
+def _read_outcome(read):
+    """The boxes ``read`` returns, each field's repr, or the error's type
+    and message; and the warnings' texts, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = [[tuple(map(repr, astuple(box))) for box in boxes]
+                      for boxes in read()]
+        except (KohevalError, OSError) as exc:
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _write_directory(folder, contents):
+    """Files im0.txt, im1.txt, ... holding ``contents`` (None is a file
+    removed after the walk); their walk and their paths."""
+    folder.mkdir()
+    files = [folder / f"im{i}.txt" for i in range(len(contents))]
+    for file, data in zip(files, contents):
+        file.write_bytes(data or b"")
+    tree = InputTree(folder)
+    for file, data in zip(files, contents):
+        if data is None:
+            file.unlink()
+    return tree, files
+
+
+def _read_directory(tree, files, frames, parse):
+    if parse is parse_gt_file:
+        return [rec.ground_truth for rec in load_ground_truth(tree.path, DIMS, tree)]
+    images = Dataset([ImageRecord(file.stem, dims) for file, dims in zip(files, frames)])
+    return [rec.predictions for rec in attach_predictions(images, tree.path, tree)]
+
+
+@settings(PROPERTY, max_examples=250)
+@given(st.lists(label_file, min_size=1, max_size=6), FRAMES)
+@example([b"0 0.5 0.5 0.1", b" 0.1\n"], [DIMS] * 6)  # joined: one valid line
+@example([b"0 0.5 0.5 0.5 0.5 -0.0\n", b"0 0.5 0.5 0.5 0.5\n", b"1 -0.0 0.5 0.5 0.5\n"],
+         [DIMS] * 6)
+@example([b"0 0.5 0.5 0.25 0.25 0.5\n", b"0 0.5 0.5 1e400 0.1 0.5\n"], [DIMS] * 6)
+@example([b"0 0.5 0.5 1.0 1.0\n", b"1 0.75 0.25 0.5 0.5 0.9\n"],
+         [DIMS, ImageDims(7, 3000)] * 3)  # edges on the frame
+@example([b"0 0.75 0.5 0.75 0.5\n", b"1 0.5 0.25 0.5 0.75\n", b"0 0.5 0.5 0.5 0.5 1.5\n",
+          b"0 0.25 0.5 0.75 0.5 0.5\n", b"1 0.5 0.75 0.5 0.75 0.5\n"],
+         [DIMS] * 6)  # past the frame, or a confidence past 1, in canonical spelling
+@example([b"0 0.5 0.5 0.25 0_5\n", b"1 0.5 0.5 0.2 0.2\n"], [DIMS] * 6)  # numpy stops at _
+def test_directory_reader_agrees_with_the_per_file_parsers(tmp_path_factory,
+                                                           contents, frames):
+    root = tmp_path_factory.mktemp("labels")
+    for parse in (parse_gt_file, parse_pred_file):
+        dims = (frames if parse is parse_pred_file else [DIMS] * 6)[:len(contents)]
+        tree, files = _write_directory(root / parse.__name__, contents)
+        assert _read_outcome(lambda: _read_directory(tree, files, dims, parse)) \
+            == _read_outcome(lambda: _file_by_file(files, dims, parse))
+        # Again with only the files that parse on their own, so that whole
+        # directories are read and their boxes compared.
+        good = [i for i, file in enumerate(files) if isinstance(
+            _read_outcome(lambda: _file_by_file([file], [dims[i]], parse))[0], list)]
+        tree, files = _write_directory(root / f"{parse.__name__}-good",
+                                       [contents[i] for i in good])
+        dims = [dims[i] for i in good]
+        if files:
+            assert _read_outcome(lambda: _read_directory(tree, files, dims, parse)) \
+                == _read_outcome(lambda: _file_by_file(files, dims, parse))
 
 
 @PROPERTY

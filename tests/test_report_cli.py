@@ -2,6 +2,7 @@ import builtins
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -288,7 +289,10 @@ class TestCli:
         with pytest.raises(SystemExit) as exit_:  # argparse rejects the value
             main(["evaluate", str(tmp_path), "--dims", f"{10**400}x2048"])
         assert exit_.value.code == 2
-        assert "expected WIDTHxHEIGHT" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "expected WIDTHxHEIGHT" in err
+        assert "(dims too large to convert to a float)" in err
+        assert re.search("[0-9]{17}", err) is None
 
     def test_validate_manifest_exit_codes(self, tmp_path, capsys):
         good = tmp_path / "good.json"
@@ -361,10 +365,17 @@ class TestCli:
         assert main(["evaluate", str(cohort), "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
-    def test_explicit_prediction_dir_parses_each_file_once(self, tmp_path,
-                                                          capsys, monkeypatch):
-        cohort = tmp_path / "cohort"
+    @staticmethod
+    def _parses_of_each_file(cohort, capsys, monkeypatch, ending):
+        """Files read through the batch and per-file parser calls of one
+        `evaluate` with an explicit pred dir, after rewriting every label
+        file with ``ending`` line ends; and how many files are empty."""
         main(["synth", "--images", "20", "--out", str(cohort)])
+        empty = Counter()
+        for kind in ("gt", "pred"):
+            for label in cohort.glob(f"{kind}/*.txt"):
+                label.write_bytes(label.read_bytes().replace(b"\n", ending))
+                empty[kind] += not label.stat().st_size
         parsed = Counter()
         for name in ("parse_gt_file", "parse_pred_file"):
             original = getattr(koheval.dataset, name)
@@ -373,10 +384,17 @@ class TestCli:
                 parsed[_name] += 1
                 return _original(*args)
             monkeypatch.setattr(koheval.dataset, name, counting)
+        original_batch = koheval.dataset._canonical_boxes
+
+        def counting_batch(datas, dims, with_confidence):
+            boxes = original_batch(datas, dims, with_confidence)
+            parsed["pred batch" if with_confidence else "gt batch"] += sum(
+                b is not None for b in boxes)
+            return boxes
+        monkeypatch.setattr(koheval.dataset, "_canonical_boxes", counting_batch)
         capsys.readouterr()
         assert main(["evaluate", str(cohort), str(cohort / "pred"),
                      "--format", "json"]) == 0
-        assert parsed == {"parse_gt_file": 20, "parse_pred_file": 20}
         inputs = parse_report(capsys.readouterr().out)["inputs"]
         assert inputs == {
             "ground_truth": {"path": str(cohort / "gt"),
@@ -384,6 +402,24 @@ class TestCli:
             "predictions": {"path": str(cohort / "pred"),
                             "sha256": sha256_path(cohort / "pred")},
         }
+        return +parsed, empty
+
+    def test_explicit_prediction_dir_parses_each_file_once(self, tmp_path,
+                                                          capsys, monkeypatch):
+        # Files in the spelling synth writes all go through the batch.
+        parsed, _ = self._parses_of_each_file(tmp_path / "cohort", capsys,
+                                              monkeypatch, b"\n")
+        assert parsed == {"gt batch": 20, "pred batch": 20}
+
+    def test_explicit_crlf_prediction_dir_parses_each_file_once(self, tmp_path,
+                                                                capsys, monkeypatch):
+        # CRLF files go through the per-file parsers; an empty file has no
+        # line to end and stays in the batch.
+        parsed, empty = self._parses_of_each_file(tmp_path / "cohort", capsys,
+                                                  monkeypatch, b"\r\n")
+        assert parsed == +Counter({
+            "parse_gt_file": 20 - empty["gt"], "gt batch": empty["gt"],
+            "parse_pred_file": 20 - empty["pred"], "pred batch": empty["pred"]})
 
     @pytest.mark.parametrize("dims", ['{"width": 2048}',
                                       '{"width": 2048, "height": "2048"}',
