@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -29,7 +28,7 @@ from .dataset import (
     stratified_split,
 )
 from .errors import KohevalError, SchemaError
-from .geometry import CLASS_NAMES, ImageDims
+from .geometry import CLASS_NAMES, ImageDims, cut_digits
 from .manifest import (
     REFERENCE_PROTOCOL,
     TrainManifest,
@@ -61,10 +60,9 @@ def _parse_dims(text: str) -> ImageDims:
         return ImageDims(width=int(w), height=int(h))
     except ValueError as exc:  # ImageDims' SchemaError is a ValueError too
         reason = f" ({exc})" if isinstance(exc, SchemaError) else ""
-        message = f"expected WIDTHxHEIGHT, for example 2048x2048, got {text!r}{reason}"
-        # Cut each long run of digits, in the argument and in the reason.
         raise argparse.ArgumentTypeError(
-            re.sub(r"([0-9]{8})[0-9]{8,}", r"\1...", message)) from None
+            "expected WIDTHxHEIGHT, for example 2048x2048, got "
+            f"{cut_digits(repr(text))}{reason}") from None
 
 
 def _parse_ints(text: str, n: int, what: str) -> list[int]:
@@ -99,13 +97,13 @@ def _load_inputs(args) -> tuple[Dataset, dict]:
     PRED is a directory of prediction files; it defaults to a cohort
     directory's pred/, and a cohort without pred/ has no detections.
     """
-    if args.pred is None and is_cohort_dir(Path(args.gt)):
+    if args.pred is None:
+        if not is_cohort_dir(Path(args.gt)):
+            raise KohevalError("a prediction directory is required unless the "
+                               "ground-truth path is a cohort directory")
         tree = InputTree(args.gt)
         return read_cohort(tree.path, tree), {"cohort": (tree.path, tree.sha256())}
     dataset, gt = _read_ground_truth(args)
-    if args.pred is None:
-        raise KohevalError("a prediction directory is required unless the "
-                           "ground-truth path is a cohort directory")
     preds = InputTree(args.pred)
     return (attach_predictions(dataset, preds.path, preds),
             {"ground_truth": (gt.path, gt.sha256()),
@@ -114,6 +112,14 @@ def _load_inputs(args) -> tuple[Dataset, dict]:
 
 def _op(args) -> OperatingPoint:
     return OperatingPoint(conf_threshold=args.conf, iou_threshold=args.iou)
+
+
+def _write_report(report: dict, args) -> None:
+    """Write ``report`` to stdout in the chosen format and, with --out, as
+    canonical JSON to that file."""
+    sys.stdout.write(render(report, args.format))
+    if args.out:
+        atomic_write_text(args.out, render(report, "json"))
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +146,8 @@ def cmd_evaluate(args) -> int:
     op = _op(args)
     metrics = evaluate_detections(dataset.records, op=op,
                                   interpolation=args.interp)
-    report = build_report(op=op, interpolation=args.interp,
-                          object_metrics=metrics, inputs=inputs)
-    sys.stdout.write(render(report, args.format))
-    if args.out:
-        atomic_write_text(args.out, render(report, "json"))
+    _write_report(build_report(op=op, interpolation=args.interp,
+                               object_metrics=metrics, inputs=inputs), args)
     if args.curves:
         scenes = [(r.ground_truth, r.predictions)
                   for r in sorted(dataset.records, key=lambda r: r.image_id)]
@@ -160,10 +163,7 @@ def cmd_screen(args) -> int:
     dataset, inputs = _load_inputs(args)
     op = _op(args)
     screening = screen_dataset(dataset.records, op=op)
-    report = build_report(op=op, screening=screening, inputs=inputs)
-    sys.stdout.write(render(report, args.format))
-    if args.out:
-        atomic_write_text(args.out, render(report, "json"))
+    _write_report(build_report(op=op, screening=screening, inputs=inputs), args)
     if args.fail_on_fn and screening.matrix.fn > 0:
         sys.stderr.write(
             f"gate: {screening.matrix.fn} false negative(s): "

@@ -206,7 +206,8 @@ def parse_coco_json(document: str | bytes | dict) -> Dataset:
     Only ``images`` (id, file_name, width, height), ``annotations``
     (image_id, category_id, bbox as [x, y, w, h]) and ``categories`` are
     consulted; category names must map onto the {fungal, artefact}
-    taxonomy. The image id is the file name without its extension.
+    taxonomy. The image id is the file name without its extension; COCO
+    image ids must be unique.
     """
     if isinstance(document, (str, bytes)):
         document = load_json(document, "COCO document")
@@ -222,8 +223,7 @@ def parse_coco_json(document: str | bytes | dict) -> Dataset:
             raise SchemaError(f"category name {name!r} outside {set(CLASS_NAMES)}")
         class_of_category[cat_id] = CLASS_NAMES.index(name)
 
-    records: dict[int, ImageRecord] = {}
-    order: list[int] = []
+    frames: dict[int, tuple[str, ImageDims]] = {}  # image id -> (stem, dims)
     for img in images:
         img_id = require(img, "id", _COCO_ID, "image")
         stem = Path(require(img, "file_name", str, "image")).stem
@@ -231,16 +231,17 @@ def parse_coco_json(document: str | bytes | dict) -> Dataset:
                          for side in ("width", "height"))
         if not stem:
             raise SchemaError(f"image {img_id}: empty file_name")
-        records[img_id] = ImageRecord(stem, ImageDims(width, height))
-        order.append(img_id)
+        if img_id in frames:
+            raise SchemaError(f"duplicate image id {img_id}")
+        frames[img_id] = (stem, ImageDims(width, height))
 
-    boxes_of: dict[int, list[Box]] = {img_id: [] for img_id in records}
+    boxes_of: dict[int, list[Box]] = {img_id: [] for img_id in frames}
     clipped = 0
     for ann in annotations:
         img_ref = require(ann, "image_id", _COCO_ID, "annotation")
         cat_ref = require(ann, "category_id", _COCO_ID, "annotation")
         bbox = require(ann, "bbox", list, "annotation")
-        if img_ref not in records:
+        if img_ref not in frames:
             raise ReferentialError(f"annotation references unknown image {img_ref}")
         if cat_ref not in class_of_category:
             raise ReferentialError(f"annotation references unknown category {cat_ref}")
@@ -252,20 +253,16 @@ def parse_coco_json(document: str | bytes | dict) -> Dataset:
             raise SchemaError(f"bbox holds a number too large, got {bbox!r}") from None
         if w <= 0.0 or h <= 0.0:
             raise SchemaError(f"bbox has non-positive size: {bbox!r}")
-        rec = records[img_ref]
         box = Box(x, y, x + w, y + h, class_of_category[cat_ref])
-        kept = clip_to_frame(box, rec.dims)
+        kept = clip_to_frame(box, frames[img_ref][1])
         if kept is not box:
             clipped += 1
         boxes_of[img_ref].append(kept)
     if clipped:
         warnings.warn(f"{clipped} box(es) clipped to the frame", stacklevel=2)
 
-    final = [
-        ImageRecord(records[i].image_id, records[i].dims, boxes_of[i])
-        for i in order
-    ]
-    return Dataset(final)
+    return Dataset([ImageRecord(stem, dims, boxes_of[img_id])
+                    for img_id, (stem, dims) in frames.items()])
 
 
 def format_coco_json(dataset: Dataset) -> str:
@@ -754,7 +751,7 @@ def split_table(dataset: Dataset, assignment: SplitAssignment) -> str:
     for stratum, ids in _strata(dataset).items():
         if ids:
             label = "+".join(name for name, present
-                             in zip(("fungal", "artefact"), stratum) if present)
+                             in zip(CLASS_NAMES, stratum) if present)
             counts = Counter(part_of[image_id] for image_id in ids)
             rows.append((label or "empty", len(ids), *(counts[p] for p in parts)))
     rows.append(("all", len(dataset), *(len(getattr(assignment, p)) for p in parts)))

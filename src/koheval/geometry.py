@@ -8,6 +8,7 @@ values, so unrestricted parallel use is safe.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -62,6 +63,11 @@ class Box:
         return ((self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0)
 
 
+def cut_digits(text: str) -> str:
+    """``text`` with each run of 16 or more digits cut to 8 and ``...``."""
+    return re.sub(r"([0-9]{8})[0-9]{8,}", r"\1...", text)
+
+
 @dataclass(frozen=True)
 class ImageDims:
     """Positive integer pixel dimensions of an image frame, each small
@@ -72,7 +78,8 @@ class ImageDims:
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
-            raise SchemaError(f"dims must be >= 1, got {self.width}x{self.height}")
+            raise SchemaError("dims must be >= 1, got "
+                              + cut_digits(f"{self.width}x{self.height}"))
         try:
             float(self.width), float(self.height)
         except OverflowError:

@@ -14,7 +14,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Mapping
 
-from .dataset import InputTree, dump_json, load_json, require
+from .dataset import dump_json, load_json, require
 from .errors import SchemaError
 from .geometry import CLASS_NAMES
 from .manifest import TrainManifest
@@ -27,19 +27,6 @@ TOOL_VERSION = "0.1.0"
 _RATE_NAMES = ("sensitivity", "specificity", "precision", "npv",
                "accuracy", "f1", "balanced_accuracy")
 _CLASS_FIELDS = tuple(f.name for f in fields(ClassMetrics))
-
-
-# ---------------------------------------------------------------------------
-# Input digests
-
-
-def sha256_path(path: Path | str) -> str:
-    """Digest of a file, or of a directory as the digest of its sorted
-    (relative name, file digest) pairs; see :class:`InputTree`."""
-    p = Path(path)
-    if not (p.is_file() or p.is_dir()):
-        raise SchemaError(f"{p}: no such file or directory")
-    return InputTree(p).sha256()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ never contribute; they exist to absorb mimics at training time.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -151,16 +150,22 @@ def screen_dataset(records, op: OperatingPoint = OperatingPoint(),
     for record in sorted(records, key=lambda r: r.image_id):
         override = None if gt_labels is None else gt_labels.get(record.image_id)
         diagnoses.append(classify_image(record, op, gt_positive=override))
-    return ScreeningReport(
-        op=op, diagnoses=tuple(diagnoses),
-        matrix=_confusion([(d.gt_positive, d.positive) for d in diagnoses]))
+    return ScreeningReport(op=op, diagnoses=tuple(diagnoses),
+                           matrix=_confusions(diagnoses, [op])[0])
 
 
-def _confusion(calls: Sequence[tuple[bool, bool]]) -> ConfusionMatrix:
-    # One (reference label, call) pair per image; labels count by truth value.
-    counts = Counter((bool(label), bool(call)) for label, call in calls)
-    return ConfusionMatrix(tp=counts[True, True], fn=counts[True, False],
-                           fp=counts[False, True], tn=counts[False, False])
+def _confusions(diagnoses: Sequence[Diagnosis],
+                ops: Sequence[OperatingPoint]) -> list[ConfusionMatrix]:
+    """Confusion matrix of ``diagnoses`` at each operating point. Each
+    image's top fungal confidence (None as -inf, which no threshold flags)
+    meets every threshold at once."""
+    top = np.array([-np.inf if d.max_fungal_confidence is None
+                    else d.max_fungal_confidence for d in diagnoses])
+    truth = np.array([bool(d.gt_positive) for d in diagnoses])
+    called = np.array([op.flags_positive(top) for op in ops])  # [op, image]
+    cells = (called & truth, ~called & truth, called & ~truth, ~called & ~truth)
+    counts = np.array([cell.sum(axis=1) for cell in cells]).T.tolist()  # tp fn fp tn
+    return [ConfusionMatrix(*row) for row in counts]
 
 
 def threshold_sweep(records, thresholds: Sequence[float],
@@ -174,13 +179,7 @@ def threshold_sweep(records, thresholds: Sequence[float],
     ops = [OperatingPoint(conf_threshold=t) for t in sorted(thresholds)]
     if not ops:
         return []
-    # Each image is classified once; its top fungal confidence (None as
-    # -inf, which no threshold flags) then meets every threshold at once.
+    # Each image is classified once, then scored at every threshold.
     diagnoses = screen_dataset(records, ops[0], gt_labels).diagnoses
-    top = np.array([-np.inf if d.max_fungal_confidence is None
-                    else d.max_fungal_confidence for d in diagnoses])
-    truth = np.array([bool(d.gt_positive) for d in diagnoses])
-    called = np.array([op.flags_positive(top) for op in ops])  # [threshold, image]
-    cells = (called & truth, ~called & truth, called & ~truth, ~called & ~truth)
-    counts = np.array([cell.sum(axis=1) for cell in cells]).T.tolist()  # tp fn fp tn
-    return [(op.conf_threshold, ConfusionMatrix(*row)) for op, row in zip(ops, counts)]
+    return [(op.conf_threshold, matrix)
+            for op, matrix in zip(ops, _confusions(diagnoses, ops))]

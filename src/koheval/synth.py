@@ -484,6 +484,14 @@ def _deal(rng: np.random.Generator, items: list, n_buckets: int) -> list[list]:
     return buckets
 
 
+def _roles(*counts: tuple[str, int]) -> list[str]:
+    """Each role name repeated its count of times, in the order given."""
+    try:
+        return [name for role, n in counts for name in [role] * n]
+    except OverflowError:  # a count that cannot size a list
+        raise SchemaError("counts too large to plant") from None
+
+
 def plant_object_counts(tp: int, fp: int, fn: int, *, seed: int = 0,
                         dressing: bool = True) -> tuple[Dataset, SynthTruth]:
     """Cohort whose fungal object-level counts are exactly (tp, fp, fn) at
@@ -495,7 +503,7 @@ def plant_object_counts(tp: int, fp: int, fn: int, *, seed: int = 0,
     if min(tp, fp, fn) < 0 or tp + fp + fn == 0:
         raise SchemaError("counts must be non-negative and not all zero")
     spec = SynthSpec(seed=seed)
-    plants = (["tp"] * tp + ["fn"] * fn + ["fp"] * fp)
+    plants = _roles(("tp", tp), ("fn", fn), ("fp", fp))
     n_images = max(1, math.ceil(len(plants) / 3))
     assign = _image_rng(seed, _ASSIGN_STREAM)
     buckets = _deal(assign, plants, n_images)
@@ -519,7 +527,7 @@ def plant_screening_matrix(tp: int, fn: int, fp: int, tn: int, *,
     if min(tp, fn, fp, tn) < 0 or tp + fn + fp + tn == 0:
         raise SchemaError("matrix cells must be non-negative and not all zero")
     spec = SynthSpec(seed=seed)
-    outcomes = ["tp"] * tp + ["fn"] * fn + ["fp"] * fp + ["tn"] * tn
+    outcomes = _roles(("tp", tp), ("fn", fn), ("fp", fp), ("tn", tn))
     assign = _image_rng(seed, _ASSIGN_STREAM)
     order = assign.permutation(len(outcomes))
 

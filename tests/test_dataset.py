@@ -166,6 +166,12 @@ class TestCoco:
         with pytest.raises(ReferentialError):
             parse_coco_json(doc)
 
+    def test_repeated_image_id_named_where_it_is_read(self):
+        doc = self.document()
+        doc["images"][1].update(id=7, width=2048, height=2048)
+        with pytest.raises(SchemaError, match="^duplicate image id 7$"):
+            parse_coco_json(doc)
+
     def test_unknown_category_reference(self):
         doc = self.document()
         doc["annotations"][0]["category_id"] = 99

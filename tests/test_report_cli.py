@@ -25,7 +25,6 @@ from koheval.report import (
     render,
     render_csv,
     render_table,
-    sha256_path,
 )
 from koheval.screening import screen_dataset
 from koheval.synth import SynthSpec, generate
@@ -97,18 +96,18 @@ class TestDigests:
     def test_file_and_directory(self, tmp_path):
         f = tmp_path / "a.txt"
         f.write_text("hello\n")
-        file_digest = sha256_path(f)
+        file_digest = InputTree(f).sha256()
         assert len(file_digest) == 64
         d = tmp_path / "dir"
         d.mkdir()
         (d / "x.txt").write_text("one\n")
-        before = sha256_path(d)
+        before = InputTree(d).sha256()
         (d / "x.txt").write_text("two\n")
-        assert sha256_path(d) != before
+        assert InputTree(d).sha256() != before
 
     def test_missing_path(self, tmp_path):
-        with pytest.raises(SchemaError):
-            sha256_path(tmp_path / "ghost")
+        with pytest.raises(FileNotFoundError):
+            InputTree(tmp_path / "ghost").sha256()
 
     def test_directory_digest_equals_the_rglob_reference(self, tmp_path):
         root = tmp_path / "tree"
@@ -131,7 +130,7 @@ class TestDigests:
         assert ("gt", "linked.txt") in expected
         assert not any(parts[0] == "linked-dir" for parts in expected)
         for path in (root, root / "gt", root / "gt.x", root / "dims.json"):
-            assert sha256_path(path) == _rglob_sha256_path(path)
+            assert InputTree(path).sha256() == _rglob_sha256_path(path)
 
 
 def _rglob_sha256_file(path):
@@ -227,7 +226,7 @@ class TestCli:
         b = tmp_path / "b"
         main(["synth", "--seed", "9", "--images", "5", "--out", str(a)])
         main(["synth", "--seed", "9", "--images", "5", "--out", str(b)])
-        assert sha256_path(a) == sha256_path(b)
+        assert InputTree(a).sha256() == InputTree(b).sha256()
 
     def test_synth_rewrite_leaves_no_file_of_the_old_cohort(self, tmp_path, capsys):
         cohort = tmp_path / "cohort"
@@ -398,9 +397,9 @@ class TestCli:
         inputs = parse_report(capsys.readouterr().out)["inputs"]
         assert inputs == {
             "ground_truth": {"path": str(cohort / "gt"),
-                             "sha256": sha256_path(cohort / "gt")},
+                             "sha256": InputTree(cohort / "gt").sha256()},
             "predictions": {"path": str(cohort / "pred"),
-                            "sha256": sha256_path(cohort / "pred")},
+                            "sha256": InputTree(cohort / "pred").sha256()},
         }
         return +parsed, empty
 
@@ -426,6 +425,7 @@ class TestCli:
                                       '{"width": 2048, "height": 20.5}',
                                       '[2048, 2048]', '{"width":',
                                       '{"width": 1' + "0" * 400 + ', "height": 2048}',
+                                      '{"width": -1' + "0" * 300 + ', "height": 2048}',
                                       '{"width": 0, "height": 2048}'])
     def test_bad_dims_json_exits_2_without_traceback(self, tmp_path, dims):
         cohort = tmp_path / "cohort"
@@ -441,6 +441,7 @@ class TestCli:
         assert result.stderr.startswith("error: ") \
             and result.stderr.count("\n") == 1
         assert str(cohort / "dims.json") in result.stderr
+        assert not re.search("[0-9]{16}", result.stderr)
 
     def test_cohort_without_pred_dir_has_no_detections(self, tmp_path, capsys):
         cohort = tmp_path / "cohort"
@@ -452,7 +453,7 @@ class TestCli:
         assert main(["evaluate", str(cohort), "--format", "json"]) == 0
         report = parse_report(capsys.readouterr().out)
         assert report["inputs"] == {"cohort": {"path": str(cohort),
-                                               "sha256": sha256_path(cohort)}}
+                                               "sha256": InputTree(cohort).sha256()}}
         for metrics in report["object_metrics"]["per_class"].values():
             assert (metrics["tp"], metrics["fp"]) == (0, 0) and metrics["fn"] > 0
         assert main(["screen", str(cohort), "--format", "json"]) == 0
@@ -566,6 +567,27 @@ class TestCli:
             assert main([command, str(cohort), str(tmp_path / "nowhere")]) == 2
             assert "does not exist" in capsys.readouterr().err
 
+    def test_missing_pred_is_refused_before_any_file_is_read(self, tmp_path,
+                                                              capsys, monkeypatch):
+        labels = tmp_path / "cohort" / "gt"
+        main(["synth", "--images", "6", "--out", str(labels.parent)])
+        capsys.readouterr()
+        opened = []
+
+        def counting(real_open):
+            def counting_open(file, *args, **kwargs):
+                opened.append(os.path.abspath(file))
+                return real_open(file, *args, **kwargs)
+            return counting_open
+        monkeypatch.setattr(builtins, "open", counting(builtins.open))
+        monkeypatch.setattr(os, "open", counting(os.open))
+        for command in ("evaluate", "screen"):
+            assert main([command, str(labels), "--dims", "2048x2048"]) == 2
+            assert capsys.readouterr().err == (
+                "error: a prediction directory is required unless the "
+                "ground-truth path is a cohort directory\n")
+        assert not [f for f in opened if f.startswith(str(tmp_path))]
+
     def test_crlf_label_files_read_like_lf(self, tmp_path, capsys):
         cohort = tmp_path / "cohort"
         main(["synth", "--images", "6", "--out", str(cohort)])
@@ -604,6 +626,8 @@ class TestCli:
     ["synth", "--plant-counts=--5,1,1"],
     ["synth", "--plant-counts", "\u00b2,1,1"],
     ["synth", "--plant-matrix", "1,2,3"],
+    ["synth", "--plant-counts", "99999999999999999999,0,0"],
+    ["synth", "--plant-matrix", "0,0,0,99999999999999999999"],
 ], ids=" ".join)
 def test_bad_split_and_synth_numbers_exit_2(tmp_path, monkeypatch, capsys, argv):
     cohort, outs = tmp_path / "cohort", tmp_path / "outs"

@@ -184,3 +184,15 @@ def test_sweep_equals_screening_at_each_threshold(inputs):
                                         labels).matrix) for t in sorted(ts)]
     assert all(type(cell) is int for _, matrix in sweep for cell in astuple(matrix))
     assert [rec.reads for rec in counted] == [1 if ts else 0] * len(images)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(sweep_inputs())
+def test_matrix_counts_each_images_call(inputs):
+    # A plain count over the diagnoses is the reference for the numpy one.
+    images, ts, labels = inputs
+    for t in ts:
+        report = screen_dataset(images, OperatingPoint(conf_threshold=t), labels)
+        calls = [(d.gt_positive, d.positive) for d in report.diagnoses]
+        assert astuple(report.matrix) == tuple(calls.count(cell) for cell in (
+            (True, True), (True, False), (False, True), (False, False)))

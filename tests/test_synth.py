@@ -13,6 +13,7 @@ import koheval.metrics
 import koheval.synth
 from koheval.dataset import (
     ImageRecord,
+    InputTree,
     format_label_file,
     parse_gt_file,
     parse_pred_file,
@@ -37,7 +38,6 @@ from koheval.metrics import (
     match_image,
     pr_curve,
 )
-from koheval.report import sha256_path
 from koheval.screening import screen_dataset
 from koheval.synth import (
     PlantedBox,
@@ -92,6 +92,14 @@ class TestSpecValidation:
             plant_object_counts(1, 1, 1, seed=-1)
         with pytest.raises(SchemaError):
             plant_screening_matrix(1, 1, 1, 1, seed=-1)
+
+    def test_count_too_large_for_a_list_rejected(self):
+        # Only counts past the index range: a count that fits it would be
+        # allocated, not refused.
+        with pytest.raises(SchemaError, match="too large"):
+            plant_object_counts(0, 10**20, 0)
+        with pytest.raises(SchemaError, match="too large"):
+            plant_screening_matrix(1, 0, 0, 10**20)
 
     def test_iou_mean_bounded(self):
         with pytest.raises(SchemaError):
@@ -442,17 +450,17 @@ class TestCohortFiles:
             (out / "notes.txt").write_text("keep me")
         if layout == "cohort holding the working directory":
             monkeypatch.chdir(out / "gt")
-        before = sha256_path(out)
+        before = InputTree(out).sha256()
         with pytest.raises(SchemaError, match="refusing to replace"):
             write_cohort(generate(SynthSpec(n_images=3, seed=2))[0], out)
-        assert sha256_path(out) == before
+        assert InputTree(out).sha256() == before
         assert [p.name for p in tmp_path.iterdir()] == ["cohort"]
 
     @pytest.mark.parametrize("step", ["write", "swap"])
     def test_failed_write_keeps_the_old_cohort(self, tmp_path, monkeypatch, step):
         out = tmp_path / "cohort"
         write_cohort(generate(SynthSpec(n_images=4, seed=1))[0], out)
-        before = sha256_path(out)
+        before = InputTree(out).sha256()
 
         def fail(*args):
             raise OSError("disk full")
@@ -465,7 +473,7 @@ class TestCohortFiles:
         smaller = SynthSpec(n_images=2, seed=2, frame=ImageDims(1000, 1000))
         with pytest.raises(OSError, match="disk full"):
             write_cohort(generate(smaller)[0], out)
-        assert sha256_path(out) == before
+        assert InputTree(out).sha256() == before
         assert [p.name for p in tmp_path.iterdir()] == ["cohort"]
 
     def test_read_without_pred_dir_has_no_detections(self, tmp_path):
