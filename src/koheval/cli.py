@@ -30,7 +30,6 @@ from .dataset import (
 from .errors import KohevalError, SchemaError
 from .geometry import CLASS_NAMES, ImageDims, cut_digits
 from .manifest import (
-    REFERENCE_PROTOCOL,
     TrainManifest,
     manifest_conforms,
     validate_manifest,
@@ -110,10 +109,6 @@ def _load_inputs(args) -> tuple[Dataset, dict]:
              "predictions": (preds.path, preds.sha256())})
 
 
-def _op(args) -> OperatingPoint:
-    return OperatingPoint(conf_threshold=args.conf, iou_threshold=args.iou)
-
-
 def _write_report(report: dict, args) -> None:
     """Write ``report`` to stdout in the chosen format and, with --out, as
     canonical JSON to that file."""
@@ -143,7 +138,7 @@ def cmd_split(args) -> int:
 
 def cmd_evaluate(args) -> int:
     dataset, inputs = _load_inputs(args)
-    op = _op(args)
+    op = OperatingPoint(conf_threshold=args.conf, iou_threshold=args.iou)
     metrics = evaluate_detections(dataset.records, op=op,
                                   interpolation=args.interp)
     _write_report(build_report(op=op, interpolation=args.interp,
@@ -161,7 +156,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_screen(args) -> int:
     dataset, inputs = _load_inputs(args)
-    op = _op(args)
+    op = OperatingPoint(conf_threshold=args.conf)
     screening = screen_dataset(dataset.records, op=op)
     _write_report(build_report(op=op, screening=screening, inputs=inputs), args)
     if args.fail_on_fn and screening.matrix.fn > 0:
@@ -196,8 +191,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_validate_manifest(args) -> int:
-    manifest = TrainManifest.from_json(read_text(args.manifest, SchemaError))
-    verdicts = validate_manifest(manifest, REFERENCE_PROTOCOL)
+    manifest = TrainManifest.from_json(read_text(args.manifest))
+    verdicts = validate_manifest(manifest)
     sys.stdout.write(verdict_table(verdicts))
     if not manifest_conforms(verdicts):
         return 1
@@ -205,7 +200,7 @@ def cmd_validate_manifest(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = parse_report(read_text(args.report, SchemaError))
+    report = parse_report(read_text(args.report))
     sys.stdout.write(render(report, args.format))
     return 0
 
@@ -224,8 +219,6 @@ def _add_eval_io(sub) -> None:
                      help="frame size WIDTHxHEIGHT for label directories")
     sub.add_argument("--conf", type=float, default=0.25,
                      help="confidence threshold (default 0.25)")
-    sub.add_argument("--iou", type=float, default=0.50,
-                     help="IoU threshold (default 0.50)")
     sub.add_argument("--format", choices=("json", "csv", "table"),
                      default="table", help="stdout format")
     sub.add_argument("--out", default=None,
@@ -251,6 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="object-level detection metrics")
     _add_eval_io(p)
+    p.add_argument("--iou", type=float, default=0.50,
+                   help="IoU threshold (default 0.50)")
     p.add_argument("--interp", choices=("101", "all"), default="101",
                    help="AP interpolation (default 101-point)")
     p.add_argument("--curves", default=None,

@@ -271,7 +271,6 @@ def format_coco_json(dataset: Dataset) -> str:
     Output is deterministic: images sorted by image_id, stable integer
     ids, sorted keys.
     """
-    cat_of_class = {FUNGAL: 1, ARTEFACT: 2}
     images = []
     annotations = []
     ann_id = 1
@@ -287,7 +286,7 @@ def format_coco_json(dataset: Dataset) -> str:
             annotations.append({
                 "id": ann_id,
                 "image_id": idx,
-                "category_id": cat_of_class[box.class_id],
+                "category_id": box.class_id + 1,
                 "bbox": [box.x_min, box.y_min,
                          box.x_max - box.x_min, box.y_max - box.y_min],
             })
@@ -295,10 +294,8 @@ def format_coco_json(dataset: Dataset) -> str:
     document = {
         "images": images,
         "annotations": annotations,
-        "categories": [
-            {"id": 1, "name": "fungal"},
-            {"id": 2, "name": "artefact"},
-        ],
+        "categories": [{"id": class_id + 1, "name": name}
+                       for class_id, name in enumerate(CLASS_NAMES)],
     }
     return dump_json(document)
 
@@ -337,13 +334,12 @@ def _decode(data: bytes, path: Path | str, error: type[KohevalError]) -> str:
                     f"{exc.start})") from None
 
 
-def read_text(path: Path | str, error: type[KohevalError] = ParseError,
-              digests: dict[str, str] | None = None) -> str:
+def read_text(path: Path | str, digests: dict[str, str] | None = None) -> str:
     """A file's contents decoded as UTF-8; bytes that do not decode raise
-    ``error`` naming the file. Line endings are kept: every reader here
+    SchemaError naming the file. Line endings are kept: every reader here
     splits lines or parses JSON, and both accept CRLF. ``digests``, when
     given, gets the SHA-256 of the bytes read, under ``str(path)``."""
-    return _decode(_read_bytes(path, digests), path, error)
+    return _decode(_read_bytes(path, digests), path, SchemaError)
 
 
 _JSON_KINDS = {dict: "an object", list: "a list", str: "a string",
@@ -431,7 +427,7 @@ class InputTree:
         self.path = Path(path)
         self.files: dict[str, tuple[str, ...]] = {}
         self.digests: dict[str, str] = {}
-        # Directory parts -> (name, path) of each .txt file in it.
+        # Directory parts -> (name, path) of each .txt entry in it.
         self._labels: dict[tuple[str, ...], list[tuple[str, str]]] = {}
         root = "" if self.path == Path(".") else str(self.path)
         if self.path.is_dir():
@@ -449,17 +445,22 @@ class InputTree:
                 self._walk(path, parts)
             elif entry.is_file():
                 self.files[path] = parts
-                if entry.name.endswith(".txt"):
-                    self._labels.setdefault(prefix, []).append((entry.name, path))
+            if entry.name.endswith(".txt"):
+                self._labels.setdefault(prefix, []).append((entry.name, path))
 
     def label_files(self, directory: Path) -> dict[str, str]:
         """Image id (the name's ``Path.stem``) -> path of each ``.txt``
-        file directly in ``directory``, in name order."""
+        file directly in ``directory``, in name order. A ``.txt`` entry that
+        is not a regular file, or a link to one, raises SchemaError."""
         if directory != self.path and directory.is_symlink():
             # The walk does not enter it, but its labels are still read.
             return InputTree(directory).label_files(directory)
-        return {name[:-4] or name: file for name, file in
-                self._labels.get(directory.relative_to(self.path).parts, ())}
+        labels = {name[:-4] or name: file for name, file in
+                  self._labels.get(directory.relative_to(self.path).parts, ())}
+        for file in labels.values():
+            if file not in self.files:  # a FIFO, say: never opened, as it would block
+                raise SchemaError(f"{file}: not a regular file")
+        return labels
 
     def sha256(self) -> str:
         """Digest of the file, or of the directory as the digest of its
@@ -549,7 +550,8 @@ def _read_label_files(files: Sequence[str], dims: Sequence[ImageDims],
             try:
                 boxes[i] = parse(text, dims[i])
             except ParseError as exc:
-                raise type(exc)(f"{file}: {exc}") from None
+                exc.args = (f"{file}: {exc}",)  # keeps its type and .line
+                raise
     return boxes
 
 
@@ -565,7 +567,7 @@ def load_ground_truth(path: Path | str, dims: ImageDims | None = None,
     path = Path(path)
     tree = tree or InputTree(path)
     if path.is_file():
-        return parse_coco_json(read_text(path, SchemaError, tree.digests))
+        return parse_coco_json(read_text(path, tree.digests))
     if path.is_dir():
         if dims is None:
             raise SchemaError(
@@ -621,7 +623,7 @@ def read_cohort_dims(path: Path | str,
     dims_file = Path(path) / "dims.json"
     if not dims_file.is_file():
         raise SchemaError(f"{path}: not a cohort directory (no dims.json)")
-    doc = load_json(read_text(dims_file, SchemaError, digests), str(dims_file))
+    doc = load_json(read_text(dims_file, digests), str(dims_file))
     sides = [require(doc, side, int, str(dims_file)) for side in ("width", "height")]
     try:
         return ImageDims(*sides)

@@ -100,13 +100,11 @@ def _values_match(expected, actual) -> bool:
     return expected == actual
 
 
-def validate_manifest(manifest: TrainManifest,
-                      reference: TrainManifest = REFERENCE_PROTOCOL
-                      ) -> list[FieldVerdict]:
+def validate_manifest(manifest: TrainManifest) -> list[FieldVerdict]:
     """Compare every manifest field against the reference protocol."""
     verdicts = []
     for spec in dataclasses.fields(TrainManifest):
-        expected = getattr(reference, spec.name)
+        expected = getattr(REFERENCE_PROTOCOL, spec.name)
         actual = getattr(manifest, spec.name)
         verdicts.append(FieldVerdict(spec.name, expected, actual,
                                      _values_match(expected, actual)))

@@ -45,7 +45,17 @@ from .metrics import MatchReport, OperatingPoint, PRCurve
 
 ROLES = ("tp", "fp", "fn", "suppressed")
 
+FRAME = ImageDims(2048, 2048)
+# Confidence bands keep roles decidable at the default operating point:
+# suppressed predictions sit strictly below the confidence threshold, TP
+# and FP predictions strictly above it.
+TP_CONFIDENCE = (0.60, 0.95)
+FP_CONFIDENCE = (0.30, 0.55)
+SUPPRESSED_CONFIDENCE = (0.05, 0.20)
+
 _PLACEMENT_TRIES = 200
+# _sample_dims caps an object's long side at 0.16 of the frame's shorter
+# side, so its envelope spans at most 0.4 of either side.
 _ENVELOPE_FACTOR = 2.5
 # Reserved PRNG stream for cross-image assignment decisions; image streams
 # use the image index, which never reaches this value.
@@ -73,24 +83,15 @@ def _grid_box(frame: ImageDims, class_id: int, cx: float, cy: float,
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Configuration for cohort generation.
-
-    Confidence bands keep roles decidable at the default operating point:
-    suppressed predictions sit strictly below the confidence threshold,
-    TP and FP predictions strictly above it.
-    """
+    """Configuration for cohort generation; every image is a ``FRAME``."""
 
     n_images: int = 40
-    frame: ImageDims = ImageDims(2048, 2048)
     fungal_per_image: tuple[int, int] = (0, 3)
     artefact_per_image: tuple[int, int] = (0, 2)
     tp_rate: float = 0.85
     fp_extra_rate: float = 0.30
     iou_mean: float = 0.80
     iou_spread: float = 0.10
-    tp_confidence: tuple[float, float] = (0.60, 0.95)
-    fp_confidence: tuple[float, float] = (0.30, 0.55)
-    suppressed_confidence: tuple[float, float] = (0.05, 0.20)
     seed: int = 0
 
     def __post_init__(self):
@@ -110,15 +111,6 @@ class SynthSpec:
             raise SchemaError("iou_mean must lie in (0, 1]")
         if self.iou_spread < 0.0:
             raise SchemaError("iou_spread must be non-negative")
-        for name in ("tp_confidence", "fp_confidence", "suppressed_confidence"):
-            lo, hi = getattr(self, name)
-            if not 0.0 < lo <= hi <= 1.0:
-                raise SchemaError(f"{name} must satisfy 0 < lo <= hi <= 1")
-        if self.suppressed_confidence[1] >= min(self.tp_confidence[0],
-                                                self.fp_confidence[0]):
-            raise SchemaError(
-                "suppressed confidences must sit strictly below TP/FP ones"
-            )
 
 
 @dataclass(frozen=True)
@@ -260,11 +252,6 @@ def _place_center(rng: np.random.Generator, frame: ImageDims, taken: list,
                   w: float, h: float, image_id: str) -> tuple[float, float]:
     half_w = _ENVELOPE_FACTOR * w / 2.0
     half_h = _ENVELOPE_FACTOR * h / 2.0
-    if 2 * half_w >= frame.width or 2 * half_h >= frame.height:
-        raise GenerationError(
-            f"{image_id}: object envelope exceeds the frame; shrink objects "
-            f"or enlarge the frame"
-        )
     for _ in range(_PLACEMENT_TRIES):
         cx = rng.uniform(half_w, frame.width - half_w)
         cy = rng.uniform(half_h, frame.height - half_h)
@@ -384,16 +371,15 @@ def _build_scene(rng: np.random.Generator, spec: SynthSpec, image_id: str,
     planted: list[PlantedBox] = []
 
     for class_id, role in gt_plants:
-        w, h = _sample_dims(rng, spec.frame, class_id)
-        cx, cy = _place_center(rng, spec.frame, taken, w, h, image_id)
-        gt = _grid_box(spec.frame, class_id, cx, cy, w, h, None)
+        w, h = _sample_dims(rng, FRAME, class_id)
+        cx, cy = _place_center(rng, FRAME, taken, w, h, image_id)
+        gt = _grid_box(FRAME, class_id, cx, cy, w, h, None)
         gt_index = len(gt_boxes)
         gt_boxes.append(gt)
         if role == "fn":
             planted.append(PlantedBox("fn", class_id, gt_index=gt_index))
             continue
-        band = (spec.tp_confidence if role == "tp"
-                else spec.suppressed_confidence)
+        band = TP_CONFIDENCE if role == "tp" else SUPPRESSED_CONFIDENCE
         target = _sample_target_iou(rng, spec)
         staged.append((_perturb_to_iou(rng, gt, target, rng.uniform(*band),
                                        image_id), len(planted)))
@@ -401,10 +387,10 @@ def _build_scene(rng: np.random.Generator, spec: SynthSpec, image_id: str,
                                   target_iou=target))
 
     for class_id in fp_classes:
-        w, h = _sample_dims(rng, spec.frame, class_id)
-        cx, cy = _place_center(rng, spec.frame, taken, w, h, image_id)
-        pred = _grid_box(spec.frame, class_id, cx, cy, w, h,
-                         rng.uniform(*spec.fp_confidence))
+        w, h = _sample_dims(rng, FRAME, class_id)
+        cx, cy = _place_center(rng, FRAME, taken, w, h, image_id)
+        pred = _grid_box(FRAME, class_id, cx, cy, w, h,
+                         rng.uniform(*FP_CONFIDENCE))
         staged.append((pred, len(planted)))
         planted.append(PlantedBox("fp", class_id))
 
@@ -421,7 +407,7 @@ def _build_scene(rng: np.random.Generator, spec: SynthSpec, image_id: str,
 def _assemble(spec: SynthSpec, scenes: list) -> tuple[Dataset, SynthTruth]:
     """Solve the perturbations of the scenes :func:`_build_scene` returned,
     all at once and in cohort order, then build the records and truth."""
-    solved = iter(_solve_offsets(spec.frame, [
+    solved = iter(_solve_offsets(FRAME, [
         p for _, _, staged, _ in scenes for p in staged
         if isinstance(p, _Perturbation)]))
     records, truths = [], []
@@ -430,21 +416,12 @@ def _assemble(spec: SynthSpec, scenes: list) -> tuple[Dataset, SynthTruth]:
                     for p in staged]  # (prediction, achieved IoU)
         planted = tuple(p if p.target_iou is None else replace(
             p, achieved_iou=outcomes[p.pred_index][1]) for p in planted)
-        records.append(ImageRecord(image_id=image_id, dims=spec.frame,
+        records.append(ImageRecord(image_id=image_id, dims=FRAME,
                                    ground_truth=gt_boxes,
                                    predictions=[box for box, _ in outcomes]))
         truths.append(ImageTruth(image_id=image_id, planted=planted))
     return Dataset(records=records), SynthTruth(seed=spec.seed,
                                                 images=tuple(truths))
-
-
-def _check_bands(spec: SynthSpec, op: OperatingPoint) -> None:
-    if not (spec.suppressed_confidence[1] < op.conf_threshold
-            < min(spec.tp_confidence[0], spec.fp_confidence[0])):
-        raise GenerationError(
-            "confidence bands must straddle the operating threshold "
-            f"{op.conf_threshold} for planted roles to hold"
-        )
 
 
 def generate(spec: SynthSpec) -> tuple[Dataset, SynthTruth]:
@@ -453,7 +430,6 @@ def generate(spec: SynthSpec) -> tuple[Dataset, SynthTruth]:
     Deterministic in ``spec.seed``; each image draws from its own PRNG
     stream, so images are independent of cohort size and order.
     """
-    _check_bands(spec, OperatingPoint())
     scenes = []
     for i in range(spec.n_images):
         rng = _image_rng(spec.seed, i)
@@ -492,13 +468,13 @@ def _roles(*counts: tuple[str, int]) -> list[str]:
         raise SchemaError("counts too large to plant") from None
 
 
-def plant_object_counts(tp: int, fp: int, fn: int, *, seed: int = 0,
-                        dressing: bool = True) -> tuple[Dataset, SynthTruth]:
+def plant_object_counts(tp: int, fp: int, fn: int, *,
+                        seed: int = 0) -> tuple[Dataset, SynthTruth]:
     """Cohort whose fungal object-level counts are exactly (tp, fp, fn) at
     the default operating point, at most three plants to an image.
 
-    ``dressing`` sprinkles matched artefacts through the cohort; they
-    exercise class-aware matching without touching the fungal counts.
+    Matched artefacts sprinkled through the cohort exercise class-aware
+    matching without touching the fungal counts.
     """
     if min(tp, fp, fn) < 0 or tp + fp + fn == 0:
         raise SchemaError("counts must be non-negative and not all zero")
@@ -513,7 +489,7 @@ def plant_object_counts(tp: int, fp: int, fn: int, *, seed: int = 0,
         rng = _image_rng(seed, i)
         gt_plants = [(FUNGAL, role) for role in bucket if role != "fp"]
         fp_classes = [FUNGAL] * sum(1 for role in bucket if role == "fp")
-        if dressing and rng.random() < 0.5:
+        if rng.random() < 0.5:
             gt_plants.append((ARTEFACT, "tp"))
         scenes.append(_build_scene(rng, spec, f"plant-{i:04d}",
                                    gt_plants, fp_classes))
@@ -716,4 +692,4 @@ def read_truth(path: Path | str) -> SynthTruth:
     p = Path(path)
     if p.is_dir():
         p = p / "truth.json"
-    return SynthTruth.from_json(read_text(p, SchemaError))
+    return SynthTruth.from_json(read_text(p))

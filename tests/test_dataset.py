@@ -260,6 +260,16 @@ class TestLoading:
             load_ground_truth(gt_dir, dims=DIMS)
         assert "img-a.txt" in str(err.value)
 
+    def test_parse_error_keeps_its_line(self, tmp_path):
+        text = "0 0.5 0.5 0.1 0.1\n0 1.5 0.5 0.1 0.1\n"
+        (tmp_path / "a.txt").write_text(text)
+        with pytest.raises(RangeError) as direct:
+            parse_gt_file(text, DIMS)
+        with pytest.raises(RangeError) as err:
+            load_ground_truth(tmp_path, dims=DIMS)
+        assert err.value.line == direct.value.line == 2
+        assert str(err.value) == f"{tmp_path / 'a.txt'}: {direct.value}"
+
     def test_sub_pixel_box_error_names_file_and_line(self, tmp_path):
         gt_dir = tmp_path / "gt"
         gt_dir.mkdir()

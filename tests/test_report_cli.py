@@ -616,6 +616,41 @@ class TestCli:
         assert result.stderr.startswith(f"error: {bad}: not UTF-8") \
             and result.stderr.count("\n") == 1
 
+    def test_screen_has_no_iou_flag(self, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        main(["synth", "--images", "2", "--out", str(cohort)])
+        with pytest.raises(SystemExit) as exit_:  # argparse refuses the flag
+            main(["screen", str(cohort), "--iou", "0.7"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --iou 0.7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["dangling symlink", "directory", "fifo"])
+    @pytest.mark.parametrize("folder, command", [("gt", "screen"), ("pred", "evaluate")])
+    def test_non_regular_label_entry_exits_2_and_names_it(
+            self, tmp_path, capsys, monkeypatch, kind, folder, command):
+        cohort = tmp_path / "cohort"
+        main(["synth", "--images", "4", "--seed", "2", "--out", str(cohort)])
+        # Without its prediction file, an image whose ground truth is
+        # skipped would leave no trace.
+        (cohort / "pred" / "synth-0001.txt").unlink()
+        entry = cohort / folder / "synth-0001.txt"
+        entry.unlink(missing_ok=True)
+        if kind == "dangling symlink":
+            os.symlink(tmp_path / "ghost", entry)
+        elif kind == "directory":
+            entry.mkdir()
+        else:
+            os.mkfifo(entry)
+        real_open = os.open
+
+        def guarded_open(file, *args, **kwargs):
+            assert os.fspath(file) != str(entry), "opened a non-regular entry"
+            return real_open(file, *args, **kwargs)
+        monkeypatch.setattr(os, "open", guarded_open)  # a FIFO would block
+        capsys.readouterr()
+        assert main([command, str(cohort)]) == 2
+        assert capsys.readouterr().err == f"error: {entry}: not a regular file\n"
+
 
 @pytest.mark.parametrize("argv", [
     ["split", "COHORT", "--fractions", "a,b,c"],

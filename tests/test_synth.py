@@ -40,6 +40,9 @@ from koheval.metrics import (
 )
 from koheval.screening import screen_dataset
 from koheval.synth import (
+    FP_CONFIDENCE,
+    SUPPRESSED_CONFIDENCE,
+    TP_CONFIDENCE,
     PlantedBox,
     SynthSpec,
     SynthTruth,
@@ -53,7 +56,14 @@ from koheval.synth import (
     reference_match,
     write_cohort,
 )
-from koheval.synth import _grid_box, _perturb_to_iou, _Perturbation, _solve_offsets
+from koheval.synth import (
+    _ENVELOPE_FACTOR,
+    _grid_box,
+    _perturb_to_iou,
+    _Perturbation,
+    _sample_dims,
+    _solve_offsets,
+)
 
 _MISSING = "<missing>"  # conftest's mutate deletes a key given this value
 
@@ -112,15 +122,15 @@ class TestSpecValidation:
             SynthSpec(fungal_per_image=(3, 1))
 
     def test_band_separation(self):
-        with pytest.raises(SchemaError):
-            SynthSpec(suppressed_confidence=(0.05, 0.7))
+        for lo, hi in (TP_CONFIDENCE, FP_CONFIDENCE, SUPPRESSED_CONFIDENCE):
+            assert 0.0 < lo <= hi <= 1.0
+        assert SUPPRESSED_CONFIDENCE[1] < min(TP_CONFIDENCE[0],
+                                              FP_CONFIDENCE[0])
 
     def test_bands_must_straddle_threshold(self):
-        off_threshold = SynthSpec(tp_confidence=(0.96, 0.99),
-                                  fp_confidence=(0.95, 0.99),
-                                  suppressed_confidence=(0.30, 0.90))
-        with pytest.raises(GenerationError):
-            generate(off_threshold)
+        threshold = OperatingPoint().conf_threshold
+        assert SUPPRESSED_CONFIDENCE[1] < threshold
+        assert threshold < min(TP_CONFIDENCE[0], FP_CONFIDENCE[0])
 
 
 class TestGenerate:
@@ -195,6 +205,15 @@ class TestGenerate:
         with pytest.raises(GenerationError):
             generate(SynthSpec(n_images=1, seed=0,
                                fungal_per_image=(400, 400)))
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.integers(1, 10_000), st.integers(1, 10_000), st.integers(0, 2**32 - 1))
+    def test_object_envelope_fits_any_frame(self, width, height, seed):
+        frame = ImageDims(width, height)
+        rng = np.random.default_rng(seed)
+        for class_id in (FUNGAL, ARTEFACT):
+            assert _ENVELOPE_FACTOR * max(_sample_dims(rng, frame, class_id)) \
+                < min(width, height)
 
 
 def _digest(generated) -> str:
@@ -309,7 +328,7 @@ class TestSolveOffsets:
 
     def test_no_perturbations(self):
         assert _solve_offsets(_FRAME, []) == []
-        _, truth = plant_object_counts(0, 2, 0, dressing=False)
+        _, truth = plant_object_counts(0, 2, 0)
         assert truth.expected_counts() == (0, 2, 0)
 
 
@@ -470,7 +489,7 @@ class TestCohortFiles:
             rename = Path.rename
             monkeypatch.setattr(Path, "rename", lambda src, dst: fail()
                                 if ".staging-" in src.name else rename(src, dst))
-        smaller = SynthSpec(n_images=2, seed=2, frame=ImageDims(1000, 1000))
+        smaller = SynthSpec(n_images=2, seed=2)
         with pytest.raises(OSError, match="disk full"):
             write_cohort(generate(smaller)[0], out)
         assert InputTree(out).sha256() == before
