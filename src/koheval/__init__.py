@@ -67,9 +67,7 @@ from .metrics import (
 from .report import SCHEMA_VERSION, TOOL_VERSION, build_report, render
 from .screening import (
     ConfusionMatrix,
-    Diagnosis,
     ScreeningReport,
-    classify_image,
     screen_dataset,
     threshold_sweep,
 )
@@ -88,7 +86,7 @@ __version__ = TOOL_VERSION
 
 __all__ = [
     "ARTEFACT", "Box", "CLASS_NAMES", "ClassError", "ClassMetrics",
-    "ConfusionMatrix", "Dataset", "Diagnosis", "FUNGAL", "FieldVerdict",
+    "ConfusionMatrix", "Dataset", "FUNGAL", "FieldVerdict",
     "GenerationError", "ImageDims", "ImageRecord", "InvalidBoxError",
     "KohevalError", "LetterboxTransform", "MacroMetrics", "MatchReport",
     "ObjectMetrics", "OperatingPoint", "OutOfFrameError", "PRCurve",
@@ -96,7 +94,7 @@ __all__ = [
     "SCHEMA_VERSION", "SchemaError", "ScreeningReport", "SplitAssignment",
     "SynthSpec", "SynthTruth", "TrainManifest", "UndefinedMetricError",
     "__version__", "ap_sweep", "attach_predictions", "average_precision",
-    "box_to_model", "box_to_source", "build_report", "classify_image",
+    "box_to_model", "box_to_source", "build_report",
     "clip_to_frame", "counts_to_prf", "evaluate_detections", "generate", "iou",
     "iou_matrix", "largest_remainder_sizes", "letterbox_fit",
     "load_ground_truth", "manifest_conforms", "match_image", "parse_coco_json",

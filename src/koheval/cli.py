@@ -71,7 +71,7 @@ def _parse_ints(text: str, n: int, what: str) -> list[int]:
         values = []
     if len(values) != n:
         raise KohevalError(f"expected {n} comma-separated integers for {what}, "
-                           f"got {text!r}")
+                           f"got {cut_digits(repr(text))}")
     return values
 
 
@@ -126,7 +126,7 @@ def cmd_split(args) -> int:
         fractions = tuple(float(p) for p in args.fractions.split(","))
     except ValueError:
         raise KohevalError(f"--fractions must be comma-separated numbers, "
-                           f"got {args.fractions!r}") from None
+                           f"got {cut_digits(repr(args.fractions))}") from None
     dataset, _ = _read_ground_truth(args)
     assignment = stratified_split(dataset, fractions=fractions, seed=args.seed)
     out = Path(args.out) if args.out else _output_dir() / "split.json"

@@ -581,6 +581,9 @@ def load_ground_truth(path: Path | str, dims: ImageDims | None = None,
         if not records:
             raise SchemaError(f"no .txt annotation files under {path}")
         return Dataset(records)
+    if path.exists():
+        raise SchemaError(f"ground-truth path {path} is not a regular file or "
+                          "directory")
     raise SchemaError(f"ground-truth path {path} does not exist")
 
 
@@ -594,7 +597,9 @@ def attach_predictions(dataset: Dataset, pred_dir: Path | str,
     """
     pred_dir = Path(pred_dir)
     if not pred_dir.is_dir():
-        raise SchemaError(f"prediction directory {pred_dir} does not exist")
+        raise SchemaError(f"prediction path {pred_dir} is not a directory"
+                          if pred_dir.exists() else
+                          f"prediction directory {pred_dir} does not exist")
     tree = tree or InputTree(pred_dir)
     files = tree.label_files(pred_dir)
     known = set(dataset.ids())

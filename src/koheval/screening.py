@@ -1,5 +1,5 @@
-"""Image-level screening: collapse detections to a per-image diagnosis and
-score the resulting binary classifier.
+"""Image-level screening: reduce each image's detections to its top fungal
+confidence and score the resulting binary classifier.
 
 An image is called positive when at least one fungal-class prediction has
 confidence strictly above the operating threshold. Artefact predictions
@@ -9,6 +9,7 @@ never contribute; they exist to absorb mimics at training time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -16,37 +17,6 @@ import numpy as np
 from .errors import SchemaError, UndefinedMetricError
 from .geometry import FUNGAL
 from .metrics import OperatingPoint, counts_to_prf
-
-
-@dataclass(frozen=True)
-class Diagnosis:
-    """Screening verdict for one image."""
-
-    image_id: str
-    positive: bool
-    max_fungal_confidence: float | None
-    gt_positive: bool
-
-
-def classify_image(record, op: OperatingPoint = OperatingPoint(),
-                   gt_positive: bool | None = None) -> Diagnosis:
-    """Collapse one image's predictions to a positive/negative call.
-
-    ``gt_positive`` overrides the label derived from ground-truth boxes;
-    use it when reference labels come from a source other than the
-    annotations (clinical culture results, say).
-    """
-    fungal_confs = [p.confidence for p in record.predictions
-                    if p.class_id == FUNGAL]
-    top = max(fungal_confs) if fungal_confs else None
-    if gt_positive is None:
-        gt_positive = any(b.class_id == FUNGAL for b in record.ground_truth)
-    return Diagnosis(
-        image_id=record.image_id,
-        positive=op.flags_positive(top),
-        max_fungal_confidence=top,
-        gt_positive=gt_positive,
-    )
 
 
 @dataclass(frozen=True)
@@ -118,54 +88,55 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class ScreeningReport:
-    """Screening outcome for a cohort at one operating point."""
+    """Screening outcome for a cohort at one operating point, ids in id order."""
 
     op: OperatingPoint
     matrix: ConfusionMatrix
-    diagnoses: tuple[Diagnosis, ...]
-
-    @property
-    def false_negative_ids(self) -> tuple[str, ...]:
-        return tuple(d.image_id for d in self.diagnoses
-                     if d.gt_positive and not d.positive)
-
-    @property
-    def false_positive_ids(self) -> tuple[str, ...]:
-        return tuple(d.image_id for d in self.diagnoses
-                     if not d.gt_positive and d.positive)
+    false_negative_ids: tuple[str, ...]
+    false_positive_ids: tuple[str, ...]
 
 
-def screen_dataset(records, op: OperatingPoint = OperatingPoint(),
-                   gt_labels: Mapping[str, bool] | None = None
-                   ) -> ScreeningReport:
-    """Screen every image in a cohort.
-
-    ``gt_labels`` maps image_id to the reference diagnosis; ids absent
-    from the mapping fall back to the annotation-derived label. Output is
-    ordered by image_id regardless of input order.
-    """
+def _screen_arrays(records, gt_labels: Mapping[str, bool] | None):
+    """Image ids in id order, each image's top fungal confidence (-inf where
+    it has none, which no threshold flags) and its reference label: its
+    ``gt_labels`` entry, else whether it has a fungal ground-truth box."""
     if not records:
         raise UndefinedMetricError("cannot screen an empty cohort")
-    diagnoses = []
+    ids, top, truth = [], [], []
+    labels = gt_labels or {}
     for record in sorted(records, key=lambda r: r.image_id):
-        override = None if gt_labels is None else gt_labels.get(record.image_id)
-        diagnoses.append(classify_image(record, op, gt_positive=override))
-    return ScreeningReport(op=op, diagnoses=tuple(diagnoses),
-                           matrix=_confusions(diagnoses, [op])[0])
+        ids.append(record.image_id)
+        top.append(max((p.confidence for p in record.predictions
+                        if p.class_id == FUNGAL), default=-np.inf))
+        label = labels.get(record.image_id)
+        truth.append(bool(any(b.class_id == FUNGAL for b in record.ground_truth)
+                          if label is None else label))
+    return ids, np.array(top, dtype=np.float64), np.array(truth, dtype=bool)
 
 
-def _confusions(diagnoses: Sequence[Diagnosis],
+def _confusions(top: np.ndarray, truth: np.ndarray,
                 ops: Sequence[OperatingPoint]) -> list[ConfusionMatrix]:
-    """Confusion matrix of ``diagnoses`` at each operating point. Each
-    image's top fungal confidence (None as -inf, which no threshold flags)
-    meets every threshold at once."""
-    top = np.array([-np.inf if d.max_fungal_confidence is None
-                    else d.max_fungal_confidence for d in diagnoses])
-    truth = np.array([bool(d.gt_positive) for d in diagnoses])
+    """Confusion matrix at each operating point of the images whose top
+    fungal confidences and reference labels are ``top`` and ``truth``."""
     called = np.array([op.flags_positive(top) for op in ops])  # [op, image]
     cells = (called & truth, ~called & truth, called & ~truth, ~called & ~truth)
     counts = np.array([cell.sum(axis=1) for cell in cells]).T.tolist()  # tp fn fp tn
     return [ConfusionMatrix(*row) for row in counts]
+
+
+def screen_dataset(records, op: OperatingPoint = OperatingPoint(),
+                   gt_labels: Mapping[str, bool] | None = None) -> ScreeningReport:
+    """Screen every image in a cohort; ``screen_dataset([record], op)``
+    screens one.
+
+    ``gt_labels`` maps image_id to the reference diagnosis (a culture
+    result, say); ids it lacks take the annotation-derived label.
+    """
+    ids, top, truth = _screen_arrays(records, gt_labels)
+    called = op.flags_positive(top)
+    return ScreeningReport(op, _confusions(top, truth, [op])[0],
+                           tuple(compress(ids, (truth & ~called).tolist())),
+                           tuple(compress(ids, (~truth & called).tolist())))
 
 
 def threshold_sweep(records, thresholds: Sequence[float],
@@ -179,7 +150,6 @@ def threshold_sweep(records, thresholds: Sequence[float],
     ops = [OperatingPoint(conf_threshold=t) for t in sorted(thresholds)]
     if not ops:
         return []
-    # Each image is classified once, then scored at every threshold.
-    diagnoses = screen_dataset(records, ops[0], gt_labels).diagnoses
+    _, top, truth = _screen_arrays(records, gt_labels)
     return [(op.conf_threshold, matrix)
-            for op, matrix in zip(ops, _confusions(diagnoses, ops))]
+            for op, matrix in zip(ops, _confusions(top, truth, ops))]

@@ -567,6 +567,34 @@ class TestCli:
             assert main([command, str(cohort), str(tmp_path / "nowhere")]) == 2
             assert "does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["split", "FIFO"], "ground-truth path FIFO is not a regular file or directory"),
+        (["evaluate", "FIFO", "cohort/pred"],
+         "ground-truth path FIFO is not a regular file or directory"),
+        (["evaluate", "cohort/gt", "FIFO", "--dims", "2048x2048"],
+         "prediction path FIFO is not a directory"),
+        (["evaluate", "cohort/gt", "cohort/dims.json", "--dims", "2048x2048"],
+         "prediction path cohort/dims.json is not a directory"),
+        (["split", "ghost"], "ground-truth path ghost does not exist"),
+    ], ids=["split-fifo", "evaluate-fifo-gt", "evaluate-fifo-pred",
+            "evaluate-file-pred", "split-missing"])
+    def test_existing_path_of_the_wrong_type_exits_2_and_says_so(
+            self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        main(["synth", "--images", "3", "--out", "cohort"])
+        os.mkfifo("FIFO")
+
+        def guard(real_open):  # opening a FIFO would block
+            def guarded_open(file, *args, **kwargs):
+                assert os.path.basename(str(file)) != "FIFO", "opened the FIFO"
+                return real_open(file, *args, **kwargs)
+            return guarded_open
+        monkeypatch.setattr(os, "open", guard(os.open))
+        monkeypatch.setattr(builtins, "open", guard(builtins.open))
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_pred_is_refused_before_any_file_is_read(self, tmp_path,
                                                               capsys, monkeypatch):
         labels = tmp_path / "cohort" / "gt"
@@ -663,6 +691,9 @@ class TestCli:
     ["synth", "--plant-matrix", "1,2,3"],
     ["synth", "--plant-counts", "99999999999999999999,0,0"],
     ["synth", "--plant-matrix", "0,0,0,99999999999999999999"],
+    ["synth", "--plant-counts", "9" * 60 + ",1"],
+    ["synth", "--plant-matrix", "9" * 60 + ",1"],
+    ["split", "COHORT", "--fractions", "9" * 60 + ",x"],
 ], ids=" ".join)
 def test_bad_split_and_synth_numbers_exit_2(tmp_path, monkeypatch, capsys, argv):
     cohort, outs = tmp_path / "cohort", tmp_path / "outs"
@@ -670,8 +701,9 @@ def test_bad_split_and_synth_numbers_exit_2(tmp_path, monkeypatch, capsys, argv)
     capsys.readouterr()
     monkeypatch.setenv("KOHEVAL_OUTPUT_DIR", str(outs))
     assert main([str(cohort) if arg == "COHORT" else arg for arg in argv]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not re.search("[0-9]{16}", out + err)
     assert not outs.exists()
 
 
@@ -703,7 +735,23 @@ def test_evaluate_output_bytes_match_the_pinned_ones(tmp_path, monkeypatch, synt
     assert hashlib.sha256(Path("curves.svg").read_bytes()).hexdigest() == svg_sha256
 
 
-# SHA-256 of JSON outputs the tests above do not pin, from the same cohort.
+# SHA-256 of the `screen --out` report and the `screen --format csv` stdout,
+# on a cohort with two missed positives and a false alarm, run from its parent.
+def test_screen_output_bytes_match_the_pinned_ones(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--plant-matrix", "5,2,1,6", "--seed", "1",
+                 "--out", "cohort"]) == 0
+    capsys.readouterr()
+    assert main(["screen", "cohort", "--format", "csv", "--out", "report.json"]) == 0
+    written = {"report": Path("report.json").read_bytes(),
+               "csv": capsys.readouterr().out.encode()}
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in written.items()} == {
+        "report": "892a18c52f5058eeb06cb8ec2489cbf30ea58eb3bd9dfae1e763b6949a08f687",
+        "csv": "9cb0db7845a06ad66c450dade27e8a70f557ead8f9d778883459917e4f311da1"}
+
+
+# SHA-256 of JSON outputs the tests above do not pin, from the same cohort
+# as the evaluate pins.
 def test_json_writer_output_bytes_match_the_pinned_ones(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["synth", *_SPARSE, "--out", "cohort"]) == 0

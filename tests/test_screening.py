@@ -8,12 +8,7 @@ from koheval.dataset import ImageRecord
 from koheval.errors import SchemaError, UndefinedMetricError
 from koheval.geometry import ARTEFACT, FUNGAL, Box, ImageDims
 from koheval.metrics import OperatingPoint
-from koheval.screening import (
-    ConfusionMatrix,
-    classify_image,
-    screen_dataset,
-    threshold_sweep,
-)
+from koheval.screening import ConfusionMatrix, screen_dataset, threshold_sweep
 
 DIMS = ImageDims(1024, 1024)
 
@@ -26,32 +21,39 @@ def record(image_id, gt_classes=(), preds=()):
     return ImageRecord(image_id, DIMS, gts, ps)
 
 
+def call(rec, conf=0.25, gt_labels=None):
+    """(positive call, reference label) of ``rec`` screened on its own."""
+    m = screen_dataset([rec], OperatingPoint(conf_threshold=conf), gt_labels).matrix
+    return m.tp + m.fp == 1, m.tp + m.fn == 1
+
+
 class TestClassifyImage:
+    """One image's call, through ``screen_dataset`` on a one-image cohort."""
+
     def test_positive_needs_strictly_greater_confidence(self):
-        at = classify_image(record("a", (FUNGAL,), [(FUNGAL, 0.25)]))
-        above = classify_image(record("b", (FUNGAL,), [(FUNGAL, 0.250001)]))
-        assert not at.positive
-        assert above.positive
+        assert call(record("a", (FUNGAL,), [(FUNGAL, 0.25)])) == (False, True)
+        assert call(record("b", (FUNGAL,), [(FUNGAL, 0.250001)])) == (True, True)
 
     def test_artefact_predictions_never_flag(self):
-        d = classify_image(record("a", (), [(ARTEFACT, 0.99)]))
-        assert not d.positive
-        assert d.max_fungal_confidence is None
+        rec = record("a", (), [(ARTEFACT, 0.99)])
+        assert call(rec) == (False, False)
+        assert call(rec, conf=1e-12) == (False, False)
 
     def test_takes_max_fungal_confidence(self):
-        d = classify_image(record("a", (FUNGAL,),
-                                  [(FUNGAL, 0.4), (FUNGAL, 0.8)]))
-        assert d.max_fungal_confidence == 0.8
-        assert d.positive
+        rec = record("a", (FUNGAL,), [(FUNGAL, 0.8), (FUNGAL, 0.4)])
+        assert call(rec, conf=0.7) == (True, True)
+        assert call(rec, conf=0.8) == (False, True)
 
     def test_gt_label_from_annotations(self):
-        assert classify_image(record("a", (FUNGAL,))).gt_positive
-        assert not classify_image(record("a", (ARTEFACT,))).gt_positive
-        assert not classify_image(record("a")).gt_positive
+        assert call(record("a", (FUNGAL,)))[1]
+        assert not call(record("a", (ARTEFACT,)))[1]
+        assert not call(record("a"))[1]
 
     def test_gt_label_override(self):
-        d = classify_image(record("a", (FUNGAL,)), gt_positive=False)
-        assert not d.gt_positive
+        assert not call(record("a", (FUNGAL,)), gt_labels={"a": False})[1]
+        assert call(record("a", (FUNGAL,)), gt_labels={"b": False})[1]
+        alarm = record("a", (), [(FUNGAL, 0.9)])
+        assert call(alarm, gt_labels={"a": True}) == (True, True)
 
 
 class TestConfusionMatrix:
@@ -100,9 +102,11 @@ class TestScreenDataset:
         assert report.false_positive_ids == ("neg-alarm",)
 
     def test_diagnoses_sorted_by_id(self):
-        report = screen_dataset(self.cohort())
-        ids = [d.image_id for d in report.diagnoses]
-        assert ids == sorted(ids)
+        cohort = [*self.cohort(), record("a-miss", (FUNGAL,)),
+                  record("a-alarm", (ARTEFACT,), [(FUNGAL, 0.3)])]
+        report = screen_dataset(cohort[::-1])
+        assert report.false_negative_ids == ("a-miss", "pos-miss")
+        assert report.false_positive_ids == ("a-alarm", "neg-alarm")
 
     def test_label_override_map(self):
         report = screen_dataset(self.cohort(),
@@ -158,7 +162,7 @@ def sweep_inputs(draw):
               for i in range(n)]
     labels = draw(st.none() | st.dictionaries(
         st.sampled_from([r.image_id for r in images]), st.booleans()))
-    return images, draw(st.lists(thresholds, max_size=6)), labels
+    return draw(st.permutations(images)), draw(st.lists(thresholds, max_size=6)), labels
 
 
 class CountingRecord:
@@ -186,13 +190,31 @@ def test_sweep_equals_screening_at_each_threshold(inputs):
     assert [rec.reads for rec in counted] == [1 if ts else 0] * len(images)
 
 
+def reference_calls(images, t, labels):
+    """(image id, reference label, positive call) of each image in id order,
+    by a plain loop over its boxes."""
+    rows = []
+    for rec in sorted(images, key=lambda r: r.image_id):
+        fungal = [p.confidence for p in rec.predictions if p.class_id == FUNGAL]
+        label = (labels or {}).get(rec.image_id)
+        if label is None:
+            label = any(b.class_id == FUNGAL for b in rec.ground_truth)
+        rows.append((rec.image_id, label, bool(fungal) and max(fungal) > t))
+    return rows
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(sweep_inputs())
 def test_matrix_counts_each_images_call(inputs):
-    # A plain count over the diagnoses is the reference for the numpy one.
+    # A plain loop over the records is the reference for the numpy count.
     images, ts, labels = inputs
     for t in ts:
         report = screen_dataset(images, OperatingPoint(conf_threshold=t), labels)
-        calls = [(d.gt_positive, d.positive) for d in report.diagnoses]
+        rows = reference_calls(images, t, labels)
+        calls = [(label, positive) for _, label, positive in rows]
         assert astuple(report.matrix) == tuple(calls.count(cell) for cell in (
             (True, True), (True, False), (False, True), (False, False)))
+        assert report.false_negative_ids == tuple(
+            image_id for image_id, label, positive in rows if label and not positive)
+        assert report.false_positive_ids == tuple(
+            image_id for image_id, label, positive in rows if positive and not label)
