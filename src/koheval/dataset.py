@@ -38,7 +38,8 @@ from .errors import (
     ReferentialError,
     SchemaError,
 )
-from .geometry import ARTEFACT, CLASS_NAMES, FUNGAL, Box, ImageDims, clip_to_frame
+from .geometry import (ARTEFACT, CLASS_NAMES, FUNGAL, Box, ImageDims, clip_to_frame,
+                       cut_digits)
 
 CONTAINMENT_TOL = 1e-6
 
@@ -226,13 +227,14 @@ def parse_coco_json(document: str | bytes | dict) -> Dataset:
     frames: dict[int, tuple[str, ImageDims]] = {}  # image id -> (stem, dims)
     for img in images:
         img_id = require(img, "id", _COCO_ID, "image")
+        shown = cut_digits(f"{img_id}")
         stem = Path(require(img, "file_name", str, "image")).stem
-        width, height = (require(img, side, int, f"image {img_id}")
+        width, height = (require(img, side, int, f"image {shown}")
                          for side in ("width", "height"))
         if not stem:
-            raise SchemaError(f"image {img_id}: empty file_name")
+            raise SchemaError(f"image {shown}: empty file_name")
         if img_id in frames:
-            raise SchemaError(f"duplicate image id {img_id}")
+            raise SchemaError(f"duplicate image id {shown}")
         frames[img_id] = (stem, ImageDims(width, height))
 
     boxes_of: dict[int, list[Box]] = {img_id: [] for img_id in frames}
@@ -242,17 +244,21 @@ def parse_coco_json(document: str | bytes | dict) -> Dataset:
         cat_ref = require(ann, "category_id", _COCO_ID, "annotation")
         bbox = require(ann, "bbox", list, "annotation")
         if img_ref not in frames:
-            raise ReferentialError(f"annotation references unknown image {img_ref}")
+            raise ReferentialError("annotation references unknown image "
+                                   + cut_digits(f"{img_ref}"))
         if cat_ref not in class_of_category:
-            raise ReferentialError(f"annotation references unknown category {cat_ref}")
+            raise ReferentialError("annotation references unknown category "
+                                   + cut_digits(f"{cat_ref}"))
         if len(bbox) != 4 or not all(type(v) in (int, float) for v in bbox):
-            raise SchemaError(f"bbox must be four numbers [x, y, w, h], got {bbox!r}")
+            raise SchemaError("bbox must be four numbers [x, y, w, h], got "
+                              + cut_digits(repr(bbox)))
         try:
             x, y, w, h = (float(v) for v in bbox)
         except OverflowError:
-            raise SchemaError(f"bbox holds a number too large, got {bbox!r}") from None
+            raise SchemaError("bbox holds a number too large, got "
+                              + cut_digits(repr(bbox))) from None
         if w <= 0.0 or h <= 0.0:
-            raise SchemaError(f"bbox has non-positive size: {bbox!r}")
+            raise SchemaError(f"bbox has non-positive size: {cut_digits(repr(bbox))}")
         box = Box(x, y, x + w, y + h, class_of_category[cat_ref])
         kept = clip_to_frame(box, frames[img_ref][1])
         if kept is not box:
@@ -355,13 +361,33 @@ def _finite(token: str) -> float:
     return value
 
 
+def _name_non_finite(pairs: list) -> dict:
+    # Hook of load_json's second decode, where each float and constant is (token,),
+    # which JSON never makes. An inner object closes first, so its key is named.
+    for key, value in pairs:
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, tuple) and not math.isfinite(float(item[0])):
+                raise SchemaError(cut_digits(
+                    f"{key!r} is not a finite number ({item[0]})"))
+    return dict(pairs)
+
+
 def load_json(text: str | bytes, what: str) -> dict:
     """Decode a JSON document whose top level must be an object. Malformed
     text, NaN and infinite numbers, and nesting deeper than the decoder's
-    recursion limit raise SchemaError naming ``what``."""
+    recursion limit raise SchemaError naming ``what``; a NaN or infinite
+    number held by a key, directly or in a list, is named by that key."""
     try:
         doc = json.loads(text, parse_constant=_finite, parse_float=_finite)
     except (ValueError, RecursionError) as exc:
+        try:
+            json.loads(text, object_pairs_hook=_name_non_finite,
+                       parse_constant=lambda token: (token,),
+                       parse_float=lambda token: (token,))
+        except SchemaError as named:
+            raise SchemaError(f"{what}: {named}") from None
+        except (ValueError, RecursionError):
+            pass
         raise SchemaError(f"{what}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{what}: top level must be an object")
@@ -464,13 +490,13 @@ class InputTree:
 
     def sha256(self) -> str:
         """Digest of the file, or of the directory as the digest of its
-        sorted (relative name, file digest) pairs."""
+        sorted (relative name, file digest) pairs, names as file-system bytes."""
         pairs = [(parts, self.digests.get(file) or sha256_file(file))
                  for file, parts in self.files.items()]
         if len(pairs) == 1 and not pairs[0][0]:  # the tree of one file
             return pairs[0][1]
         joined = "".join(f"{'/'.join(parts)}\0{digest}\0" for parts, digest in pairs)
-        return hashlib.sha256(joined.encode()).hexdigest()
+        return hashlib.sha256(os.fsencode(joined)).hexdigest()
 
 
 # A line in the spelling format_label_file writes: ASCII, a class digit and

@@ -9,7 +9,9 @@ keeps a 2.5x envelope around each object disjoint from all others;
 perturbed predictions stay inside their own envelope, so a planted TP can
 only match its own ground-truth box and a planted FP overlaps nothing.
 Planted roles are therefore exact at the default operating point, not
-merely probable.
+merely probable. One builder makes every generated cohort: each generator
+only plans what its images hold, and ``_cohort`` places, solves and
+assembles them.
 """
 
 from __future__ import annotations
@@ -244,21 +246,19 @@ def _sample_dims(rng: np.random.Generator, frame: ImageDims,
     return short_side, long_side
 
 
-def _envelopes_intersect(a, b) -> bool:
-    return a[0] < b[2] and b[0] < a[2] and a[1] < b[3] and b[1] < a[3]
-
-
-def _place_center(rng: np.random.Generator, frame: ImageDims, taken: list,
-                  w: float, h: float, image_id: str) -> tuple[float, float]:
+def _place(rng: np.random.Generator, frame: ImageDims, taken: list,
+           class_id: int, image_id: str) -> tuple[float, float, float, float]:
+    """(cx, cy, w, h) of a new object; its envelope joins ``taken``, kept disjoint."""
+    w, h = _sample_dims(rng, frame, class_id)
     half_w = _ENVELOPE_FACTOR * w / 2.0
     half_h = _ENVELOPE_FACTOR * h / 2.0
     for _ in range(_PLACEMENT_TRIES):
         cx = rng.uniform(half_w, frame.width - half_w)
         cy = rng.uniform(half_h, frame.height - half_h)
-        envelope = (cx - half_w, cy - half_h, cx + half_w, cy + half_h)
-        if not any(_envelopes_intersect(envelope, other) for other in taken):
-            taken.append(envelope)
-            return cx, cy
+        x0, y0, x1, y1 = cx - half_w, cy - half_h, cx + half_w, cy + half_h
+        if all(x1 <= e[0] or e[2] <= x0 or y1 <= e[1] or e[3] <= y0 for e in taken):
+            taken.append((x0, y0, x1, y1))
+            return cx, cy, w, h
     raise GenerationError(
         f"{image_id}: could not place an object after {_PLACEMENT_TRIES} "
         f"attempts; the scene is too crowded"
@@ -362,7 +362,7 @@ def _build_scene(rng: np.random.Generator, spec: SynthSpec, image_id: str,
     ``gt_plants`` lists (class_id, role) for ground-truth boxes, role in
     {"tp", "fn", "suppressed"}; ``fp_classes`` lists classes of extra
     unmatched predictions. The scene lists each perturbed prediction as
-    its :class:`_Perturbation`, for :func:`_assemble` to solve.
+    its :class:`_Perturbation`, for :func:`_cohort` to solve.
     """
     taken: list = []
     gt_boxes: list[Box] = []
@@ -371,8 +371,7 @@ def _build_scene(rng: np.random.Generator, spec: SynthSpec, image_id: str,
     planted: list[PlantedBox] = []
 
     for class_id, role in gt_plants:
-        w, h = _sample_dims(rng, FRAME, class_id)
-        cx, cy = _place_center(rng, FRAME, taken, w, h, image_id)
+        cx, cy, w, h = _place(rng, FRAME, taken, class_id, image_id)
         gt = _grid_box(FRAME, class_id, cx, cy, w, h, None)
         gt_index = len(gt_boxes)
         gt_boxes.append(gt)
@@ -387,8 +386,7 @@ def _build_scene(rng: np.random.Generator, spec: SynthSpec, image_id: str,
                                   target_iou=target))
 
     for class_id in fp_classes:
-        w, h = _sample_dims(rng, FRAME, class_id)
-        cx, cy = _place_center(rng, FRAME, taken, w, h, image_id)
+        cx, cy, w, h = _place(rng, FRAME, taken, class_id, image_id)
         pred = _grid_box(FRAME, class_id, cx, cy, w, h,
                          rng.uniform(*FP_CONFIDENCE))
         staged.append((pred, len(planted)))
@@ -404,9 +402,15 @@ def _build_scene(rng: np.random.Generator, spec: SynthSpec, image_id: str,
     return image_id, gt_boxes, predictions, planted
 
 
-def _assemble(spec: SynthSpec, scenes: list) -> tuple[Dataset, SynthTruth]:
-    """Solve the perturbations of the scenes :func:`_build_scene` returned,
-    all at once and in cohort order, then build the records and truth."""
+def _cohort(spec: SynthSpec, prefix: str, n_images: int, plan
+            ) -> tuple[Dataset, SynthTruth]:
+    """Build image i from its own PRNG stream, with ``plan(i, rng)`` giving
+    its (gt_plants, fp_classes) for :func:`_build_scene`; then solve every
+    perturbation at once, in cohort order, and build the records and truth."""
+    scenes = []
+    for i in range(n_images):
+        rng = _image_rng(spec.seed, i)
+        scenes.append(_build_scene(rng, spec, f"{prefix}-{i:04d}", *plan(i, rng)))
     solved = iter(_solve_offsets(FRAME, [
         p for _, _, staged, _ in scenes for p in staged
         if isinstance(p, _Perturbation)]))
@@ -430,70 +434,50 @@ def generate(spec: SynthSpec) -> tuple[Dataset, SynthTruth]:
     Deterministic in ``spec.seed``; each image draws from its own PRNG
     stream, so images are independent of cohort size and order.
     """
-    scenes = []
-    for i in range(spec.n_images):
-        rng = _image_rng(spec.seed, i)
+    def plan(i: int, rng: np.random.Generator):
         gt_plants: list[tuple[int, str]] = []
         for class_id, (lo, hi) in ((FUNGAL, spec.fungal_per_image),
                                    (ARTEFACT, spec.artefact_per_image)):
             for _ in range(int(rng.integers(lo, hi + 1))):
-                if rng.random() < spec.tp_rate:
-                    role = "tp"
-                elif rng.random() < 0.5:
-                    role = "suppressed"
-                else:
-                    role = "fn"
-                gt_plants.append((class_id, role))
+                gt_plants.append((class_id, "tp" if rng.random() < spec.tp_rate else
+                                  "suppressed" if rng.random() < 0.5 else "fn"))
         n_fp = int(rng.binomial(2, spec.fp_extra_rate))
-        fp_classes = [int(rng.integers(0, 2)) for _ in range(n_fp)]
-        scenes.append(_build_scene(rng, spec, f"synth-{i:04d}",
-                                   gt_plants, fp_classes))
-    return _assemble(spec, scenes)
+        return gt_plants, [int(rng.integers(0, 2)) for _ in range(n_fp)]
+    return _cohort(spec, "synth", spec.n_images, plan)
 
 
-def _deal(rng: np.random.Generator, items: list, n_buckets: int) -> list[list]:
-    """Shuffle and deal items round-robin into n_buckets lists."""
-    order = rng.permutation(len(items))
-    buckets: list[list] = [[] for _ in range(n_buckets)]
-    for pos, item_index in enumerate(order):
-        buckets[pos % n_buckets].append(items[item_index])
-    return buckets
-
-
-def _roles(*counts: tuple[str, int]) -> list[str]:
-    """Each role name repeated its count of times, in the order given."""
+def _shuffled_roles(seed: int, *counts: tuple[str, int]) -> list[str]:
+    """Each role name repeated its count of times, then shuffled by the
+    cross-image assignment stream."""
     try:
-        return [name for role, n in counts for name in [role] * n]
-    except OverflowError:  # a count that cannot size a list
+        roles = [name for role, n in counts for name in [role] * n]
+    except (OverflowError, MemoryError):  # a count that cannot size a list
         raise SchemaError("counts too large to plant") from None
+    order = _image_rng(seed, _ASSIGN_STREAM).permutation(len(roles))
+    return [roles[k] for k in order.tolist()]
+
+
+def _matched_artefact(rng: np.random.Generator) -> list[tuple[int, str]]:
+    """A matched artefact in half the images: it exercises class-aware
+    matching without touching the fungal counts."""
+    return [(ARTEFACT, "tp")] if rng.random() < 0.5 else []
 
 
 def plant_object_counts(tp: int, fp: int, fn: int, *,
                         seed: int = 0) -> tuple[Dataset, SynthTruth]:
     """Cohort whose fungal object-level counts are exactly (tp, fp, fn) at
-    the default operating point, at most three plants to an image.
-
-    Matched artefacts sprinkled through the cohort exercise class-aware
-    matching without touching the fungal counts.
-    """
+    the default operating point, at most three plants to an image."""
     if min(tp, fp, fn) < 0 or tp + fp + fn == 0:
         raise SchemaError("counts must be non-negative and not all zero")
     spec = SynthSpec(seed=seed)
-    plants = _roles(("tp", tp), ("fn", fn), ("fp", fp))
+    plants = _shuffled_roles(spec.seed, ("tp", tp), ("fn", fn), ("fp", fp))
     n_images = max(1, math.ceil(len(plants) / 3))
-    assign = _image_rng(seed, _ASSIGN_STREAM)
-    buckets = _deal(assign, plants, n_images)
 
-    scenes = []
-    for i, bucket in enumerate(buckets):
-        rng = _image_rng(seed, i)
-        gt_plants = [(FUNGAL, role) for role in bucket if role != "fp"]
-        fp_classes = [FUNGAL] * sum(1 for role in bucket if role == "fp")
-        if rng.random() < 0.5:
-            gt_plants.append((ARTEFACT, "tp"))
-        scenes.append(_build_scene(rng, spec, f"plant-{i:04d}",
-                                   gt_plants, fp_classes))
-    return _assemble(spec, scenes)
+    def plan(i: int, rng: np.random.Generator):
+        bucket = plants[i::n_images]  # dealt round-robin
+        return ([(FUNGAL, role) for role in bucket if role != "fp"]
+                + _matched_artefact(rng), [FUNGAL] * bucket.count("fp"))
+    return _cohort(spec, "plant", n_images, plan)
 
 
 def plant_screening_matrix(tp: int, fn: int, fp: int, tn: int, *,
@@ -503,29 +487,18 @@ def plant_screening_matrix(tp: int, fn: int, fp: int, tn: int, *,
     if min(tp, fn, fp, tn) < 0 or tp + fn + fp + tn == 0:
         raise SchemaError("matrix cells must be non-negative and not all zero")
     spec = SynthSpec(seed=seed)
-    outcomes = _roles(("tp", tp), ("fn", fn), ("fp", fp), ("tn", tn))
-    assign = _image_rng(seed, _ASSIGN_STREAM)
-    order = assign.permutation(len(outcomes))
+    outcomes = _shuffled_roles(spec.seed, ("tp", tp), ("fn", fn), ("fp", fp),
+                               ("tn", tn))
 
-    scenes = []
-    for i, outcome_index in enumerate(order):
-        outcome = outcomes[outcome_index]
-        rng = _image_rng(seed, i)
-        gt_plants: list[tuple[int, str]] = []
-        fp_classes: list[int] = []
+    def plan(i: int, rng: np.random.Generator):
+        outcome = outcomes[i]
+        fungal: list[tuple[int, str]] = []
         if outcome == "tp":
-            for _ in range(1 + int(rng.integers(0, 2))):
-                gt_plants.append((FUNGAL, "tp"))
+            fungal = [(FUNGAL, "tp")] * (1 + int(rng.integers(0, 2)))
         elif outcome == "fn":
-            role = "suppressed" if rng.random() < 0.5 else "fn"
-            gt_plants.append((FUNGAL, role))
-        elif outcome == "fp":
-            fp_classes.append(FUNGAL)
-        if rng.random() < 0.5:
-            gt_plants.append((ARTEFACT, "tp"))
-        scenes.append(_build_scene(rng, spec, f"screen-{i:04d}",
-                                   gt_plants, fp_classes))
-    return _assemble(spec, scenes)
+            fungal = [(FUNGAL, "suppressed" if rng.random() < 0.5 else "fn")]
+        return fungal + _matched_artefact(rng), [FUNGAL] if outcome == "fp" else []
+    return _cohort(spec, "screen", len(outcomes), plan)
 
 
 def plant_uniform_iou_cohort(n_images: int = 8) -> Dataset:

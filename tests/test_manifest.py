@@ -92,8 +92,10 @@ class TestTrainManifest:
         doc = REFERENCE_PROTOCOL.to_json().replace(
             f'"{field}": {getattr(REFERENCE_PROTOCOL, field)!r}', f'"{field}": NaN')
         assert "NaN" in doc
-        # JSON has no NaN: the reader refuses it before the range checks.
-        with pytest.raises(SchemaError, match="manifest: not valid JSON: NaN"):
+        # JSON has no NaN: the reader refuses it before the range checks,
+        # naming the field that holds it.
+        with pytest.raises(SchemaError, match=f"^manifest: '{field}' is not a "
+                           r"finite number \(NaN\)$"):
             TrainManifest.from_json(doc)
 
     def test_from_json_rejects_a_float_field_past_float_range(self):

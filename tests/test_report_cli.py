@@ -149,7 +149,7 @@ def _rglob_sha256_path(path):
         return _rglob_sha256_file(p)
     digest = hashlib.sha256()
     for child in sorted(f for f in p.rglob("*") if f.is_file()):
-        digest.update(child.relative_to(p).as_posix().encode())
+        digest.update(os.fsencode(child.relative_to(p).as_posix()))
         digest.update(b"\0")
         digest.update(_rglob_sha256_file(child).encode())
         digest.update(b"\0")
@@ -311,11 +311,15 @@ class TestCli:
 
         capsys.readouterr()
         # The field check names the field; the JSON reader, which refuses
-        # NaN and infinities before any field is checked, names the token.
-        for field, value, named in (("initial_lr", "1" + "0" * 400, "initial_lr"),
-                                    ("initial_lr", "NaN", "NaN"),
-                                    ("scale_jitter", "Infinity", "Infinity"),
-                                    ("scale_jitter", "-1e400", "-1e400")):
+        # NaN and infinities before any field is checked, names the token
+        # and the field that holds it.
+        for field, value, named in (
+                ("initial_lr", "1" + "0" * 400, "initial_lr"),
+                ("initial_lr", "NaN", "'initial_lr' is not a finite number (NaN)"),
+                ("scale_jitter", "Infinity",
+                 "'scale_jitter' is not a finite number (Infinity)"),
+                ("scale_jitter", "-1e400",
+                 "'scale_jitter' is not a finite number (-1e400)")):
             text = REFERENCE_PROTOCOL.to_json().replace(
                 f'"{field}": {getattr(REFERENCE_PROTOCOL, field)!r}',
                 f'"{field}": {value}')
@@ -522,6 +526,23 @@ class TestCli:
                 "path": str(cohort / "pred"),
                 "sha256": "0c7cc2812c36727d9768f3ee7b9ed34c74ab1dc62a868924db7b837916aa14c5"}}
 
+    def test_non_utf8_file_names_are_digested_as_their_bytes(self, tmp_path,
+                                                           capsys):
+        cohort = tmp_path / "cohort"
+        main(["synth", "--images", "4", "--seed", "1", "--out", str(cohort)])
+        capsys.readouterr()
+        try:  # a note beside dims.json, and an image without boxes
+            for name in (b"notes-\xff", b"gt/\xff.txt", b"pred/\xff.txt"):
+                Path(os.fsdecode(os.fsencode(cohort) + b"/" + name)).write_bytes(b"")
+        except OSError:
+            pytest.skip("the file system refuses a name that is not UTF-8")
+        out = tmp_path / "report.json"
+        for command in ("evaluate", "screen"):
+            assert main([command, str(cohort), "--out", str(out)]) == 0
+            digest = json.loads(out.read_text())["inputs"]["cohort"]["sha256"]
+            assert digest == _rglob_sha256_path(cohort)
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("path, value", [
         ("images.0.width", True),
         ("images.0.height", False),
@@ -538,6 +559,23 @@ class TestCli:
         ("images.0.file_name", 5),
         ("annotations.0.bbox", ["0", 0, 0.5, 0.5]),
         ("annotations.0.bbox", [True, 0, 0.5, 0.5]),
+        # Echoed ids and bboxes with 60 and 400 digits: each run is cut.
+        pytest.param("images", [{"id": 10**59, "file_name": name, "width": 64,
+                                 "height": 64} for name in ("a.png", "b.png")],
+                     id="duplicate-id-60-digits"),
+        pytest.param("annotations.0.image_id", 10**59, id="unknown-image-60-digits"),
+        pytest.param("annotations.0.category_id", 10**399,
+                     id="unknown-category-400-digits"),
+        pytest.param("images.0", {"id": 10**59, "file_name": "", "width": 64,
+                                  "height": 64}, id="empty-file-name-60-digits"),
+        pytest.param("images.0", {"id": 10**399, "file_name": "a.png", "width": 1.5,
+                                  "height": 64}, id="float-width-400-digits"),
+        pytest.param("annotations.0.bbox", [0, 0, -(10**59), 1],
+                     id="non-positive-bbox-60-digits"),
+        pytest.param("annotations.0.bbox", [0, 0, 10**399, 1],
+                     id="bbox-too-large-400-digits"),
+        pytest.param("annotations.0.bbox", [10**59, 0, 1],
+                     id="three-number-bbox-60-digits"),
     ], ids=str)
     def test_bad_coco_document_exits_2_without_traceback(self, tmp_path, mutate,
                                                          path, value):
@@ -558,6 +596,7 @@ class TestCli:
         assert "Traceback" not in result.stderr
         assert result.stderr.startswith("error: ") \
             and result.stderr.count("\n") == 1
+        assert not re.search("[0-9]{16}", result.stderr)
 
     def test_missing_explicit_prediction_dir_exits_2(self, tmp_path, capsys):
         cohort = tmp_path / "cohort"
@@ -691,6 +730,7 @@ class TestCli:
     ["synth", "--plant-matrix", "1,2,3"],
     ["synth", "--plant-counts", "99999999999999999999,0,0"],
     ["synth", "--plant-matrix", "0,0,0,99999999999999999999"],
+    ["synth", "--plant-counts", "1000000000000000,0,0"],
     ["synth", "--plant-counts", "9" * 60 + ",1"],
     ["synth", "--plant-matrix", "9" * 60 + ",1"],
     ["split", "COHORT", "--fractions", "9" * 60 + ",x"],
@@ -850,6 +890,35 @@ def test_directory_given_as_a_file_exits_2_naming_it(tmp_path, capsys, command):
     assert str(tmp_path) in captured.err
 
 
+_COCO = ('{"images": [{"id": 1, "file_name": "a.png", "width": 64, "height": 64}], '
+         '"annotations": [{"id": 1, "image_id": 1, "category_id": 1, "bbox": BBOX}], '
+         '"categories": [{"id": 1, "name": "fungal"}]}')
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("evaluate", _COCO.replace("BBOX", "[0, 0, NaN, 1]"),
+     "COCO document: 'bbox' is not a finite number (NaN)"),
+    ("evaluate", _COCO.replace('"width": 64', '"width": -Infinity'),
+     "COCO document: 'width' is not a finite number (-Infinity)"),
+    ("evaluate", _COCO.replace("BBOX", "[0, 0, 1e400, 1]"),
+     "COCO document: 'bbox' is not a finite number (1e400)"),
+    # No key holds it directly or in a list: the decoder's message stays.
+    ("evaluate", _COCO.replace("BBOX", "[[NaN], 0, 1, 1]"),
+     "COCO document: not valid JSON: NaN is not a finite number"),
+    ("validate-manifest", "[Infinity]",
+     "manifest: not valid JSON: Infinity is not a finite number"),
+], ids=["coco-bbox", "coco-width", "coco-1e400", "coco-nested-list",
+        "top-level-list"])
+def test_non_finite_number_names_the_field_holding_it(tmp_path, capsys, command,
+                                                      text, message):
+    document, preds = tmp_path / "doc.json", tmp_path / "pred"
+    preds.mkdir()
+    document.write_text(text)
+    argv = [str(document)] + ([str(preds)] if command == "evaluate" else [])
+    assert main([command, *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
 def test_report_holding_a_non_finite_number_exits_2(sample_report, tmp_path,
                                                     capsys, value):
@@ -861,7 +930,7 @@ def test_report_holding_a_non_finite_number_exits_2(sample_report, tmp_path,
     for fmt in ("table", "csv", "json"):
         assert main(["report", str(stored), "--format", fmt]) == 2
         err = capsys.readouterr().err
-        assert err == f"error: report: not valid JSON: {value} is not a finite number\n"
+        assert err == f"error: report: 'ap50' is not a finite number ({value})\n"
     # The writer refuses what the reader refuses.
     report["object_metrics"]["per_class"]["fungal"]["ap50"] = float(value)
     with pytest.raises(ValueError):

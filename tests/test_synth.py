@@ -104,12 +104,14 @@ class TestSpecValidation:
             plant_screening_matrix(1, 1, 1, 1, seed=-1)
 
     def test_count_too_large_for_a_list_rejected(self):
-        # Only counts past the index range: a count that fits it would be
-        # allocated, not refused.
-        with pytest.raises(SchemaError, match="too large"):
-            plant_object_counts(0, 10**20, 0)
-        with pytest.raises(SchemaError, match="too large"):
-            plant_screening_matrix(1, 0, 0, 10**20)
+        # Counts past the index range (10**20), and counts inside it whose
+        # list of 8-byte slots (8 PB for 10**15) no address space holds, so
+        # the allocation fails at once. A smaller count would be allocated.
+        for count in (10**20, 10**15):
+            with pytest.raises(SchemaError, match="too large"):
+                plant_object_counts(0, count, 0)
+            with pytest.raises(SchemaError, match="too large"):
+                plant_screening_matrix(1, 0, 0, count)
 
     def test_iou_mean_bounded(self):
         with pytest.raises(SchemaError):
