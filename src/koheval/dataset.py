@@ -388,7 +388,7 @@ def load_json(text: str | bytes, what: str) -> dict:
             raise SchemaError(f"{what}: {named}") from None
         except (ValueError, RecursionError):
             pass
-        raise SchemaError(f"{what}: not valid JSON: {exc}") from None
+        raise SchemaError(f"{what}: not valid JSON: {cut_digits(str(exc))}") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{what}: top level must be an object")
     return doc
@@ -476,14 +476,21 @@ class InputTree:
 
     def label_files(self, directory: Path) -> dict[str, str]:
         """Image id (the name's ``Path.stem``) -> path of each ``.txt``
-        file directly in ``directory``, in name order. A ``.txt`` entry that
-        is not a regular file, or a link to one, raises SchemaError."""
+        file directly in ``directory``, in name order. A ``.txt`` entry whose
+        name is not UTF-8 (an id that output encoding strictly cannot
+        print), or that is not a regular file or a link to one, raises
+        SchemaError."""
         if directory != self.path and directory.is_symlink():
             # The walk does not enter it, but its labels are still read.
             return InputTree(directory).label_files(directory)
         labels = {name[:-4] or name: file for name, file in
                   self._labels.get(directory.relative_to(self.path).parts, ())}
-        for file in labels.values():
+        for image_id, file in labels.items():
+            try:
+                image_id.encode()
+            except UnicodeEncodeError:
+                shown = os.fsencode(file).decode("utf-8", "backslashreplace")
+                raise SchemaError(f"{shown}: file name is not UTF-8") from None
             if file not in self.files:  # a FIFO, say: never opened, as it would block
                 raise SchemaError(f"{file}: not a regular file")
         return labels

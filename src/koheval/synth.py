@@ -20,6 +20,7 @@ import math
 import os
 import shutil
 from collections import Counter, namedtuple
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -31,7 +32,6 @@ from .dataset import (
     Dataset,
     ImageRecord,
     _denormalize,
-    atomic_write_text,
     dump_json,
     format_label_file,
     is_cohort_dir,
@@ -622,15 +622,38 @@ def _replaceable(out: Path) -> bool:
                          and is_cohort_dir(out))
 
 
+def _create(path: Path | str, text: str) -> None:
+    """Create ``path`` (mode 0600, as mkstemp gives) holding ``text`` as UTF-8."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    try:
+        data = memoryview(text.encode())
+        while data:  # a full disk can end a write short
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
+
+
+def _write_labels(directory: Path, dataset: Dataset, field: str) -> None:
+    # Runs on a second thread, so it calls nothing bench/spans.py traces.
+    directory.mkdir()
+    for rec in dataset:
+        _create(os.path.join(directory, f"{rec.image_id}.txt"),
+                format_label_file(getattr(rec, field), rec.dims))
+
+
 def write_cohort(dataset: Dataset, out_dir: Path | str,
                  truth: SynthTruth | None = None) -> Path:
     """Write a cohort (gt/*.txt, pred/*.txt, dims.json and, when given,
     truth.json) into a staging directory beside ``out_dir``, then swap it in
-    whole; see ``_replaceable`` for what an existing ``out_dir`` may be."""
+    whole; see ``_replaceable`` for what an existing ``out_dir`` may be.
+    Files in the staging directory are plain creates, pred/ on a second thread."""
     out = Path(out_dir).resolve()
     dims = {rec.dims for rec in dataset}
     if len(dims) != 1:
         raise SchemaError("cohort directories require uniform image dims")
+    for name in dataset.ids():
+        if name in (".", "..") or any(c in name for c in ("/", os.sep, "\0")):
+            raise SchemaError(f"image id {name!r} is not a plain file name")
     if out.exists() and not _replaceable(out):
         raise SchemaError(f"{out_dir}: refusing to replace it: not an empty "
                           "directory or a cohort, or it holds the working directory")
@@ -639,15 +662,14 @@ def write_cohort(dataset: Dataset, out_dir: Path | str,
     old = out.with_name(f".{out.name}.old-{os.getpid()}")
     staging.mkdir(parents=True)
     try:
-        atomic_write_text(staging / "dims.json", dump_json(
+        _create(staging / "dims.json", dump_json(
             {"width": frame.width, "height": frame.height}, indent=None))
-        for rec in dataset:
-            atomic_write_text(staging / "gt" / f"{rec.image_id}.txt",
-                              format_label_file(rec.ground_truth, rec.dims))
-            atomic_write_text(staging / "pred" / f"{rec.image_id}.txt",
-                              format_label_file(rec.predictions, rec.dims))
+        with ThreadPoolExecutor(1) as pool:  # left only once the worker is done
+            preds = pool.submit(_write_labels, staging / "pred", dataset, "predictions")
+            _write_labels(staging / "gt", dataset, "ground_truth")
+        preds.result()
         if truth is not None:
-            atomic_write_text(staging / "truth.json", truth.to_json())
+            _create(staging / "truth.json", truth.to_json())
         if out.exists():
             out.rename(old)
         staging.rename(out)

@@ -531,9 +531,8 @@ class TestCli:
         cohort = tmp_path / "cohort"
         main(["synth", "--images", "4", "--seed", "1", "--out", str(cohort)])
         capsys.readouterr()
-        try:  # a note beside dims.json, and an image without boxes
-            for name in (b"notes-\xff", b"gt/\xff.txt", b"pred/\xff.txt"):
-                Path(os.fsdecode(os.fsencode(cohort) + b"/" + name)).write_bytes(b"")
+        try:  # a note beside dims.json
+            Path(os.fsdecode(os.fsencode(cohort) + b"/notes-\xff")).write_bytes(b"")
         except OSError:
             pytest.skip("the file system refuses a name that is not UTF-8")
         out = tmp_path / "report.json"
@@ -542,6 +541,21 @@ class TestCli:
             digest = json.loads(out.read_text())["inputs"]["cohort"]["sha256"]
             assert digest == _rglob_sha256_path(cohort)
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("folder", ["gt", "pred"])
+    def test_label_file_name_not_utf8_exits_2_naming_it(self, tmp_path, monkeypatch,
+                                                        folder):
+        cohort = tmp_path / "cohort"
+        main(["synth", "--images", "4", "--seed", "1", "--out", str(cohort)])
+        try:  # an image without boxes, whose id no strict output can print
+            Path(os.fsdecode(os.fsencode(cohort / folder) + b"/\xff.txt")).write_bytes(b"")
+        except OSError:
+            pytest.skip("the file system refuses a name that is not UTF-8")
+        monkeypatch.setenv("PYTHONIOENCODING", "utf-8:strict")
+        result = _run_koheval("screen", cohort)
+        assert result.returncode == 2
+        assert result.stderr == \
+            f"error: {cohort / folder}/\\xff.txt: file name is not UTF-8\n"
 
     @pytest.mark.parametrize("path, value", [
         ("images.0.width", True),
@@ -907,8 +921,11 @@ _COCO = ('{"images": [{"id": 1, "file_name": "a.png", "width": 64, "height": 64}
      "COCO document: not valid JSON: NaN is not a finite number"),
     ("validate-manifest", "[Infinity]",
      "manifest: not valid JSON: Infinity is not a finite number"),
+    # The decoder's message is kept, its digit run cut.
+    ("validate-manifest", '{"a": [[1e99999999999999999999]]}',
+     "manifest: not valid JSON: 1e99999999... is not a finite number"),
 ], ids=["coco-bbox", "coco-width", "coco-1e400", "coco-nested-list",
-        "top-level-list"])
+        "top-level-list", "nested-long-exponent"])
 def test_non_finite_number_names_the_field_holding_it(tmp_path, capsys, command,
                                                       text, message):
     document, preds = tmp_path / "doc.json", tmp_path / "pred"

@@ -432,6 +432,22 @@ class TestCohortFiles:
         assert read_cohort(out) == dataset
         assert read_truth(out) == truth
 
+    def test_cohort_files_pinned(self, tmp_path):
+        dataset, truth = generate(SynthSpec(n_images=50, seed=4))
+        out = write_cohort(dataset, tmp_path / "cohort", truth=truth)
+        assert InputTree(out).sha256() == \
+            "59a499347b58336f90fb345ff0a989521506508fdb3f522529dee467301fb78c"
+
+    @pytest.mark.parametrize("image_id", ["../../escaped", "sub/x", ".", "..",
+                                          "nul\0byte"])
+    def test_image_id_must_be_a_plain_file_name(self, tmp_path, image_id):
+        from koheval.dataset import Dataset
+        dataset = Dataset([ImageRecord("plain", ImageDims(100, 100)),
+                           ImageRecord(image_id, ImageDims(100, 100))])
+        with pytest.raises(SchemaError, match="image id .* is not a plain file name"):
+            write_cohort(dataset, tmp_path / "deep" / "cohort")
+        assert list(tmp_path.iterdir()) == []
+
     def test_dims_must_be_uniform(self, tmp_path):
         from koheval.dataset import Dataset, ImageRecord
         mixed = Dataset([
@@ -458,6 +474,9 @@ class TestCohortFiles:
         assert (out.stat().st_mode & 0o777) == 0o777 & ~umask
         assert ((out / "gt").stat().st_mode & 0o777) == 0o777 & ~umask
         assert ((out / "dims.json").stat().st_mode & 0o777) == 0o600
+        labels = [*(out / "gt").iterdir(), *(out / "pred").iterdir()]
+        assert len(labels) == 4
+        assert all((p.stat().st_mode & 0o777) == 0o600 for p in labels)
 
     @pytest.mark.parametrize("layout", ["file", "cohort with notes",
                                         "cohort holding the working directory"])
@@ -477,7 +496,7 @@ class TestCohortFiles:
         assert InputTree(out).sha256() == before
         assert [p.name for p in tmp_path.iterdir()] == ["cohort"]
 
-    @pytest.mark.parametrize("step", ["write", "swap"])
+    @pytest.mark.parametrize("step", ["write", "pred write", "swap"])
     def test_failed_write_keeps_the_old_cohort(self, tmp_path, monkeypatch, step):
         out = tmp_path / "cohort"
         write_cohort(generate(SynthSpec(n_images=4, seed=1))[0], out)
@@ -487,6 +506,11 @@ class TestCohortFiles:
             raise OSError("disk full")
         if step == "write":
             monkeypatch.setattr(koheval.synth, "format_label_file", fail)
+        elif step == "pred write":
+            # Only the second thread, which writes pred/, fails.
+            monkeypatch.setattr(koheval.synth, "format_label_file", lambda boxes, dims:
+                                fail() if boxes and boxes[0].confidence is not None
+                                else format_label_file(boxes, dims))
         else:
             rename = Path.rename
             monkeypatch.setattr(Path, "rename", lambda src, dst: fail()
