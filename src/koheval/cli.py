@@ -24,6 +24,7 @@ from .dataset import (
     read_cohort,
     read_cohort_dims,
     read_text,
+    shown_path,
     split_table,
     stratified_split,
 )
@@ -35,7 +36,7 @@ from .manifest import (
     validate_manifest,
     verdict_table,
 )
-from .metrics import OperatingPoint, _pr_curves, evaluate_detections
+from .metrics import OperatingPoint, evaluate_detections
 from .report import build_report, parse_report, pr_curve_svg, render
 from .screening import screen_dataset
 from .synth import (
@@ -132,7 +133,7 @@ def cmd_split(args) -> int:
     out = Path(args.out) if args.out else _output_dir() / "split.json"
     atomic_write_text(out, assignment.to_json())
     sys.stdout.write(split_table(dataset, assignment))
-    sys.stdout.write(f"written: {out}\n")
+    sys.stdout.write(f"written: {shown_path(out)}\n")
     return 0
 
 
@@ -144,13 +145,8 @@ def cmd_evaluate(args) -> int:
     _write_report(build_report(op=op, interpolation=args.interp,
                                object_metrics=metrics, inputs=inputs), args)
     if args.curves:
-        scenes = [(r.ground_truth, r.predictions)
-                  for r in sorted(dataset.records, key=lambda r: r.image_id)]
-        present = {b.class_id for gts, _ in scenes for b in gts}
-        class_ids = [c for c in range(len(CLASS_NAMES)) if c in present]
-        curves = _pr_curves(scenes, class_ids, op.iou_threshold)
         atomic_write_text(args.curves, pr_curve_svg(
-            {CLASS_NAMES[c]: curve for c, curve in curves.items()}))
+            {CLASS_NAMES[c]: curve for c, curve in metrics.curves.items()}))
     return 0
 
 
@@ -184,8 +180,8 @@ def cmd_synth(args) -> int:
     write_cohort(dataset, out, truth=truth)
     tp, fp, fn = truth.expected_counts()
     sys.stdout.write(
-        f"written: {out} ({len(dataset)} images; planted over all classes: "
-        f"tp={tp} fp={fp} fn={fn})\n"
+        f"written: {shown_path(out)} ({len(dataset)} images; planted over all "
+        f"classes: tp={tp} fp={fp} fn={fn})\n"
     )
     return 0
 

@@ -372,11 +372,36 @@ def _name_non_finite(pairs: list) -> dict:
     return dict(pairs)
 
 
+# A surrogate escape or code point: only text holding one can decode to a
+# string that is not Unicode text, so only such text is searched.
+_SURROGATE = re.compile(r"\\u[dD][89a-fA-F]|[\ud800-\udfff]")
+
+
+def _lone_surrogate(doc) -> str | None:
+    # The first key or string in ``doc`` holding a lone surrogate, which no
+    # strict UTF-8 output can print; walked with a stack, not recursion, as
+    # ``doc`` may nest as deep as the decoder allows.
+    stack = [doc]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            stack += [*item, *item.values()]
+        elif isinstance(item, list):
+            stack += item
+        elif isinstance(item, str):
+            try:
+                item.encode()
+            except UnicodeEncodeError:
+                return item
+    return None
+
+
 def load_json(text: str | bytes, what: str) -> dict:
     """Decode a JSON document whose top level must be an object. Malformed
-    text, NaN and infinite numbers, and nesting deeper than the decoder's
-    recursion limit raise SchemaError naming ``what``; a NaN or infinite
-    number held by a key, directly or in a list, is named by that key."""
+    text, NaN and infinite numbers, nesting deeper than the decoder's
+    recursion limit, and a key or string holding a lone surrogate (as the
+    escape ``\\udcff`` decodes) raise SchemaError naming ``what``; a NaN or
+    infinite number held by a key, directly or in a list, is named by that key."""
     try:
         doc = json.loads(text, parse_constant=_finite, parse_float=_finite)
     except (ValueError, RecursionError) as exc:
@@ -391,6 +416,10 @@ def load_json(text: str | bytes, what: str) -> dict:
         raise SchemaError(f"{what}: not valid JSON: {cut_digits(str(exc))}") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{what}: top level must be an object")
+    if isinstance(text, bytes) or _SURROGATE.search(text):
+        if (bad := _lone_surrogate(doc)) is not None:
+            raise SchemaError(f"{what}: {bad[:40]!r}{'...' * (len(bad) > 40)} "
+                              "is not valid Unicode text")
     return doc
 
 
@@ -441,6 +470,13 @@ def sha256_file(path: Path | str) -> str:
     return digest.hexdigest()
 
 
+def shown_path(path: Path | str) -> str:
+    """``path`` as text that strict UTF-8 output can print: bytes of its
+    name that are not UTF-8 become ``\\xNN`` escapes, and a UTF-8 name is
+    itself."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
+
+
 class InputTree:
     """The files under an input path, walked once with ``os.scandir`` in
     the order of ``sorted(path.rglob("*"))``: each directory's entries in
@@ -489,8 +525,8 @@ class InputTree:
             try:
                 image_id.encode()
             except UnicodeEncodeError:
-                shown = os.fsencode(file).decode("utf-8", "backslashreplace")
-                raise SchemaError(f"{shown}: file name is not UTF-8") from None
+                raise SchemaError(f"{shown_path(file)}: file name is not UTF-8") \
+                    from None
             if file not in self.files:  # a FIFO, say: never opened, as it would block
                 raise SchemaError(f"{file}: not a regular file")
         return labels

@@ -253,16 +253,11 @@ def _sweep(pool: _ClassPool, hits: np.ndarray) -> tuple[np.ndarray, ...]:
     return confidences[last], (tp / swept)[:, last], (tp / pool.total_gt)[:, last]
 
 
-def _pr_curves(scenes: Sequence[ScenePair], class_ids: Iterable[int],
-               iou_threshold: float) -> dict[int, PRCurve]:
-    # Every class's curve from one matching pass; see pr_curve.
-    OperatingPoint(iou_threshold=iou_threshold)  # rejects one outside (0, 1]
-    curves = {}
-    for c, pool in _pool(scenes, (iou_threshold,), class_ids).items():
-        confidences, precision, recall = _sweep(pool, pool.hits)
-        points = zip(confidences.tolist(), precision[0].tolist(), recall[0].tolist())
-        curves[c] = PRCurve(points=tuple(points), total_gt=pool.total_gt)
-    return curves
+def _curve(pool: _ClassPool, confidences: np.ndarray, precision: np.ndarray,
+           recall: np.ndarray) -> PRCurve:
+    # Row 0 of the sweep of ``pool``, its first IoU threshold, as a curve.
+    points = zip(confidences.tolist(), precision[0].tolist(), recall[0].tolist())
+    return PRCurve(points=tuple(points), total_gt=pool.total_gt)
 
 
 def pr_curve(scenes: Sequence[ScenePair], class_id: int,
@@ -274,7 +269,9 @@ def pr_curve(scenes: Sequence[ScenePair], class_id: int,
     own image. Callers wanting order-independent output should pass
     scenes sorted by image id.
     """
-    return _pr_curves(scenes, (class_id,), iou_threshold)[class_id]
+    OperatingPoint(iou_threshold=iou_threshold)  # rejects one outside (0, 1]
+    pool = _pool(scenes, (iou_threshold,), (class_id,))[class_id]
+    return _curve(pool, *_sweep(pool, pool.hits))
 
 
 def _integrate(recall: np.ndarray, precision: np.ndarray,
@@ -307,10 +304,9 @@ def average_precision(curve: PRCurve, interpolation: str = "101") -> float:
                       np.array([p[1] for p in curve.points]), interpolation)
 
 
-def _ap_pair(pool: _ClassPool, hits: np.ndarray,
+def _ap_pair(precision: np.ndarray, recall: np.ndarray,
              interpolation: str) -> tuple[float, float]:
-    # AP at the first row of ``hits`` and the mean over all its rows.
-    _, precision, recall = _sweep(pool, hits)
+    # AP at the first row of a sweep and the mean over all its rows.
     values = [_integrate(r, p, interpolation) for r, p in zip(recall, precision)]
     return values[0], sum(values) / len(values)
 
@@ -319,7 +315,7 @@ def ap_sweep(scenes: Sequence[ScenePair], class_id: int,
              interpolation: str = "101") -> tuple[float, float]:
     """AP at IoU 0.50 and the mean over thresholds 0.50:0.05:0.95."""
     pool = _pool(scenes, AP_IOU_THRESHOLDS, (class_id,))[class_id]
-    return _ap_pair(pool, pool.hits, interpolation)
+    return _ap_pair(*_sweep(pool, pool.hits)[1:], interpolation)
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +354,8 @@ class MacroMetrics:
 class ObjectMetrics:
     per_class: Mapping[int, ClassMetrics]
     macro: MacroMetrics
+    # The PR curve at the operating IoU of each class with ground truth.
+    curves: Mapping[int, PRCurve] = field(default_factory=dict)
 
     @property
     def fungal(self) -> ClassMetrics:
@@ -384,14 +382,18 @@ def evaluate_detections(records, op: OperatingPoint = OperatingPoint(),
     pools = _pool([(r.ground_truth, r.predictions) for r in ordered],
                   (op.iou_threshold, *AP_IOU_THRESHOLDS), (FUNGAL, ARTEFACT))
     per_class: dict[int, ClassMetrics] = {}
+    curves: dict[int, PRCurve] = {}
     for c, pool in pools.items():
         admitted = op.admits(pool.confidences)
         matched = admitted & pool.hits[0]
         tp = int(matched.sum())
         fp, fn = int(admitted.sum()) - tp, pool.total_gt - tp
         precision, recall, f1 = counts_to_prf(tp, fp, fn)
-        ap50, ap50_95 = (_ap_pair(pool, pool.hits[1:], interpolation)
-                         if pool.total_gt else (None, None))
+        ap50 = ap50_95 = None
+        if pool.total_gt:
+            confidences, precisions, recalls = _sweep(pool, pool.hits)
+            curves[c] = _curve(pool, confidences, precisions, recalls)
+            ap50, ap50_95 = _ap_pair(precisions[1:], recalls[1:], interpolation)
         ious = pool.ious[matched].tolist()  # image then greedy order
         mean_iou = sum(ious) / len(ious) if ious else None
         per_class[c] = ClassMetrics(tp, fp, fn, precision, recall, f1,
@@ -406,4 +408,4 @@ def evaluate_detections(records, op: OperatingPoint = OperatingPoint(),
         ap50_95=_macro([m.ap50_95 for m in per_class.values()]),
         mean_iou=_macro([m.mean_iou for m in per_class.values()]),
     )
-    return ObjectMetrics(per_class=per_class, macro=macro)
+    return ObjectMetrics(per_class=per_class, macro=macro, curves=curves)

@@ -14,7 +14,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Mapping
 
-from .dataset import dump_json, load_json, require
+from .dataset import dump_json, load_json, require, shown_path
 from .errors import SchemaError
 from .geometry import CLASS_NAMES
 from .manifest import TrainManifest
@@ -49,7 +49,7 @@ def build_report(*, op: OperatingPoint, interpolation: str = "101",
     }
     if inputs:
         report["inputs"] = {
-            name: {"path": str(path), "sha256": sha256}
+            name: {"path": shown_path(path), "sha256": sha256}
             for name, (path, sha256) in sorted(inputs.items())
         }
     if object_metrics is not None:

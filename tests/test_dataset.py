@@ -205,6 +205,16 @@ class TestCoco:
     def test_bad_json_text(self):
         with pytest.raises(SchemaError):
             parse_coco_json("{not json")
+        # A lone surrogate, escaped or not, in text or in bytes, is not text;
+        # a paired escape is one character.
+        doc = self.document()
+        doc["images"][0]["file_name"] = "\udcff.png"
+        for text in (json.dumps(doc), json.dumps(doc).encode(),
+                     json.dumps(doc, ensure_ascii=False)):
+            with pytest.raises(SchemaError, match="is not valid Unicode text"):
+                parse_coco_json(text)
+        doc["images"][0]["file_name"] = "\ud83d\ude00.png"
+        assert "\U0001f600" in parse_coco_json(json.dumps(doc)).ids()
 
     @pytest.mark.parametrize("document", ["[]", [], None])
     def test_top_level_must_be_an_object(self, document):

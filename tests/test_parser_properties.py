@@ -42,7 +42,8 @@ from koheval.errors import (
     SchemaError,
 )
 from koheval.geometry import ARTEFACT, FUNGAL, Box, ImageDims
-from koheval.manifest import REFERENCE_PROTOCOL, TrainManifest
+from koheval.manifest import (REFERENCE_PROTOCOL, TrainManifest, validate_manifest,
+                              verdict_table)
 from koheval.metrics import OperatingPoint, evaluate_detections
 from koheval.report import build_report, parse_report, render
 from koheval.screening import screen_dataset
@@ -359,19 +360,26 @@ def test_directory_reader_agrees_with_the_per_file_parsers(tmp_path_factory,
                 == _read_outcome(lambda: _file_by_file(files, dims, parse))
 
 
+# A parsed document prints under strict UTF-8: a JSON escape of a lone
+# surrogate (\udcff) is refused, not handed on to the output.
 @PROPERTY
 @given(documents(COCO))
+@example(json.dumps(_replaced(COCO, ("images", 0, "file_name"), "\udcff.png")))
 def test_coco_parser(text):
-    parses_or_raises_koheval_error(parse_coco_json, text)
+    dataset = parses_or_raises_koheval_error(parse_coco_json, text)
+    if dataset is not None:
+        for record in dataset.records:
+            record.image_id.encode()
 
 
 @PROPERTY
 @given(documents(REPORT))
+@example(json.dumps({**REPORT, "interpolation": "\udcff"}))
 def test_report_parser_and_renderers(text):
     report = parses_or_raises_koheval_error(parse_report, text)
     if report is not None:
         for fmt in ("json", "csv", "table"):
-            render(report, fmt)
+            render(report, fmt).encode()
 
 
 @PROPERTY
@@ -403,11 +411,13 @@ def test_split_file_parser(text):
 @given(documents(MANIFEST))
 @example(json.dumps({**MANIFEST, "initial_lr": 10**400}))
 @example(json.dumps({**MANIFEST, "flip_prob": math.nan}))
+@example(json.dumps({**MANIFEST, "optimizer": "\udcff"}))
 def test_manifest_parser(text):
     manifest = parses_or_raises_koheval_error(TrainManifest.from_json, text)
     if manifest is not None:
         assert not any(isinstance(value, float) and math.isnan(value)
                        for value in vars(manifest).values())
+        verdict_table(validate_manifest(manifest)).encode()
 
 
 def _read_dims_file(text, directory):

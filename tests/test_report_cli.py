@@ -12,11 +12,13 @@ import pytest
 
 import koheval
 import koheval.dataset
+import koheval.metrics
 from koheval.cli import main
 from koheval.dataset import InputTree, dump_json, format_coco_json, read_cohort
 from koheval.errors import SchemaError
+from koheval.geometry import ARTEFACT, FUNGAL
 from koheval.manifest import REFERENCE_PROTOCOL
-from koheval.metrics import OperatingPoint, PRCurve, evaluate_detections
+from koheval.metrics import OperatingPoint, PRCurve, evaluate_detections, pr_curve
 from koheval.report import (
     SCHEMA_VERSION,
     build_report,
@@ -293,7 +295,7 @@ class TestCli:
         assert "(dims too large to convert to a float)" in err
         assert re.search("[0-9]{17}", err) is None
 
-    def test_validate_manifest_exit_codes(self, tmp_path, capsys):
+    def test_validate_manifest_exit_codes(self, tmp_path, capsys, monkeypatch):
         good = tmp_path / "good.json"
         good.write_text(REFERENCE_PROTOCOL.to_json())
         assert main(["validate-manifest", str(good)]) == 0
@@ -330,6 +332,14 @@ class TestCli:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert named in err
 
+        # A lone surrogate, which strict UTF-8 output cannot print, is refused.
+        doc["optimizer"] = "\udcff"
+        broken.write_text(json.dumps(doc))
+        monkeypatch.setenv("PYTHONIOENCODING", "utf-8:strict")
+        result = _run_koheval("validate-manifest", broken)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: manifest: '\\udcff' is not valid Unicode text\n"
+
     def test_missing_input_is_toolkit_error(self, tmp_path, capsys):
         assert main(["evaluate", str(tmp_path / "nowhere")]) == 2
         assert "error:" in capsys.readouterr().err
@@ -339,13 +349,20 @@ class TestCli:
         assert main(["synth", "--plant-counts", "1,1,0"]) == 0
         assert (tmp_path / "outs" / "synth-cohort" / "dims.json").is_file()
 
-    def test_curves_svg_written(self, tmp_path, capsys):
+    def test_curves_svg_written(self, tmp_path, capsys, monkeypatch):
         cohort = tmp_path / "cohort"
         main(["synth", "--plant-counts", "3,1,1", "--out", str(cohort)])
         svg_file = tmp_path / "curves.svg"
+        real_match, calls = koheval.metrics._match, []
+
+        def counted(*args):
+            calls.append(args)
+            return real_match(*args)
+        monkeypatch.setattr(koheval.metrics, "_match", counted)
         assert main(["evaluate", str(cohort),
                      "--curves", str(svg_file)]) == 0
         assert svg_file.read_text().startswith("<svg")
+        assert len(calls) == 1  # the report and the SVG read one matching pass
 
     def test_explicit_prediction_dir_overrides_cohort(self, tmp_path, capsys):
         cohort = tmp_path / "cohort"
@@ -557,6 +574,34 @@ class TestCli:
         assert result.stderr == \
             f"error: {cohort / folder}/\\xff.txt: file name is not UTF-8\n"
 
+    def test_names_that_are_not_utf8_are_shown_escaped(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cohort = os.fsdecode(b"c\xff")
+        try:
+            os.mkdir(cohort)
+        except OSError:
+            pytest.skip("the file system refuses a name that is not UTF-8")
+        os.rmdir(cohort)
+        monkeypatch.setenv("PYTHONIOENCODING", "utf-8:strict")
+        synth = _run_koheval("synth", "--images", "3", "--out", cohort)
+        assert (synth.returncode, synth.stderr) == (0, "")
+        assert synth.stdout.startswith("written: c\\xff (3 images;")
+        split = _run_koheval("split", cohort, "--out", os.fsdecode(b"\xff.json"))
+        assert split.returncode == 0 and "Traceback" not in split.stderr
+        assert split.stdout.endswith("written: \\xff.json\n")
+        evaluate = _run_koheval("evaluate", cohort, "--out", "run.json")
+        assert (evaluate.returncode, evaluate.stderr) == (0, "")
+        assert "  cohort: c\\xff  sha256 " in evaluate.stdout
+        stored = json.loads(Path("run.json").read_text())
+        assert stored["inputs"]["cohort"]["path"] == "c\\xff"
+        report = _run_koheval("report", "run.json")
+        assert (report.returncode, report.stdout) == (0, evaluate.stdout)
+        # The same name stored as a lone surrogate is refused.
+        Path("run.json").write_text(dump_json(stored).replace("c\\\\xff", "c\\udcff"))
+        report = _run_koheval("report", "run.json")
+        assert (report.returncode, report.stdout) == (2, "")
+        assert report.stderr == "error: report: 'c\\udcff' is not valid Unicode text\n"
+
     @pytest.mark.parametrize("path, value", [
         ("images.0.width", True),
         ("images.0.height", False),
@@ -590,9 +635,12 @@ class TestCli:
                      id="bbox-too-large-400-digits"),
         pytest.param("annotations.0.bbox", [10**59, 0, 1],
                      id="three-number-bbox-60-digits"),
+        # An image id that no strict output can print.
+        pytest.param("images.0.file_name", "\udcff.png", id="file-name-lone-surrogate"),
     ], ids=str)
-    def test_bad_coco_document_exits_2_without_traceback(self, tmp_path, mutate,
-                                                         path, value):
+    def test_bad_coco_document_exits_2_without_traceback(self, tmp_path, monkeypatch,
+                                                         mutate, path, value):
+        monkeypatch.setenv("PYTHONIOENCODING", "utf-8:strict")
         document = {
             "images": [{"id": 1, "file_name": "a.png", "width": 64, "height": 64}],
             "annotations": [{"id": 1, "image_id": 1, "category_id": 1,
@@ -787,6 +835,14 @@ def test_evaluate_output_bytes_match_the_pinned_ones(tmp_path, monkeypatch, synt
                  "--curves", "curves.svg"]) == 0
     assert hashlib.sha256(Path("report.json").read_bytes()).hexdigest() == report_sha256
     assert hashlib.sha256(Path("curves.svg").read_bytes()).hexdigest() == svg_sha256
+    # The curves of the report's pass are those pr_curve makes on its own.
+    records = sorted(read_cohort("cohort").records, key=lambda r: r.image_id)
+    scenes = [(r.ground_truth, r.predictions) for r in records]
+    for iou in (0.50, 0.70):
+        curves = evaluate_detections(records, OperatingPoint(iou_threshold=iou)).curves
+        assert list(curves) == [FUNGAL, ARTEFACT]  # both classes have ground truth
+        for class_id, curve in curves.items():
+            assert curve == pr_curve(scenes, class_id, iou)
 
 
 # SHA-256 of the `screen --out` report and the `screen --format csv` stdout,
@@ -860,6 +916,7 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, command, nesting):
     ("operating_point", _MISSING),
     ("interpolation", 101),
     ("interpolation", _MISSING),
+    pytest.param("interpolation", "\udcff", id="interpolation-lone-surrogate"),
     ("tool", _MISSING),
     ("tool", "koheval"),
     ("manifest", []),

@@ -649,6 +649,7 @@ class TestPooledApOracle:
             assert got.mean_iou == (sum(matched) / len(matched) if matched else None)
             if not any(g.class_id == class_id for r in records for g in r.ground_truth):
                 assert got.ap50 is None and got.ap50_95 is None
+                assert class_id not in metrics.curves
                 with pytest.raises(UndefinedMetricError):
                     ap_sweep(scenes, class_id, interpolation)
                 with pytest.raises(UndefinedMetricError):
@@ -656,6 +657,9 @@ class TestPooledApOracle:
                 continue
             assert pr_curve(scenes, class_id, 0.50) == \
                 _oracle_curve(records, class_id, 0.50)
+            # The curve evaluate_detections keeps is its operating IoU's.
+            assert metrics.curves[class_id] == pr_curve(scenes, class_id, 0.30) == \
+                _oracle_curve(records, class_id, 0.30)
             want50, want50_95 = _oracle_ap(records, class_id, interpolation)
             for ap50, ap50_95 in (ap_sweep(scenes, class_id, interpolation),
                                   (got.ap50, got.ap50_95)):
