@@ -140,7 +140,7 @@ def cmd_split(args) -> int:
 def cmd_evaluate(args) -> int:
     dataset, inputs = _load_inputs(args)
     op = OperatingPoint(conf_threshold=args.conf, iou_threshold=args.iou)
-    metrics = evaluate_detections(dataset.records, op=op,
+    metrics = evaluate_detections(dataset, op=op,
                                   interpolation=args.interp)
     _write_report(build_report(op=op, interpolation=args.interp,
                                object_metrics=metrics, inputs=inputs), args)
@@ -153,7 +153,7 @@ def cmd_evaluate(args) -> int:
 def cmd_screen(args) -> int:
     dataset, inputs = _load_inputs(args)
     op = OperatingPoint(conf_threshold=args.conf)
-    screening = screen_dataset(dataset.records, op=op)
+    screening = screen_dataset(dataset, op=op)
     _write_report(build_report(op=op, screening=screening, inputs=inputs), args)
     if args.fail_on_fn and screening.matrix.fn > 0:
         sys.stderr.write(

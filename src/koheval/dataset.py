@@ -4,10 +4,18 @@ stratified train/val/test split.
 Two interchange formats are supported: a line-oriented normalized format
 (``class cx cy w h`` for ground truth, plus a trailing confidence for
 predictions) and a COCO-style JSON document for ground truth with image
-dimensions attached. A directory of label files is read as one batch:
-files in the spelling :func:`format_label_file` writes are checked and
-converted together, and every other file goes through the per-file
-parsers. A Dataset is treated as immutable after construction.
+dimensions attached.
+
+The flow is files -> tables -> kernels. A directory of label files is
+read as one batch into float64 :class:`BoxTables`: files in the spelling
+:func:`format_label_file` writes are checked and converted together, and
+every other file goes through the per-file parsers, whose boxes
+:func:`~koheval.geometry.box_rows` turns into rows. A :class:`Dataset`
+holds each image's id and frame and the tables; the matcher, screening
+and the split read the tables, and ``Dataset.records``, the per-image
+:class:`ImageRecord` view, is built only when a caller asks for it.
+Callers holding records reach the same tables through :func:`box_tables`.
+A Dataset is treated as immutable after construction.
 """
 
 from __future__ import annotations
@@ -21,10 +29,11 @@ import tempfile
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from functools import cached_property
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,8 +47,8 @@ from .errors import (
     ReferentialError,
     SchemaError,
 )
-from .geometry import (ARTEFACT, CLASS_NAMES, FUNGAL, Box, ImageDims, clip_to_frame,
-                       cut_digits)
+from .geometry import (ARTEFACT, CLASS_NAMES, FUNGAL, Box, ImageDims, box_rows,
+                       clip_to_frame, cut_digits)
 
 CONTAINMENT_TOL = 1e-6
 
@@ -91,27 +100,125 @@ class ImageRecord:
         return (FUNGAL in classes, ARTEFACT in classes)
 
 
-@dataclass
+class BoxTables(NamedTuple):
+    """The boxes of a run of images, image after image, as float64 tables:
+    ground truth ``[G, 5]`` rows (x0, y0, x1, y1, class) and predictions
+    ``[P, 6]`` rows (the same and a confidence), with each image's number
+    of rows in ``gt_counts`` and ``pred_counts``."""
+
+    gt: np.ndarray
+    gt_counts: np.ndarray
+    pred: np.ndarray
+    pred_counts: np.ndarray
+
+
+def _counts(lists: list[Sequence[Box]]) -> np.ndarray:
+    return np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+
+
+def box_tables(scenes: Iterable[tuple[Sequence[Box], Sequence[Box]]]) -> BoxTables:
+    """The tables of (ground truth, predictions) box lists, a pair per image,
+    each read once: how callers holding Box objects reach the kernels."""
+    pairs = list(scenes)
+    gts, preds = [g for g, _ in pairs], [p for _, p in pairs]
+    return BoxTables(box_rows(chain.from_iterable(gts), False), _counts(gts),
+                     box_rows(chain.from_iterable(preds), True), _counts(preds))
+
+
+def _boxes(table: np.ndarray) -> list[Box]:
+    # The Box of each row; a table of five columns is ground truth.
+    x0, y0, x1, y1, class_id, *confidence = table.T
+    return list(map(Box, x0.tolist(), y0.tolist(), x1.tolist(), y1.tolist(),
+                    class_id.astype(int).tolist(), *(c.tolist() for c in confidence)))
+
+
+def image_max(values: np.ndarray, counts: np.ndarray, empty) -> np.ndarray:
+    """The largest of each image's run of ``values``, ``counts[i]`` of them
+    for image i; ``empty`` for an image with none."""
+    top = np.maximum.reduceat(np.append(values, empty), np.cumsum(counts) - counts)
+    return np.where(counts > 0, top, empty)
+
+
+def _check_unique(ids: list[str]) -> None:
+    # ``ids`` is in id order, so a repeated id follows itself.
+    for image_id, following in zip(ids, ids[1:]):
+        if image_id == following:
+            raise SchemaError(f"duplicate image_id {image_id!r}")
+
+
 class Dataset:
-    """An immutable collection of image records."""
+    """A cohort, immutable after construction: its images' ids and frames,
+    in id order, and their boxes as :class:`BoxTables` in the same order.
 
-    records: list[ImageRecord]
+    ``Dataset(records)`` keeps the records it is given, in their order, and
+    derives the tables on first use. A dataset read from files keeps the
+    tables and builds ``records``, the per-image view, on first use.
+    """
 
-    def __post_init__(self):
-        seen: set[str] = set()
-        for rec in self.records:
-            if rec.image_id in seen:
-                raise SchemaError(f"duplicate image_id {rec.image_id!r}")
-            seen.add(rec.image_id)
+    def __init__(self, records: Sequence[ImageRecord]):
+        self.records = records
+        ordered = sorted(records, key=attrgetter("image_id"))
+        self._ids, self.dims = [r.image_id for r in ordered], [r.dims for r in ordered]
+        _check_unique(self._ids)
+
+    @classmethod
+    def _from_tables(cls, ids: list[str], dims: list[ImageDims],
+                     tables: BoxTables) -> Dataset:
+        # The images ``ids``, in id order, in frames ``dims``, with ``tables``.
+        dataset = cls.__new__(cls)
+        dataset._ids, dataset.dims, dataset.tables = ids, dims, tables
+        _check_unique(ids)
+        return dataset
+
+    @cached_property
+    def tables(self) -> BoxTables:
+        return cohort_tables(self.records)[1]
+
+    @cached_property
+    def records(self) -> list[ImageRecord]:
+        gt, pred = _boxes(self.tables.gt), _boxes(self.tables.pred)
+        gt_at, pred_at = (np.cumsum(counts).tolist() for counts
+                          in (self.tables.gt_counts, self.tables.pred_counts))
+        return [ImageRecord(image_id, dims, gt[g0:g1], pred[p0:p1])
+                for image_id, dims, g0, g1, p0, p1 in zip(
+                    self._ids, self.dims, [0, *gt_at], gt_at, [0, *pred_at], pred_at)]
+
+    @cached_property
+    def strata(self) -> dict[tuple[bool, bool], list[str]]:
+        """Image ids by ground-truth composition ``(has_fungal,
+        has_artefact)``, in ``STRATA`` order, each list in id order."""
+        classes, counts = self.tables.gt[:, 4], self.tables.gt_counts
+        present = zip(image_max(classes == FUNGAL, counts, False).tolist(),
+                      image_max(classes == ARTEFACT, counts, False).tolist())
+        by_stratum: dict[tuple[bool, bool], list[str]] = {s: [] for s in STRATA}
+        for image_id, stratum in zip(self._ids, present):
+            by_stratum[stratum].append(image_id)
+        return by_stratum
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self.records == other.records
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[ImageRecord]:
         return iter(self.records)
 
     def ids(self) -> list[str]:
-        return [rec.image_id for rec in self.records]
+        return list(self._ids)
+
+
+def cohort_tables(records) -> tuple[list[str], BoxTables]:
+    """Image ids in id order and the tables of those images, from a
+    :class:`Dataset` or any sequence of :class:`ImageRecord`, whose
+    predictions are then read once each."""
+    if isinstance(records, Dataset):
+        return records._ids, records.tables
+    ordered = sorted(records, key=attrgetter("image_id"))
+    return ([rec.image_id for rec in ordered],
+            box_tables((rec.ground_truth, rec.predictions) for rec in ordered))
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +374,10 @@ def parse_coco_json(document: str | bytes | dict) -> Dataset:
     if clipped:
         warnings.warn(f"{clipped} box(es) clipped to the frame", stacklevel=2)
 
-    return Dataset([ImageRecord(stem, dims, boxes_of[img_id])
-                    for img_id, (stem, dims) in frames.items()])
+    by_stem = sorted(frames, key=lambda img_id: frames[img_id][0])
+    return Dataset._from_tables([frames[i][0] for i in by_stem],
+                                [frames[i][1] for i in by_stem],
+                                box_tables((boxes_of[i], ()) for i in by_stem))
 
 
 def format_coco_json(dataset: Dataset) -> str:
@@ -336,7 +445,7 @@ def _decode(data: bytes, path: Path | str, error: type[KohevalError]) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte "
+        raise error(f"{shown_path(path)}: not UTF-8 text ({exc.reason} at byte "
                     f"{exc.start})") from None
 
 
@@ -512,15 +621,15 @@ class InputTree:
 
     def label_files(self, directory: Path) -> dict[str, str]:
         """Image id (the name's ``Path.stem``) -> path of each ``.txt``
-        file directly in ``directory``, in name order. A ``.txt`` entry whose
+        file directly in ``directory``, in id order. A ``.txt`` entry whose
         name is not UTF-8 (an id that output encoding strictly cannot
         print), or that is not a regular file or a link to one, raises
         SchemaError."""
         if directory != self.path and directory.is_symlink():
             # The walk does not enter it, but its labels are still read.
             return InputTree(directory).label_files(directory)
-        labels = {name[:-4] or name: file for name, file in
-                  self._labels.get(directory.relative_to(self.path).parts, ())}
+        entries = self._labels.get(directory.relative_to(self.path).parts, ())
+        labels = dict(sorted((name[:-4] or name, file) for name, file in entries))
         for image_id, file in labels.items():
             try:
                 image_id.encode()
@@ -528,7 +637,7 @@ class InputTree:
                 raise SchemaError(f"{shown_path(file)}: file name is not UTF-8") \
                     from None
             if file not in self.files:  # a FIFO, say: never opened, as it would block
-                raise SchemaError(f"{file}: not a regular file")
+                raise SchemaError(f"{shown_path(file)}: not a regular file")
         return labels
 
     def sha256(self) -> str:
@@ -538,8 +647,13 @@ class InputTree:
                  for file, parts in self.files.items()]
         if len(pairs) == 1 and not pairs[0][0]:  # the tree of one file
             return pairs[0][1]
-        joined = "".join(f"{'/'.join(parts)}\0{digest}\0" for parts, digest in pairs)
-        return hashlib.sha256(os.fsencode(joined)).hexdigest()
+        digest = hashlib.sha256()
+        # A piece at a time, so that no string holds a large tree's whole listing.
+        for start in range(0, len(pairs), 1024):
+            piece = "".join(f"{'/'.join(parts)}\0{file_digest}\0"
+                            for parts, file_digest in pairs[start:start + 1024])
+            digest.update(os.fsencode(piece))
+        return digest.hexdigest()
 
 
 # A line in the spelling format_label_file writes: ASCII, a class digit and
@@ -550,11 +664,12 @@ _CANONICAL_LINE = {with_confidence: re.compile(
     for with_confidence in (False, True)}
 
 
-def _canonical_boxes(datas: list, dims: Sequence[ImageDims],
-                     with_confidence: bool) -> list[list[Box] | None]:
-    """The boxes of each file in ``datas`` (bytes, or the OSError reading
-    it raised) that is in canonical spelling and whose boxes lie in its
-    ``dims`` frame, converted together; None for every other file.
+def _canonical_boxes(datas: list, dims: Sequence[ImageDims], with_confidence: bool
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table rows of every file in ``datas`` (bytes, or the OSError
+    reading it raised) that is in canonical spelling and whose boxes lie in
+    its ``dims`` frame, converted together, file after file; each file's
+    number of rows; and which files those are. Every other file has none.
 
     The arithmetic and checks are those of :func:`_parse_lines` on each
     box, so an accepted file gets the boxes its per-file parse would, and
@@ -580,28 +695,25 @@ def _canonical_boxes(datas: list, dims: Sequence[ImageDims],
     rejected = np.zeros(len(canon), dtype=bool)
     rejected[np.searchsorted(np.cumsum(counts), np.flatnonzero(~good),
                              side="right")] = True
-    keep = np.repeat(~rejected, counts)
-    boxes = list(map(Box, *(c[keep].tolist() for c in (x0, y0, x1, y1)),
-                     class_id[keep].astype(int).tolist(),
-                     rows[keep, 5].tolist() if with_confidence else repeat(None)))
-    out: list[list[Box] | None] = [None] * len(datas)
-    start = 0
-    for i, n, skip in zip(canon, counts.tolist(), rejected.tolist()):
-        if not skip:
-            out[i], start = boxes[start:start + n], start + n
-    return out
+    accepted = np.zeros(len(datas), dtype=bool)
+    accepted[canon] = ~rejected
+    file_counts = np.zeros(len(datas), dtype=np.intp)
+    file_counts[canon] = np.where(rejected, 0, counts)
+    table = np.column_stack((x0, y0, x1, y1, class_id, *rows.T[5:]))
+    return table[np.repeat(~rejected, counts)], file_counts, accepted
 
 
 def _read_label_files(files: Sequence[str], dims: Sequence[ImageDims],
-                      with_confidence: bool,
-                      digests: dict[str, str]) -> list[list[Box]]:
-    """The boxes of each label file, ``files[i]`` in the frame ``dims[i]``.
+                      with_confidence: bool, digests: dict[str, str]
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The table rows of the label files, ``files[i]`` in the frame
+    ``dims[i]``, file after file, and each file's number of rows.
 
     Each file is read once. Files in canonical spelling are converted
     together by :func:`_canonical_boxes`; every other one goes through
-    :func:`parse_gt_file` or :func:`parse_pred_file`, in order. So the
-    first file that fails to read, decode or parse raises, with the error
-    and warnings a file-by-file read gives.
+    :func:`parse_gt_file` or :func:`parse_pred_file`, in order, and
+    :func:`box_rows`. So the first file that fails to read, decode or
+    parse raises, with the error and warnings a file-by-file read gives.
     """
     datas: list = []
     for file in files:
@@ -609,19 +721,24 @@ def _read_label_files(files: Sequence[str], dims: Sequence[ImageDims],
             datas.append(_read_bytes(file, digests, regular=True))
         except OSError as exc:
             datas.append(exc)
-    boxes = _canonical_boxes(datas, dims, with_confidence)
+    table, counts, accepted = _canonical_boxes(datas, dims, with_confidence)
     parse = parse_pred_file if with_confidence else parse_gt_file
-    for i, (file, data) in enumerate(zip(files, datas)):
-        if boxes[i] is None:
-            if isinstance(data, OSError):
-                raise data
-            text = _decode(data, file, ParseError)
-            try:
-                boxes[i] = parse(text, dims[i])
-            except ParseError as exc:
-                exc.args = (f"{file}: {exc}",)  # keeps its type and .line
-                raise
-    return boxes
+    ends = np.cumsum(counts)  # a file the batch rejected adds no row
+    pieces, start = [], 0
+    for i in np.flatnonzero(~accepted).tolist():
+        if isinstance(datas[i], OSError):
+            raise datas[i]
+        text = _decode(datas[i], files[i], ParseError)
+        try:
+            rows = box_rows(parse(text, dims[i]), with_confidence)
+        except ParseError as exc:
+            exc.args = (f"{shown_path(files[i])}: {exc}",)  # keeps its type and .line
+            raise
+        pieces += [table[start:ends[i]], rows]
+        start, counts[i] = ends[i], len(rows)
+    if pieces:
+        table = np.concatenate([*pieces, table[start:]])
+    return table, counts
 
 
 def load_ground_truth(path: Path | str, dims: ImageDims | None = None,
@@ -643,22 +760,22 @@ def load_ground_truth(path: Path | str, dims: ImageDims | None = None,
                 "line-format ground truth needs image dimensions (--dims)"
             )
         files = tree.label_files(path)
-        boxes = _read_label_files(list(files.values()), [dims] * len(files),
-                                  False, tree.digests)
-        records = [ImageRecord(image_id, dims, gt)
-                   for image_id, gt in zip(files, boxes)]
-        if not records:
-            raise SchemaError(f"no .txt annotation files under {path}")
-        return Dataset(records)
+        if not files:
+            raise SchemaError(f"no .txt annotation files under {shown_path(path)}")
+        frames = [dims] * len(files)
+        gt, counts = _read_label_files(list(files.values()), frames, False,
+                                       tree.digests)
+        return Dataset._from_tables(list(files), frames, BoxTables(
+            gt, counts, np.empty((0, 6)), np.zeros(len(files), dtype=np.intp)))
     if path.exists():
-        raise SchemaError(f"ground-truth path {path} is not a regular file or "
-                          "directory")
-    raise SchemaError(f"ground-truth path {path} does not exist")
+        raise SchemaError(f"ground-truth path {shown_path(path)} is not a regular "
+                          "file or directory")
+    raise SchemaError(f"ground-truth path {shown_path(path)} does not exist")
 
 
 def attach_predictions(dataset: Dataset, pred_dir: Path | str,
                        tree: InputTree | None = None) -> Dataset:
-    """Pair per-image prediction files with the dataset's records.
+    """Pair per-image prediction files with the dataset's images.
 
     A missing file means an empty prediction list; a file whose id is not
     in the dataset is a referential error. Files are read through ``tree``
@@ -666,24 +783,25 @@ def attach_predictions(dataset: Dataset, pred_dir: Path | str,
     """
     pred_dir = Path(pred_dir)
     if not pred_dir.is_dir():
-        raise SchemaError(f"prediction path {pred_dir} is not a directory"
+        raise SchemaError(f"prediction path {shown_path(pred_dir)} is not a directory"
                           if pred_dir.exists() else
-                          f"prediction directory {pred_dir} does not exist")
+                          f"prediction directory {shown_path(pred_dir)} does not exist")
     tree = tree or InputTree(pred_dir)
     files = tree.label_files(pred_dir)
-    known = set(dataset.ids())
+    ids = dataset.ids()
+    known = set(ids)
     for image_id, file in files.items():
         if image_id not in known:
-            raise ReferentialError(
-                f"prediction file {os.path.basename(file)} has no matching image"
-            )
-    paired = [rec for rec in dataset.records if rec.image_id in files]
-    preds = dict(zip((rec.image_id for rec in paired), _read_label_files(
-        [files[rec.image_id] for rec in paired], [rec.dims for rec in paired],
-        True, tree.digests)))
-    return Dataset([ImageRecord(rec.image_id, rec.dims, list(rec.ground_truth),
-                                preds.get(rec.image_id, []))
-                    for rec in dataset.records])
+            raise ReferentialError(f"prediction file {os.path.basename(file)} has "
+                                   "no matching image")
+    paired = [i for i, image_id in enumerate(ids) if image_id in files]
+    pred, counts = _read_label_files([files[ids[i]] for i in paired],
+                                     [dataset.dims[i] for i in paired], True,
+                                     tree.digests)
+    pred_counts = np.zeros(len(ids), dtype=np.intp)
+    pred_counts[paired] = counts
+    return Dataset._from_tables(ids, dataset.dims, dataset.tables._replace(
+        pred=pred, pred_counts=pred_counts))
 
 
 def is_cohort_dir(path: Path) -> bool:
@@ -695,14 +813,15 @@ def read_cohort_dims(path: Path | str,
                      digests: dict[str, str] | None = None) -> ImageDims:
     """The frame size a cohort directory's dims.json records."""
     dims_file = Path(path) / "dims.json"
+    shown = shown_path(dims_file)
     if not dims_file.is_file():
-        raise SchemaError(f"{path}: not a cohort directory (no dims.json)")
-    doc = load_json(read_text(dims_file, digests), str(dims_file))
-    sides = [require(doc, side, int, str(dims_file)) for side in ("width", "height")]
+        raise SchemaError(f"{shown_path(path)}: not a cohort directory (no dims.json)")
+    doc = load_json(read_text(dims_file, digests), shown)
+    sides = [require(doc, side, int, shown) for side in ("width", "height")]
     try:
         return ImageDims(*sides)
     except SchemaError as exc:
-        raise SchemaError(f"{dims_file}: {exc}") from None
+        raise SchemaError(f"{shown}: {exc}") from None
 
 
 def read_cohort(path: Path | str, tree: InputTree | None = None) -> Dataset:
@@ -769,20 +888,17 @@ def largest_remainder_sizes(n: int, fractions: Sequence[float]) -> list[int]:
     return sizes
 
 
-def _strata(dataset: Dataset) -> dict[tuple[bool, bool], list[str]]:
-    """Image ids by :meth:`ImageRecord.composition_stratum`, in ``STRATA``
-    order, each list in id order."""
-    by_stratum: dict[tuple[bool, bool], list[str]] = {s: [] for s in STRATA}
-    for rec in sorted(dataset.records, key=lambda r: r.image_id):
-        by_stratum[rec.composition_stratum()].append(rec.image_id)
-    return by_stratum
+def _strata(records) -> dict[tuple[bool, bool], list[str]]:
+    # A Dataset keeps its strata, so a split and its table group them once.
+    return (records if isinstance(records, Dataset) else Dataset(records)).strata
 
 
-def stratified_split(dataset: Dataset,
+def stratified_split(dataset: Dataset | Sequence[ImageRecord],
                      fractions: Sequence[float] = (0.8, 0.1, 0.1),
                      seed: int = 0) -> SplitAssignment:
     """Partition image ids into train/val/test, stratified by ground-truth
-    composition ``(has_fungal, has_artefact)``.
+    composition ``(has_fungal, has_artefact)``, of a Dataset or any
+    sequence of records.
 
     Each stratum is shuffled by a seeded PCG64 stream and cut with
     largest-remainder rounding, so the same seed always reproduces the

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from typing import Sequence
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -177,11 +179,13 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
-def _corners(boxes: Sequence[Box] | np.ndarray) -> np.ndarray:
-    if isinstance(boxes, np.ndarray):
-        return boxes
-    return np.array([(b.x_min, b.y_min, b.x_max, b.y_max) for b in boxes],
-                    dtype=float).reshape(-1, 4)
+def box_rows(boxes: Iterable[Box], with_confidence: bool = False) -> np.ndarray:
+    """Boxes as float64 rows (x0, y0, x1, y1, class): ``[n, 5]``, or
+    ``[n, 6]`` with the confidence."""
+    fields = ("x_min", "y_min", "x_max", "y_max", "class_id", "confidence")
+    fields = fields[:6 if with_confidence else 5]
+    return np.fromiter(chain.from_iterable(map(attrgetter(*fields), boxes)),
+                       dtype=float).reshape(-1, len(fields))
 
 
 def iou_matrix(rows: Sequence[Box] | np.ndarray,
@@ -193,7 +197,7 @@ def iou_matrix(rows: Sequence[Box] | np.ndarray,
     ``[N, G, P]``. Uses the same operation order as :func:`iou`, so
     entries are bit-identical to the scalar result.
     """
-    r, c = _corners(rows), _corners(cols)
+    r, c = (b if isinstance(b, np.ndarray) else box_rows(b) for b in (rows, cols))
     rx0, ry0, rx1, ry1 = (r[..., :, None, k] for k in range(4))
     cx0, cy0, cx1, cy1 = (c[..., None, :, k] for k in range(4))
 

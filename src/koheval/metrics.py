@@ -9,23 +9,25 @@ highest IoU when that IoU clears the threshold (ties go to the lower
 ground-truth index); otherwise it is a false positive. Ground truth left
 unmatched is a false negative. Cross-class IoU is never consulted.
 
-The flow is kernel -> pool -> metrics. ``_match`` runs the rule for a
-whole cohort at every IoU threshold in one pass: it packs runs of
-consecutive images into padded blocks of at most ``_BLOCK_CELLS`` cells
-and matches each block at once. ``match_image`` is the same kernel on
-one image; ``_pool`` splits the kernel's arrays by class. Counts, mean
-IoU, PR curves and AP all read the pooled arrays, and ``_integrate`` is
-the one AP integrator.
+The flow is tables -> kernel -> pool -> metrics. The kernel reads a
+cohort's :class:`~koheval.dataset.BoxTables`: a Dataset's own, in id
+order, or those :func:`~koheval.dataset.box_tables` makes of Box lists
+(records, ``match_image``'s one image, ``pr_curve``'s scenes). ``_match``
+runs the rule for every image at every IoU threshold in one pass: it
+packs runs of consecutive images into padded blocks of at most
+``_BLOCK_CELLS`` cells and matches each block at once. ``_pool`` splits
+the kernel's arrays by class. Counts, mean IoU, PR curves and AP all read
+the pooled arrays, and ``_integrate`` is the one AP integrator.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .dataset import BoxTables, box_tables, cohort_tables
 from .errors import SchemaError, UndefinedMetricError
 from .geometry import ARTEFACT, FUNGAL, Box, iou_matrix
 
@@ -116,8 +118,9 @@ def _padded(table: np.ndarray, counts: np.ndarray, fill: tuple) -> np.ndarray:
     return out
 
 
-def _match(scenes: Sequence[ScenePair], thresholds: Sequence[float]) -> _SceneMatch:
-    """The greedy matcher: every image at every IoU threshold, in blocks.
+def _match(tables: BoxTables, thresholds: Sequence[float]) -> _SceneMatch:
+    """The greedy matcher: every image of ``tables`` at every IoU
+    threshold, in blocks.
 
     A block pads ground truth with class -1 and predictions with class -1
     and confidence -inf, so padding sorts after an image's predictions and
@@ -126,14 +129,9 @@ def _match(scenes: Sequence[ScenePair], thresholds: Sequence[float]) -> _SceneMa
     image's greedy order.
     """
     limits = np.asarray(thresholds, dtype=float)
-    counts = np.array([(len(gts), len(preds)) for gts, preds in scenes],
-                      dtype=int).reshape(-1, 2)
+    gt_table, pred_table = tables.gt, tables.pred
+    counts = np.stack((tables.gt_counts, tables.pred_counts), axis=1)
     at = np.vstack(([0, 0], np.cumsum(counts, axis=0)))
-    gt_table = np.array([(b.x_min, b.y_min, b.x_max, b.y_max, b.class_id)
-                         for gts, _ in scenes for b in gts], dtype=float).reshape(-1, 5)
-    pred_table = np.array([(b.x_min, b.y_min, b.x_max, b.y_max, b.class_id,
-                            b.confidence) for _, preds in scenes for b in preds],
-                          dtype=float).reshape(-1, 6)
     parts = []
     for start, stop in _blocks(counts.tolist(), len(limits)):
         n_gt, n_pred = counts[start:stop].T
@@ -179,7 +177,7 @@ def match_image(gts: Sequence[Box], preds: Sequence[Box],
     :mod:`koheval.synth`.
     """
     kept = [i for i, p in enumerate(preds) if op.admits(p.confidence)]
-    scene = _match([(gts, [preds[i] for i in kept])], (op.iou_threshold,))
+    scene = _match(box_tables([(gts, [preds[i] for i in kept])]), (op.iou_threshold,))
     greedy = list(zip([kept[j] for j in scene.index.tolist()],
                       scene.matched.tolist(), scene.ious.tolist()))
     tp_pairs = tuple((g, i, v) for i, g, v in greedy if g >= 0)
@@ -202,13 +200,13 @@ class _ClassPool(NamedTuple):
     ious: np.ndarray  # as _SceneMatch.ious
 
 
-def _pool(scenes: Sequence[ScenePair], thresholds: Sequence[float],
+def _pool(tables: BoxTables, thresholds: Sequence[float],
           class_ids: Iterable[int]) -> dict[int, _ClassPool]:
-    """Match every scene once and pool its arrays by predicted class."""
-    _, classes, confidences, _, hits, ious = _match(scenes, thresholds)
-    totals = Counter(b.class_id for gts, _ in scenes for b in gts)
-    return {c: _ClassPool(c, totals[c], confidences[classes == c],
-                          hits[:, classes == c], ious[classes == c])
+    """Match every image once and pool its arrays by predicted class."""
+    _, classes, confidences, _, hits, ious = _match(tables, thresholds)
+    return {c: _ClassPool(c, int(np.count_nonzero(tables.gt[:, 4] == c)),
+                          confidences[classes == c], hits[:, classes == c],
+                          ious[classes == c])
             for c in class_ids}
 
 
@@ -270,7 +268,7 @@ def pr_curve(scenes: Sequence[ScenePair], class_id: int,
     scenes sorted by image id.
     """
     OperatingPoint(iou_threshold=iou_threshold)  # rejects one outside (0, 1]
-    pool = _pool(scenes, (iou_threshold,), (class_id,))[class_id]
+    pool = _pool(box_tables(scenes), (iou_threshold,), (class_id,))[class_id]
     return _curve(pool, *_sweep(pool, pool.hits))
 
 
@@ -314,7 +312,7 @@ def _ap_pair(precision: np.ndarray, recall: np.ndarray,
 def ap_sweep(scenes: Sequence[ScenePair], class_id: int,
              interpolation: str = "101") -> tuple[float, float]:
     """AP at IoU 0.50 and the mean over thresholds 0.50:0.05:0.95."""
-    pool = _pool(scenes, AP_IOU_THRESHOLDS, (class_id,))[class_id]
+    pool = _pool(box_tables(scenes), AP_IOU_THRESHOLDS, (class_id,))[class_id]
     return _ap_pair(*_sweep(pool, pool.hits)[1:], interpolation)
 
 
@@ -374,13 +372,13 @@ def evaluate_detections(records, op: OperatingPoint = OperatingPoint(),
     """Run matching over a whole dataset and assemble per-class + macro
     object-level metrics.
 
-    ``records`` is a sequence of ImageRecord; pooling order is fixed by
-    sorting on image_id, so record order never changes the result.
+    ``records`` is a Dataset or any sequence of ImageRecord; pooling order
+    is fixed by sorting on image_id, so record order never changes the
+    result.
     """
-    ordered = sorted(records, key=lambda r: r.image_id)
     # Row 0 of the hits is the operating point, rows 1: the AP thresholds.
-    pools = _pool([(r.ground_truth, r.predictions) for r in ordered],
-                  (op.iou_threshold, *AP_IOU_THRESHOLDS), (FUNGAL, ARTEFACT))
+    pools = _pool(cohort_tables(records)[1], (op.iou_threshold, *AP_IOU_THRESHOLDS),
+                  (FUNGAL, ARTEFACT))
     per_class: dict[int, ClassMetrics] = {}
     curves: dict[int, PRCurve] = {}
     for c, pool in pools.items():

@@ -14,6 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .dataset import cohort_tables, image_max
 from .errors import SchemaError, UndefinedMetricError
 from .geometry import FUNGAL
 from .metrics import OperatingPoint, counts_to_prf
@@ -99,19 +100,19 @@ class ScreeningReport:
 def _screen_arrays(records, gt_labels: Mapping[str, bool] | None):
     """Image ids in id order, each image's top fungal confidence (-inf where
     it has none, which no threshold flags) and its reference label: its
-    ``gt_labels`` entry, else whether it has a fungal ground-truth box."""
+    ``gt_labels`` entry, else whether it has a fungal ground-truth box.
+    ``records`` is a Dataset or any sequence of ImageRecord."""
     if not records:
         raise UndefinedMetricError("cannot screen an empty cohort")
-    ids, top, truth = [], [], []
-    labels = gt_labels or {}
-    for record in sorted(records, key=lambda r: r.image_id):
-        ids.append(record.image_id)
-        top.append(max((p.confidence for p in record.predictions
-                        if p.class_id == FUNGAL), default=-np.inf))
-        label = labels.get(record.image_id)
-        truth.append(bool(any(b.class_id == FUNGAL for b in record.ground_truth)
-                          if label is None else label))
-    return ids, np.array(top, dtype=np.float64), np.array(truth, dtype=bool)
+    ids, tables = cohort_tables(records)
+    fungal = tables.pred[:, 4] == FUNGAL
+    top = image_max(np.where(fungal, tables.pred[:, 5], -np.inf),
+                    tables.pred_counts, -np.inf)
+    truth = image_max(tables.gt[:, 4] == FUNGAL, tables.gt_counts, False)
+    if gt_labels:
+        truth = np.array([has if label is None else bool(label) for has, label
+                          in zip(truth.tolist(), map(gt_labels.get, ids))], dtype=bool)
+    return ids, top, truth
 
 
 def _confusions(top: np.ndarray, truth: np.ndarray,

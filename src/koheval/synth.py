@@ -648,7 +648,7 @@ def write_cohort(dataset: Dataset, out_dir: Path | str,
     whole; see ``_replaceable`` for what an existing ``out_dir`` may be.
     Files in the staging directory are plain creates, pred/ on a second thread."""
     out = Path(out_dir).resolve()
-    dims = {rec.dims for rec in dataset}
+    dims = set(dataset.dims)
     if len(dims) != 1:
         raise SchemaError("cohort directories require uniform image dims")
     for name in dataset.ids():

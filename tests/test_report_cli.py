@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -407,10 +408,10 @@ class TestCli:
         original_batch = koheval.dataset._canonical_boxes
 
         def counting_batch(datas, dims, with_confidence):
-            boxes = original_batch(datas, dims, with_confidence)
-            parsed["pred batch" if with_confidence else "gt batch"] += sum(
-                b is not None for b in boxes)
-            return boxes
+            table, counts, accepted = original_batch(datas, dims, with_confidence)
+            parsed["pred batch" if with_confidence else "gt batch"] += int(
+                accepted.sum())
+            return table, counts, accepted
         monkeypatch.setattr(koheval.dataset, "_canonical_boxes", counting_batch)
         capsys.readouterr()
         assert main(["evaluate", str(cohort), str(cohort / "pred"),
@@ -601,6 +602,34 @@ class TestCli:
         report = _run_koheval("report", "run.json")
         assert (report.returncode, report.stdout) == (2, "")
         assert report.stderr == "error: report: 'c\\udcff' is not valid Unicode text\n"
+
+    def test_input_paths_that_are_not_utf8_are_shown_escaped_in_errors(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cohort, missing = os.fsdecode(b"d\xff"), os.fsdecode(b"nope\xff")
+        try:
+            os.mkdir(cohort)
+        except OSError:
+            pytest.skip("the file system refuses a name that is not UTF-8")
+        os.rmdir(cohort)
+        assert main(["synth", "--images", "3", "--out", cohort]) == 0
+        os.symlink("ghost", os.path.join(cohort, "pred", "zz.txt"))  # dangling
+        monkeypatch.setenv("PYTHONIOENCODING", "utf-8:strict")
+        pred = os.path.join(cohort, "pred")
+        for argv, message in (
+                (["evaluate", cohort], "d\\xff/pred/zz.txt: not a regular file"),
+                (["evaluate", cohort, missing],
+                 "prediction directory nope\\xff does not exist"),
+                (["split", missing, "--dims", "64x64"],
+                 "ground-truth path nope\\xff does not exist"),
+                (["split", pred, "--dims", "64x64"],
+                 "no .txt annotation files under d\\xff/pred")):
+            if argv[1] == pred:
+                shutil.rmtree(pred)
+                os.mkdir(pred)
+            result = _run_koheval(*argv)
+            assert (result.returncode, result.stdout) == (2, "")
+            assert result.stderr == f"error: {message}\n"
 
     @pytest.mark.parametrize("path, value", [
         ("images.0.width", True),

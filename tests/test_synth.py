@@ -14,6 +14,7 @@ import koheval.synth
 from koheval.dataset import (
     ImageRecord,
     InputTree,
+    box_tables,
     format_label_file,
     parse_gt_file,
     parse_pred_file,
@@ -690,7 +691,8 @@ class TestMatcherBlocks:
         op = OperatingPoint(conf_threshold=0.05, iou_threshold=0.30)
 
         def pooled():
-            pools = koheval.metrics._pool(scenes, thresholds, (FUNGAL, ARTEFACT))
+            pools = koheval.metrics._pool(box_tables(scenes), thresholds,
+                                          (FUNGAL, ARTEFACT))
             return [(c, p.total_gt, p.confidences.tobytes(), p.hits.tobytes(),
                      p.hits.shape, p.ious.tobytes()) for c, p in pools.items()]
 
