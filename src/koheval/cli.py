@@ -285,6 +285,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (KohevalError, OSError) as exc:
+        if isinstance(exc, OSError) and exc.filename and exc.filename2 is None:
+            exc = f"{shown_path(exc.filename)}: {exc.strerror}"
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

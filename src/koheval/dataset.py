@@ -11,11 +11,12 @@ read as one batch into float64 :class:`BoxTables`: files in the spelling
 :func:`format_label_file` writes are checked and converted together, and
 every other file goes through the per-file parsers, whose boxes
 :func:`~koheval.geometry.box_rows` turns into rows. A :class:`Dataset`
-holds each image's id and frame and the tables; the matcher, screening
-and the split read the tables, and ``Dataset.records``, the per-image
-:class:`ImageRecord` view, is built only when a caller asks for it.
-Callers holding records reach the same tables through :func:`box_tables`.
-A Dataset is treated as immutable after construction.
+holds each image's id and frame and the tables from construction, in id
+order, and the matcher, screening and the split read the tables. Every
+entry point takes plain records through :func:`as_dataset`, so each one
+refuses a repeated image id. ``Dataset.records``, the per-image
+:class:`ImageRecord` view, is built on first use for a dataset read from
+files. Callers holding Box lists reach tables through :func:`box_tables`.
 """
 
 from __future__ import annotations
@@ -150,16 +151,17 @@ class Dataset:
     """A cohort, immutable after construction: its images' ids and frames,
     in id order, and their boxes as :class:`BoxTables` in the same order.
 
-    ``Dataset(records)`` keeps the records it is given, in their order, and
-    derives the tables on first use. A dataset read from files keeps the
-    tables and builds ``records``, the per-image view, on first use.
+    ``Dataset(records)`` keeps the records sorted by id as ``records`` and
+    builds the tables from them, reading each record's boxes once. A
+    dataset read from files builds ``records`` on first use. A repeated
+    image id raises SchemaError.
     """
 
-    def __init__(self, records: Sequence[ImageRecord]):
-        self.records = records
-        ordered = sorted(records, key=attrgetter("image_id"))
+    def __init__(self, records: Iterable[ImageRecord]):
+        self.records = ordered = sorted(records, key=attrgetter("image_id"))
         self._ids, self.dims = [r.image_id for r in ordered], [r.dims for r in ordered]
         _check_unique(self._ids)
+        self.tables = box_tables((r.ground_truth, r.predictions) for r in ordered)
 
     @classmethod
     def _from_tables(cls, ids: list[str], dims: list[ImageDims],
@@ -169,10 +171,6 @@ class Dataset:
         dataset._ids, dataset.dims, dataset.tables = ids, dims, tables
         _check_unique(ids)
         return dataset
-
-    @cached_property
-    def tables(self) -> BoxTables:
-        return cohort_tables(self.records)[1]
 
     @cached_property
     def records(self) -> list[ImageRecord]:
@@ -210,15 +208,10 @@ class Dataset:
         return list(self._ids)
 
 
-def cohort_tables(records) -> tuple[list[str], BoxTables]:
-    """Image ids in id order and the tables of those images, from a
-    :class:`Dataset` or any sequence of :class:`ImageRecord`, whose
-    predictions are then read once each."""
-    if isinstance(records, Dataset):
-        return records._ids, records.tables
-    ordered = sorted(records, key=attrgetter("image_id"))
-    return ([rec.image_id for rec in ordered],
-            box_tables((rec.ground_truth, rec.predictions) for rec in ordered))
+def as_dataset(records: Dataset | Iterable[ImageRecord]) -> Dataset:
+    """``records`` if it is a :class:`Dataset`, else the Dataset of those
+    records: how every entry point takes a Dataset or plain records."""
+    return records if isinstance(records, Dataset) else Dataset(records)
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +382,7 @@ def format_coco_json(dataset: Dataset) -> str:
     images = []
     annotations = []
     ann_id = 1
-    for idx, rec in enumerate(sorted(dataset.records, key=lambda r: r.image_id),
-                              start=1):
+    for idx, rec in enumerate(dataset.records, start=1):
         images.append({
             "id": idx,
             "file_name": f"{rec.image_id}.png",
@@ -558,7 +550,8 @@ def require(doc, key: str, kinds: type | tuple[type, ...], what: str):
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:
-    """Write a file atomically (temp file + rename in the same directory)."""
+    """Write a file atomically (temp file + rename in the same directory);
+    an OSError names ``path``, never the temporary file's random name."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
@@ -566,8 +559,10 @@ def atomic_write_text(path: Path | str, text: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 
@@ -888,11 +883,6 @@ def largest_remainder_sizes(n: int, fractions: Sequence[float]) -> list[int]:
     return sizes
 
 
-def _strata(records) -> dict[tuple[bool, bool], list[str]]:
-    # A Dataset keeps its strata, so a split and its table group them once.
-    return (records if isinstance(records, Dataset) else Dataset(records)).strata
-
-
 def stratified_split(dataset: Dataset | Sequence[ImageRecord],
                      fractions: Sequence[float] = (0.8, 0.1, 0.1),
                      seed: int = 0) -> SplitAssignment:
@@ -915,7 +905,7 @@ def stratified_split(dataset: Dataset | Sequence[ImageRecord],
 
     n_parts = sum(1 for f in fractions if f > 0)
     parts: tuple[list[str], list[str], list[str]] = ([], [], [])
-    for s_index, (stratum, ids) in enumerate(_strata(dataset).items()):
+    for s_index, (stratum, ids) in enumerate(as_dataset(dataset).strata.items()):
         if not ids:
             continue
         if len(ids) < n_parts:
@@ -934,13 +924,14 @@ def stratified_split(dataset: Dataset | Sequence[ImageRecord],
                            tuple(sorted(parts[2])), seed)
 
 
-def split_table(dataset: Dataset, assignment: SplitAssignment) -> str:
+def split_table(dataset: Dataset | Sequence[ImageRecord],
+                assignment: SplitAssignment) -> str:
     """Render per-stratum counts of a split as an aligned text table."""
     parts = ("train", "val", "test")
     part_of = {image_id: part for part in parts
                for image_id in getattr(assignment, part)}
     rows = [("stratum", "total", *parts)]
-    for stratum, ids in _strata(dataset).items():
+    for stratum, ids in as_dataset(dataset).strata.items():
         if ids:
             label = "+".join(name for name, present
                              in zip(CLASS_NAMES, stratum) if present)

@@ -10,9 +10,10 @@ ground-truth index); otherwise it is a false positive. Ground truth left
 unmatched is a false negative. Cross-class IoU is never consulted.
 
 The flow is tables -> kernel -> pool -> metrics. The kernel reads a
-cohort's :class:`~koheval.dataset.BoxTables`: a Dataset's own, in id
-order, or those :func:`~koheval.dataset.box_tables` makes of Box lists
-(records, ``match_image``'s one image, ``pr_curve``'s scenes). ``_match``
+cohort's :class:`~koheval.dataset.BoxTables` in id order: a Dataset's own
+(plain records become one through :func:`~koheval.dataset.as_dataset`),
+or those :func:`~koheval.dataset.box_tables` makes of Box lists
+(``match_image``'s one image, ``pr_curve``'s scenes). ``_match``
 runs the rule for every image at every IoU threshold in one pass: it
 packs runs of consecutive images into padded blocks of at most
 ``_BLOCK_CELLS`` cells and matches each block at once. ``_pool`` splits
@@ -27,7 +28,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import BoxTables, box_tables, cohort_tables
+from .dataset import BoxTables, as_dataset, box_tables
 from .errors import SchemaError, UndefinedMetricError
 from .geometry import ARTEFACT, FUNGAL, Box, iou_matrix
 
@@ -372,12 +373,11 @@ def evaluate_detections(records, op: OperatingPoint = OperatingPoint(),
     """Run matching over a whole dataset and assemble per-class + macro
     object-level metrics.
 
-    ``records`` is a Dataset or any sequence of ImageRecord; pooling order
-    is fixed by sorting on image_id, so record order never changes the
-    result.
+    ``records`` is a Dataset or any sequence of ImageRecord; pooling is in
+    id order, so record order never changes the result.
     """
     # Row 0 of the hits is the operating point, rows 1: the AP thresholds.
-    pools = _pool(cohort_tables(records)[1], (op.iou_threshold, *AP_IOU_THRESHOLDS),
+    pools = _pool(as_dataset(records).tables, (op.iou_threshold, *AP_IOU_THRESHOLDS),
                   (FUNGAL, ARTEFACT))
     per_class: dict[int, ClassMetrics] = {}
     curves: dict[int, PRCurve] = {}

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import cohort_tables, image_max
+from .dataset import as_dataset, image_max
 from .errors import SchemaError, UndefinedMetricError
 from .geometry import FUNGAL
 from .metrics import OperatingPoint, counts_to_prf
@@ -102,9 +102,10 @@ def _screen_arrays(records, gt_labels: Mapping[str, bool] | None):
     it has none, which no threshold flags) and its reference label: its
     ``gt_labels`` entry, else whether it has a fungal ground-truth box.
     ``records`` is a Dataset or any sequence of ImageRecord."""
-    if not records:
+    dataset = as_dataset(records)
+    if not dataset:
         raise UndefinedMetricError("cannot screen an empty cohort")
-    ids, tables = cohort_tables(records)
+    ids, tables = dataset.ids(), dataset.tables
     fungal = tables.pred[:, 4] == FUNGAL
     top = image_max(np.where(fungal, tables.pred[:, 5], -np.inf),
                     tables.pred_counts, -np.inf)

@@ -633,10 +633,10 @@ def _create(path: Path | str, text: str) -> None:
         os.close(fd)
 
 
-def _write_labels(directory: Path, dataset: Dataset, field: str) -> None:
+def _write_labels(directory: Path, records: list[ImageRecord], field: str) -> None:
     # Runs on a second thread, so it calls nothing bench/spans.py traces.
     directory.mkdir()
-    for rec in dataset:
+    for rec in records:
         _create(os.path.join(directory, f"{rec.image_id}.txt"),
                 format_label_file(getattr(rec, field), rec.dims))
 
@@ -664,9 +664,10 @@ def write_cohort(dataset: Dataset, out_dir: Path | str,
     try:
         _create(staging / "dims.json", dump_json(
             {"width": frame.width, "height": frame.height}, indent=None))
+        records = dataset.records  # built once, here, not on both threads
         with ThreadPoolExecutor(1) as pool:  # left only once the worker is done
-            preds = pool.submit(_write_labels, staging / "pred", dataset, "predictions")
-            _write_labels(staging / "gt", dataset, "ground_truth")
+            preds = pool.submit(_write_labels, staging / "pred", records, "predictions")
+            _write_labels(staging / "gt", records, "ground_truth")
         preds.result()
         if truth is not None:
             _create(staging / "truth.json", truth.to_json())

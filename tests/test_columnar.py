@@ -7,10 +7,11 @@ import shutil
 import warnings
 from collections import Counter
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koheval.dataset import ImageRecord, read_cohort, stratified_split
+from koheval.dataset import Dataset, ImageRecord, read_cohort, stratified_split
 from koheval.metrics import OperatingPoint, evaluate_detections
 from koheval.screening import screen_dataset, threshold_sweep
 from koheval.synth import SynthSpec, generate, write_cohort
@@ -87,11 +88,18 @@ def test_dataset_tables_and_its_records_give_the_same_results(tmp_path_factory, 
 
 
 @PROPERTY
-@given(cohort_plans(changes=False))
-def test_a_written_cohort_reads_back_as_generated(tmp_path_factory, plan):
+@given(cohort_plans(changes=False), st.data())
+def test_a_written_cohort_reads_back_as_generated(tmp_path_factory, plan, data):
     # CRLF and tab-separated files take the per-file parsers, LF ones the batch.
     generated, cohort = _write(tmp_path_factory.mktemp("read-back"), plan)
-    assert read_cohort(cohort).records == generated.records
+    ids = sorted(rec.image_id for rec in generated.records)
+    assert [rec.image_id for rec in generated.records] == generated.ids() == ids
+    # The same records in a drawn order make the same Dataset: one order, id order.
+    shuffled = Dataset(data.draw(st.permutations(generated.records)))
+    for dataset in (read_cohort(cohort), shuffled):
+        assert (dataset.ids(), dataset.dims) == (ids, generated.dims)
+        assert all(map(np.array_equal, dataset.tables, generated.tables))
+        assert dataset.records == generated.records
 
 
 class CountedRecord(ImageRecord):

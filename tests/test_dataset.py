@@ -26,6 +26,8 @@ from koheval.errors import (
     SchemaError,
 )
 from koheval.geometry import ARTEFACT, FUNGAL, Box, ImageDims
+from koheval.metrics import evaluate_detections
+from koheval.screening import screen_dataset, threshold_sweep
 from koheval.synth import plant_screening_matrix
 
 DIMS = ImageDims(2048, 2048)
@@ -124,6 +126,15 @@ class TestRecords:
         records = [ImageRecord("a", DIMS), ImageRecord("a", DIMS)]
         with pytest.raises(SchemaError):
             Dataset(records)
+
+    @pytest.mark.parametrize("entry_point", [
+        evaluate_detections, screen_dataset,
+        lambda records: threshold_sweep(records, [0.5]), stratified_split],
+        ids=["evaluate", "screen", "sweep", "split"])
+    def test_every_entry_point_refuses_a_repeated_id(self, entry_point):
+        record = ImageRecord("a", DIMS, [Box(0, 0, 10, 10, FUNGAL)])
+        with pytest.raises(SchemaError, match="^duplicate image_id 'a'$"):
+            entry_point([record, record])
 
 
 class TestCoco:

@@ -631,6 +631,24 @@ class TestCli:
             assert (result.returncode, result.stdout) == (2, "")
             assert result.stderr == f"error: {message}\n"
 
+    @pytest.mark.parametrize("option", ["--out", "--curves"])
+    def test_a_failed_write_names_its_target_escaped(self, tmp_path, monkeypatch,
+                                                     option):
+        monkeypatch.chdir(tmp_path)
+        target = os.fsdecode(b"d\xff")
+        try:
+            os.mkdir(target)  # renaming a file onto a directory fails
+        except OSError:
+            pytest.skip("the file system refuses a name that is not UTF-8")
+        assert main(["synth", "--images", "3", "--out", "c"]) == 0
+        monkeypatch.setenv("PYTHONIOENCODING", "utf-8:strict")
+        for _ in range(2):  # the same message each run: no temporary file's name
+            result = _run_koheval("evaluate", "c", option, target)
+            assert (result.returncode, result.stderr) == (
+                2, "error: d\\xff: Is a directory\n")
+        assert sorted(os.listdir()) == ["c", target]  # no temporary file left
+        assert os.listdir(target) == []
+
     @pytest.mark.parametrize("path, value", [
         ("images.0.width", True),
         ("images.0.height", False),

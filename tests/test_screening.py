@@ -170,6 +170,7 @@ class CountingRecord:
 
     def __init__(self, rec):
         self.image_id, self.ground_truth = rec.image_id, rec.ground_truth
+        self.dims = rec.dims
         self._predictions, self.reads = rec.predictions, 0
 
     @property
