@@ -4,19 +4,20 @@ stratified train/val/test split.
 Two interchange formats are supported: a line-oriented normalized format
 (``class cx cy w h`` for ground truth, plus a trailing confidence for
 predictions) and a COCO-style JSON document for ground truth with image
-dimensions attached.
+dimensions attached. Every reader checks, converts and clips boxes with
+the one set of box rules, :func:`~koheval.geometry.frame_rows`.
 
-The flow is files -> tables -> kernels. A directory of label files is
-read as one batch into float64 :class:`BoxTables`: files in the spelling
-:func:`format_label_file` writes are checked and converted together, and
-every other file goes through the per-file parsers, whose boxes
-:func:`~koheval.geometry.box_rows` turns into rows. A :class:`Dataset`
-holds each image's id and frame and the tables from construction, in id
-order, and the matcher, screening and the split read the tables. Every
-entry point takes plain records through :func:`as_dataset`, so each one
-refuses a repeated image id. ``Dataset.records``, the per-image
-:class:`ImageRecord` view, is built on first use for a dataset read from
-files. Callers holding Box lists reach tables through :func:`box_tables`.
+A directory of label files is read as one batch into float64
+:class:`BoxTables`: files whose lines hold a class digit and plain
+decimals, each after one space or tab, and end in ``\\n`` or ``\\r\\n``
+are converted together and their boxes clipped to the frame. Only a file
+with an error or another spelling (an exponent or sign, a run of blanks,
+another line break, no final newline) goes through the per-file parsers.
+A :class:`Dataset` holds each image's id and frame and the tables, in
+id order, and the matcher, screening and the split read the tables;
+``Dataset.records``, the per-image :class:`ImageRecord` view, is built on
+first use for a dataset read from files. Every entry point takes plain
+records through :func:`as_dataset`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .errors import (
     SchemaError,
 )
 from .geometry import (ARTEFACT, CLASS_NAMES, FUNGAL, Box, ImageDims, box_rows,
-                       clip_to_frame, cut_digits)
+                       cut_digits, frame_rows)
 
 CONTAINMENT_TOL = 1e-6
 
@@ -218,53 +219,48 @@ def as_dataset(records: Dataset | Iterable[ImageRecord]) -> Dataset:
 # Line-oriented normalized format
 
 
-def _denormalize(values, dims: ImageDims, class_id: int,
-                 confidence: float | None) -> Box:
-    """The pixel box of normalized ``(cx, cy, w, h)`` in a ``dims`` frame."""
-    cx, cy, w, h = values
-    return Box((cx - w / 2.0) * dims.width, (cy - h / 2.0) * dims.height,
-               (cx + w / 2.0) * dims.width, (cy + h / 2.0) * dims.height,
-               class_id, confidence)
+def _warn_clipped(clipped: int, stacklevel: int) -> None:
+    # The one warning for a label file's or COCO document's clipped boxes.
+    if clipped:
+        warnings.warn(f"{clipped} box(es) clipped to the frame",
+                      stacklevel=stacklevel + 1)
 
 
 def _parse_lines(text: str, dims: ImageDims, with_confidence: bool) -> list[Box]:
+    # The rows up to the first line that does not parse, then the box rules
+    # on them: the first error in line order is raised.
     n_fields = 6 if with_confidence else 5
-    boxes: list[Box] = []
-    clipped = 0
+    rows, lines, error = [], [], None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()  # the fields of raw.strip(): both split on isspace()
         if not parts:
             continue
         if len(parts) != n_fields:
-            raise ParseError(
-                f"expected {n_fields} fields, got {len(parts)}", line=lineno
-            )
+            error = ParseError(f"expected {n_fields} fields, got {len(parts)}",
+                               line=lineno)
+            break
         try:
-            class_id = int(parts[0])
-            cx, cy, w, h = values = tuple(map(float, parts[1:5]))
-            confidence = float(parts[5]) if with_confidence else None
+            row = (int(parts[0]), *map(float, parts[1:]))
         except ValueError:
-            raise ParseError(f"non-numeric field in {raw.strip()!r}",
-                             line=lineno) from None
-        if class_id not in (FUNGAL, ARTEFACT):
-            raise ClassError(f"unknown class id {class_id}", line=lineno)
-        if not 0.0 <= cx <= 1.0 >= cy >= 0.0 <= w <= 1.0 >= h >= 0.0:
-            for name, value in zip(("cx", "cy", "w", "h"), values):
-                if not 0.0 <= value <= 1.0:
-                    raise RangeError(f"{name}={value} outside [0, 1]", line=lineno)
-        if confidence is not None and not 0.0 <= confidence <= 1.0:
-            raise RangeError(f"conf={confidence} outside [0, 1]", line=lineno)
-        try:
-            box = _denormalize(values, dims, class_id, confidence)
-        except InvalidBoxError:  # the confidence passed above: the area failed
-            raise ParseError("zero-area box", line=lineno) from None
-        kept = clip_to_frame(box, dims)
-        if kept is not box:
-            clipped += 1
-        boxes.append(kept)
-    if clipped:
-        warnings.warn(f"{clipped} box(es) clipped to the frame", stacklevel=3)
-    return boxes
+            error = ParseError(f"non-numeric field in {raw.strip()!r}", line=lineno)
+            break
+        if row[0] not in (FUNGAL, ARTEFACT):
+            error = ClassError(f"unknown class id {row[0]}", line=lineno)
+            break
+        rows.append(row)
+        lines.append(lineno)
+    table, clipped, _, first = frame_rows(
+        np.array(rows, dtype=float).reshape(-1, n_fields), [dims], [len(rows)])
+    if first is not None:
+        i, error = first
+        if isinstance(error, InvalidBoxError):
+            raise ParseError("zero-area box", line=lines[i])
+        if isinstance(error, RangeError):
+            raise RangeError(str(error), line=lines[i])
+    if error is not None:
+        raise error
+    _warn_clipped(int(clipped.sum()), stacklevel=3)
+    return _boxes(table)
 
 
 def parse_gt_file(text: str, dims: ImageDims) -> list[Box]:
@@ -337,40 +333,56 @@ def parse_coco_json(document: str | bytes | dict) -> Dataset:
             raise SchemaError(f"duplicate image id {shown}")
         frames[img_id] = (stem, ImageDims(width, height))
 
-    boxes_of: dict[int, list[Box]] = {img_id: [] for img_id in frames}
-    clipped = 0
+    # The rows up to the first annotation that does not read, then the box
+    # rules on them: the first error in document order is raised.
+    rows, owners, error = [], [], None
     for ann in annotations:
-        img_ref = require(ann, "image_id", _COCO_ID, "annotation")
-        cat_ref = require(ann, "category_id", _COCO_ID, "annotation")
-        bbox = require(ann, "bbox", list, "annotation")
-        if img_ref not in frames:
-            raise ReferentialError("annotation references unknown image "
-                                   + cut_digits(f"{img_ref}"))
-        if cat_ref not in class_of_category:
-            raise ReferentialError("annotation references unknown category "
-                                   + cut_digits(f"{cat_ref}"))
-        if len(bbox) != 4 or not all(type(v) in (int, float) for v in bbox):
-            raise SchemaError("bbox must be four numbers [x, y, w, h], got "
-                              + cut_digits(repr(bbox)))
         try:
-            x, y, w, h = (float(v) for v in bbox)
-        except OverflowError:
-            raise SchemaError("bbox holds a number too large, got "
-                              + cut_digits(repr(bbox))) from None
-        if w <= 0.0 or h <= 0.0:
-            raise SchemaError(f"bbox has non-positive size: {cut_digits(repr(bbox))}")
-        box = Box(x, y, x + w, y + h, class_of_category[cat_ref])
-        kept = clip_to_frame(box, frames[img_ref][1])
-        if kept is not box:
-            clipped += 1
-        boxes_of[img_ref].append(kept)
-    if clipped:
-        warnings.warn(f"{clipped} box(es) clipped to the frame", stacklevel=2)
+            img_ref, row = _coco_row(ann, frames, class_of_category)
+        except KohevalError as exc:
+            error = exc
+            break
+        rows.append(row)
+        owners.append(img_ref)
+    gt, clipped, _, first = frame_rows(np.array(rows, dtype=float).reshape(-1, 5),
+                                       [frames[i][1] for i in owners], [1] * len(rows),
+                                       normalized=False)
+    if first is not None or error is not None:
+        raise first[1] if first else error
+    _warn_clipped(int(clipped.sum()), stacklevel=2)
 
     by_stem = sorted(frames, key=lambda img_id: frames[img_id][0])
-    return Dataset._from_tables([frames[i][0] for i in by_stem],
-                                [frames[i][1] for i in by_stem],
-                                box_tables((boxes_of[i], ()) for i in by_stem))
+    position = {img_id: k for k, img_id in enumerate(by_stem)}
+    image_of = np.array([position[i] for i in owners], dtype=np.intp)
+    return Dataset._from_tables(
+        [frames[i][0] for i in by_stem], [frames[i][1] for i in by_stem],
+        BoxTables(gt[np.argsort(image_of, kind="stable")],
+                  np.bincount(image_of, minlength=len(frames)), np.empty((0, 6)),
+                  np.zeros(len(frames), dtype=np.intp)))
+
+
+def _coco_row(ann, frames: dict, class_of_category: dict[int, int]) -> tuple:
+    # An annotation's image id and its row (class, x, y, w, h).
+    img_ref = require(ann, "image_id", _COCO_ID, "annotation")
+    cat_ref = require(ann, "category_id", _COCO_ID, "annotation")
+    bbox = require(ann, "bbox", list, "annotation")
+    if img_ref not in frames:
+        raise ReferentialError("annotation references unknown image "
+                               + cut_digits(f"{img_ref}"))
+    if cat_ref not in class_of_category:
+        raise ReferentialError("annotation references unknown category "
+                               + cut_digits(f"{cat_ref}"))
+    if len(bbox) != 4 or not all(type(v) in (int, float) for v in bbox):
+        raise SchemaError("bbox must be four numbers [x, y, w, h], got "
+                          + cut_digits(repr(bbox)))
+    try:
+        x, y, w, h = (float(v) for v in bbox)
+    except OverflowError:
+        raise SchemaError("bbox holds a number too large, got "
+                          + cut_digits(repr(bbox))) from None
+    if w <= 0.0 or h <= 0.0:
+        raise SchemaError(f"bbox has non-positive size: {cut_digits(repr(bbox))}")
+    return img_ref, (class_of_category[cat_ref], x, y, w, h)
 
 
 def format_coco_json(dataset: Dataset) -> str:
@@ -651,24 +663,21 @@ class InputTree:
         return digest.hexdigest()
 
 
-# A line in the spelling format_label_file writes: ASCII, a class digit and
-# plain decimals after single spaces, ending in "\n"; for ground truth (5
-# fields) and for predictions (6).
+# A line the batch reads: ASCII, a class digit and plain decimals, each after
+# one space or tab, ending in "\n" or "\r\n"; for ground truth (5 fields) and
+# for predictions (6). np.fromstring(sep=" ") reads tabs and "\r" as blanks.
 _CANONICAL_LINE = {with_confidence: re.compile(
-    rb"[01](?: [0-9]+(?:\.[0-9]+)?){%d}\n" % (5 if with_confidence else 4))
+    rb"[01](?:[ \t][0-9]+(?:\.[0-9]+)?){%d}\r?\n" % (5 if with_confidence else 4))
     for with_confidence in (False, True)}
 
 
 def _canonical_boxes(datas: list, dims: Sequence[ImageDims], with_confidence: bool
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The table rows of every file in ``datas`` (bytes, or the OSError
-    reading it raised) that is in canonical spelling and whose boxes lie in
-    its ``dims`` frame, converted together, file after file; each file's
-    number of rows; and which files those are. Every other file has none.
-
-    The arithmetic and checks are those of :func:`_parse_lines` on each
-    box, so an accepted file gets the boxes its per-file parse would, and
-    a box that parse would reject or clip rejects its file.
+    reading it raised) in the spelling the batch reads whose boxes pass the
+    rules of :func:`~koheval.geometry.frame_rows` in its ``dims`` frame,
+    converted together, file after file; each file's number of rows and of
+    clipped boxes; and which files those are. Every other file has none.
     """
     line = _CANONICAL_LINE[with_confidence]
     # A file not ending in "\n" could join the next one's first line.
@@ -676,26 +685,19 @@ def _canonical_boxes(datas: list, dims: Sequence[ImageDims], with_confidence: bo
              if isinstance(data, bytes) and (not data or data[-1] == 10)]
     if line.sub(b"", b"".join(datas[i] for i in canon)):
         canon = [i for i in canon if not line.sub(b"", datas[i])]
-    counts = np.array([datas[i].count(b"\n") for i in canon], dtype=np.intp)
+    counts = np.zeros(len(datas), dtype=np.intp)
+    counts[canon] = [datas[i].count(b"\n") for i in canon]
     rows = np.fromstring(b"".join(datas[i] for i in canon), sep=" ").reshape(
         -1, 6 if with_confidence else 5)
-    width = np.repeat([float(dims[i].width) for i in canon], counts)
-    height = np.repeat([float(dims[i].height) for i in canon], counts)
-    class_id, cx, cy, w, h = rows.T[:5]
-    x0, y0 = (cx - w / 2.0) * width, (cy - h / 2.0) * height
-    x1, y1 = (cx + w / 2.0) * width, (cy + h / 2.0) * height
-    # No field carries a sign, so each is >= 0; the class is 0 or 1.
-    good = ((rows <= 1.0).all(axis=1) & (x1 > x0) & (y1 > y0)
-            & (x0 >= 0.0) & (y0 >= 0.0) & (x1 <= width) & (y1 <= height))
-    rejected = np.zeros(len(canon), dtype=bool)
-    rejected[np.searchsorted(np.cumsum(counts), np.flatnonzero(~good),
-                             side="right")] = True
+    table, clipped, rejected, _ = frame_rows(rows, dims, counts)
+    owner = np.repeat(np.arange(len(datas)), counts)
     accepted = np.zeros(len(datas), dtype=bool)
-    accepted[canon] = ~rejected
-    file_counts = np.zeros(len(datas), dtype=np.intp)
-    file_counts[canon] = np.where(rejected, 0, counts)
-    table = np.column_stack((x0, y0, x1, y1, class_id, *rows.T[5:]))
-    return table[np.repeat(~rejected, counts)], file_counts, accepted
+    accepted[canon] = True
+    accepted[owner[rejected]] = False
+    kept = accepted[owner]
+    counts[~accepted] = 0
+    return (table[kept], counts, np.bincount(owner[clipped & kept], minlength=len(datas)),
+            accepted)
 
 
 def _read_label_files(files: Sequence[str], dims: Sequence[ImageDims],
@@ -704,11 +706,12 @@ def _read_label_files(files: Sequence[str], dims: Sequence[ImageDims],
     """The table rows of the label files, ``files[i]`` in the frame
     ``dims[i]``, file after file, and each file's number of rows.
 
-    Each file is read once. Files in canonical spelling are converted
-    together by :func:`_canonical_boxes`; every other one goes through
-    :func:`parse_gt_file` or :func:`parse_pred_file`, in order, and
-    :func:`box_rows`. So the first file that fails to read, decode or
-    parse raises, with the error and warnings a file-by-file read gives.
+    Each file is read once. The batch, :func:`_canonical_boxes`, converts
+    together the files in the spelling it reads that break no box rule, and
+    clips their boxes; every other file goes through :func:`parse_gt_file`
+    or :func:`parse_pred_file`, in order. So the first file that fails to
+    read, decode or parse raises, and each file's clipped boxes warn in
+    file order, as a file-by-file read does.
     """
     datas: list = []
     for file in files:
@@ -716,11 +719,14 @@ def _read_label_files(files: Sequence[str], dims: Sequence[ImageDims],
             datas.append(_read_bytes(file, digests, regular=True))
         except OSError as exc:
             datas.append(exc)
-    table, counts, accepted = _canonical_boxes(datas, dims, with_confidence)
+    table, counts, clipped, accepted = _canonical_boxes(datas, dims, with_confidence)
     parse = parse_pred_file if with_confidence else parse_gt_file
-    ends = np.cumsum(counts)  # a file the batch rejected adds no row
+    ends = np.cumsum(counts)  # a file the batch left out adds no row
     pieces, start = [], 0
-    for i in np.flatnonzero(~accepted).tolist():
+    for i in np.flatnonzero(~accepted | (clipped > 0)).tolist():
+        if accepted[i]:
+            _warn_clipped(int(clipped[i]), stacklevel=1)
+            continue
         if isinstance(datas[i], OSError):
             raise datas[i]
         text = _decode(datas[i], files[i], ParseError)

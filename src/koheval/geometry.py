@@ -16,7 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidBoxError, OutOfFrameError, SchemaError
+from .errors import (InvalidBoxError, KohevalError, OutOfFrameError, RangeError,
+                     SchemaError)
 
 FUNGAL = 0
 ARTEFACT = 1
@@ -135,6 +136,59 @@ def clip_to_frame(box: Box, dims: ImageDims) -> Box:
             f"lies outside the {dims.width}x{dims.height} frame"
         )
     return replace(box, x_min=x0, y_min=y0, x_max=x1, y_max=y1)
+
+
+_FIELDS = ("cx", "cy", "w", "h", "conf")
+
+
+def frame_rows(rows: np.ndarray, dims: Sequence[ImageDims], counts: Sequence[int],
+               normalized: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                                 tuple[int, KohevalError] | None]:
+    """The box rules on float64 rows ``(class, a, b, c, d[, confidence])``,
+    ``counts[i]`` of them in the frame ``dims[i]``, one after another.
+
+    Normalized rows (label files) hold a box's centre and size as fractions
+    of the frame, each in [0, 1] like the confidence; the corners are
+    ``((cx - w / 2) * width, ...)``. Other rows (COCO) hold the top-left
+    corner and size in pixels. A box must have positive area, and it is
+    clipped as :func:`clip_to_frame` clips it. Returns each row's corners
+    ``(x0, y0, x1, y1, class[, confidence])``, clipped; which rows were
+    clipped and which rejected; and the first rejected row's index with a
+    RangeError naming the field, or what :class:`Box` or
+    :func:`clip_to_frame` raises on it; or None.
+    """
+    widths = np.repeat([float(d.width) for d in dims], counts)
+    heights = np.repeat([float(d.height) for d in dims], counts)
+    class_id, a, b, c, d = rows.T[:5]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as in Python
+        if normalized:
+            out_of_range = ~((rows[:, 1:] >= 0.0) & (rows[:, 1:] <= 1.0))
+            x0, y0 = (a - c / 2.0) * widths, (b - d / 2.0) * heights
+            x1, y1 = (a + c / 2.0) * widths, (b + d / 2.0) * heights
+        else:
+            out_of_range = np.zeros((len(rows), 1), dtype=bool)
+            x0, y0, x1, y1 = a, b, a + c, b + d
+        inside = (x0 >= 0.0) & (y0 >= 0.0) & (x1 <= widths) & (y1 <= heights)
+        # max(x, 0.0) and min(x, width) as Python takes them: -0.0 stays.
+        cx0, cy0 = np.where(0.0 > x0, 0.0, x0), np.where(0.0 > y0, 0.0, y0)
+        cx1, cy1 = np.where(widths < x1, widths, x1), np.where(heights < y1, heights, y1)
+        rejected = (out_of_range.any(axis=1) | ~((x1 > x0) & (y1 > y0))
+                    | ~inside & ~((cx1 - cx0 > 0.0) & (cy1 - cy0 > 0.0)))
+    first = None
+    if rejected.any():
+        i = int(np.argmax(rejected))
+        if out_of_range[i].any():
+            field = int(np.argmax(out_of_range[i]))
+            first = i, RangeError(f"{_FIELDS[field]}={float(rows[i, field + 1])} "
+                                  "outside [0, 1]")
+        else:
+            try:  # the scalar rules raise the error
+                clip_to_frame(Box(*(float(v[i]) for v in (x0, y0, x1, y1)), FUNGAL),
+                              dims[int(np.searchsorted(np.cumsum(counts), i, "right"))])
+            except (InvalidBoxError, OutOfFrameError) as exc:
+                first = i, exc
+    return (np.column_stack((cx0, cy0, cx1, cy1, class_id, *rows.T[5:])),
+            ~inside & ~rejected, rejected, first)
 
 
 def box_to_model(box: Box, transform: LetterboxTransform) -> Box:

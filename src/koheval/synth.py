@@ -31,7 +31,6 @@ import numpy as np
 from .dataset import (
     Dataset,
     ImageRecord,
-    _denormalize,
     dump_json,
     format_label_file,
     is_cohort_dir,
@@ -73,14 +72,15 @@ def _grid_box(frame: ImageDims, class_id: int, cx: float, cy: float,
               w: float, h: float, confidence: float | None) -> Box:
     """Build a box from pixel center/size, snapped to the file grid.
 
-    The snapped fractions go through the parser's own
-    :func:`koheval.dataset._denormalize`, so this box survives a
+    The snapped fractions become corners by the parser's own arithmetic,
+    that of :func:`koheval.geometry.frame_rows`, so this box survives a
     write/read round-trip bit for bit.
     """
-    normalized = (_q6(cx / frame.width), _q6(cy / frame.height),
-                  _q6(w / frame.width), _q6(h / frame.height))
-    return _denormalize(normalized, frame, class_id,
-                        None if confidence is None else _q6(confidence))
+    cx, cy = _q6(cx / frame.width), _q6(cy / frame.height)
+    w, h = _q6(w / frame.width), _q6(h / frame.height)
+    return Box((cx - w / 2.0) * frame.width, (cy - h / 2.0) * frame.height,
+               (cx + w / 2.0) * frame.width, (cy + h / 2.0) * frame.height,
+               class_id, None if confidence is None else _q6(confidence))
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ def test_dataset_tables_and_its_records_give_the_same_results(tmp_path_factory, 
 @PROPERTY
 @given(cohort_plans(changes=False), st.data())
 def test_a_written_cohort_reads_back_as_generated(tmp_path_factory, plan, data):
-    # CRLF and tab-separated files take the per-file parsers, LF ones the batch.
+    # LF, CRLF and tab-separated files all go through the batch.
     generated, cohort = _write(tmp_path_factory.mktemp("read-back"), plan)
     ids = sorted(rec.image_id for rec in generated.records)
     assert [rec.image_id for rec in generated.records] == generated.ids() == ids

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -19,6 +20,7 @@ from koheval.dataset import (
 )
 from koheval.errors import (
     ClassError,
+    InvalidBoxError,
     OutOfFrameError,
     ParseError,
     RangeError,
@@ -170,6 +172,38 @@ class TestCoco:
         assert first.class_id == FUNGAL
         assert rec.ground_truth[1].class_id == ARTEFACT
         assert by_id["img-002"].ground_truth == []
+
+    @staticmethod
+    def boxes_on_a_square(*bboxes):
+        # A 100x100 image with one annotation per bbox, fungal then artefact.
+        return {"images": [{"id": 1, "file_name": "a.png", "width": 100,
+                            "height": 100}],
+                "annotations": [{"id": k, "image_id": 1, "category_id": k % 2,
+                                 "bbox": bbox} for k, bbox in enumerate(bboxes)],
+                "categories": [{"id": 0, "name": "fungal"},
+                               {"id": 1, "name": "artefact"}]}
+
+    def test_boxes_over_the_edge_are_clipped_with_one_warning(self):
+        with pytest.warns(UserWarning) as caught:
+            dataset = parse_coco_json(self.boxes_on_a_square([-5, 10, 20, 20],
+                                                             [90, 90, 20, 20]))
+        assert [str(w.message) for w in caught] == ["2 box(es) clipped to the frame"]
+        assert dataset.tables.gt.tolist() == [[0, 10, 15, 30, 0],
+                                              [90, 90, 100, 100, 1]]
+
+    def test_the_first_error_in_document_order_is_raised(self):
+        doc = self.boxes_on_a_square([150, 10, 20, 20])
+        doc["annotations"].append({"id": 2, "image_id": 9, "category_id": 0,
+                                   "bbox": [1, 1, 1, 1]})
+        with pytest.raises(OutOfFrameError, match=re.escape(
+                "box (150.0, 10.0, 170.0, 30.0) lies outside the 100x100 frame")):
+            parse_coco_json(doc)
+
+    def test_a_box_too_thin_for_its_offset_has_no_area(self):
+        with pytest.raises(InvalidBoxError, match=re.escape(
+                "box must have strictly positive area, got "
+                "(1e+20, 10.0, 1e+20, 30.0)")):
+            parse_coco_json(self.boxes_on_a_square([1e20, 10, 1, 20]))
 
     def test_unknown_image_reference(self):
         doc = self.document()

@@ -13,6 +13,7 @@ import math
 import warnings
 from dataclasses import astuple, replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,6 @@ from koheval.dataset import (
     ImageRecord,
     InputTree,
     SplitAssignment,
-    _denormalize,
     attach_predictions,
     format_coco_json,
     format_label_file,
@@ -41,7 +41,8 @@ from koheval.errors import (
     RangeError,
     SchemaError,
 )
-from koheval.geometry import ARTEFACT, FUNGAL, Box, ImageDims
+from koheval.geometry import (ARTEFACT, FUNGAL, Box, ImageDims, clip_to_frame,
+                              frame_rows)
 from koheval.manifest import (REFERENCE_PROTOCOL, TrainManifest, validate_manifest,
                               verdict_table)
 from koheval.metrics import OperatingPoint, evaluate_detections
@@ -146,6 +147,16 @@ def test_label_file_parsers(text):
     parses_or_raises_koheval_error(parse_pred_file, text, DIMS)
 
 
+def _denormalize(values, dims: ImageDims, class_id: int,
+                 confidence: float | None) -> Box:
+    # The pixel box of normalized (cx, cy, w, h) in a dims frame, box by
+    # box: the operation order every reader of label files keeps.
+    cx, cy, w, h = values
+    return Box((cx - w / 2.0) * dims.width, (cy - h / 2.0) * dims.height,
+               (cx + w / 2.0) * dims.width, (cy + h / 2.0) * dims.height,
+               class_id, confidence)
+
+
 def _reference_clip_to_frame(box: Box, dims: ImageDims) -> Box:
     # geometry.clip_to_frame before its early return for boxes inside.
     x0 = max(box.x_min, 0.0)
@@ -224,6 +235,83 @@ def test_label_file_parsers_agree_with_the_reference(text, dims):
     for parse, with_confidence in ((parse_gt_file, False), (parse_pred_file, True)):
         assert _outcome(parse, text, dims) \
             == _outcome(_reference_parse_lines, text, dims, with_confidence)
+
+
+# Box fields at the edges of the rules, and past them.
+edge_value = st.sampled_from(
+    [0.0, -0.0, 0.5, 1.0, 5e-324, -5e-324, 1e-300, 0.999999, 1.0000000000000002,
+     2.0, -1.0, 1e20, 1e308, -1e308, math.inf, -math.inf, math.nan]) | st.floats()
+FRAME_EDGES = st.sampled_from([ImageDims(1, 1), DIMS, ImageDims(7, 3000),
+                               ImageDims(2**53 + 1, 3), ImageDims(2**1023, 2)])
+
+
+@st.composite
+def rule_rows(draw):
+    """Rows for frame_rows, normalized or not, with their frames and counts."""
+    normalized = draw(st.booleans())
+    n_fields = draw(st.sampled_from([5, 6])) if normalized else 5
+    frames = draw(st.lists(FRAME_EDGES, min_size=1, max_size=3))
+    counts = draw(st.lists(st.integers(0, 3), min_size=len(frames),
+                           max_size=len(frames)))
+    # Mostly values that pass the range rule, in fractions or in pixels.
+    value = st.floats(0.0, 1.0) if normalized else st.floats(-80.0, 120.0)
+    rows = [[draw(st.sampled_from([0.0, 1.0]))]
+            + [draw(edge_value if draw(st.integers(0, 7)) == 0 else value)
+               for _ in range(n_fields - 1)]
+            for _ in range(sum(counts))]
+    return np.array(rows, dtype=float).reshape(-1, n_fields), frames, counts, normalized
+
+
+def _framed_row_by_row(rows, frames, counts, normalized):
+    """Each row's outcome by the scalar rules: the repr of each field of the
+    box kept and whether clip_to_frame clipped it, or the error."""
+    outcomes = []
+    frame_of_row = [dims for dims, n in zip(frames, counts) for _ in range(n)]
+    for row, dims in zip(rows.tolist(), frame_of_row):
+        class_id, a, b, c, d, *confidence = row
+        try:
+            if normalized:
+                for name, value in zip(("cx", "cy", "w", "h", "conf"), row[1:]):
+                    if not 0.0 <= value <= 1.0:
+                        raise RangeError(f"{name}={value} outside [0, 1]")
+                box = _denormalize((a, b, c, d), dims, int(class_id),
+                                   confidence[0] if confidence else None)
+            else:
+                box = Box(a, b, a + c, b + d, int(class_id))
+            kept = clip_to_frame(box, dims)
+        except KohevalError as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((tuple(map(repr, astuple(kept))), kept is not box))
+    return outcomes
+
+
+@settings(PROPERTY, max_examples=400)
+@given(rule_rows())
+@example((np.array([[0.0, -0.0, 0.5, 0.5, 0.5], [1.0, -5.0, 10.0, 20.0, 20.0],
+                    [0.0, 90.0, -0.0, 20.0, 20.0], [1.0, 1e20, 10.0, 1.0, 20.0]]),
+          [ImageDims(100, 100)], [4], False))
+@example((np.array([[0.0, 0.99, 0.5, 0.1, 0.1, -0.0], [1.0, 0.5, 0.5, 0.0, 0.1, 0.5]]),
+          [DIMS], [2], True))
+def test_frame_rows_agrees_with_the_scalar_rules(drawn):
+    rows, frames, counts, normalized = drawn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns of no overflow or NaN
+        table, clipped, rejected, first = frame_rows(rows, frames, counts, normalized)
+    expected = _framed_row_by_row(rows, frames, counts, normalized)
+    assert not (clipped & rejected).any()  # a rejected row is not clipped
+    got = []
+    for row, row_clipped, row_rejected in zip(table.tolist(), clipped.tolist(),
+                                              rejected.tolist()):
+        x0, y0, x1, y1, class_id, *confidence = row
+        box = (x0, y0, x1, y1, int(class_id), confidence[0] if confidence else None)
+        got.append("rejected" if row_rejected else (tuple(map(repr, box)), row_clipped))
+    assert got == ["rejected" if isinstance(outcome[0], type) else outcome
+                   for outcome in expected]
+    errors = [(i, *outcome) for i, outcome in enumerate(expected)
+              if isinstance(outcome[0], type)]
+    assert (first and (first[0], type(first[1]), str(first[1]))) \
+        == (errors[0] if errors else None)
 
 
 def _in_frame_box(xs, ys, class_id, confidence):
@@ -340,6 +428,26 @@ def _read_directory(tree, files, frames, parse):
           b"0 0.25 0.5 0.75 0.5 0.5\n", b"1 0.5 0.75 0.5 0.75 0.5\n"],
          [DIMS] * 6)  # past the frame, or a confidence past 1, in canonical spelling
 @example([b"0 0.5 0.5 0.25 0_5\n", b"1 0.5 0.5 0.2 0.2\n"], [DIMS] * 6)  # numpy stops at _
+# A box to clip between clean files, in both kinds: its warning comes in
+# file order, after that of a file in another spelling.
+@example([b"0 0.5 0.5 0.1 0.1\n", b"0 2e-1 0.5 0.1 0.1 0.5\n1 0.99 0.5 0.1 0.1 0.5\n",
+          b"0 0.5 0.5 0.1 0.1 0.5\n", b"1 0.99 0.5 0.1 0.1\n0 0.5 0.01 0.1 0.1\n",
+          b"1 0.5 0.5 0.2 0.2\n"], [DIMS, ImageDims(7, 3000)] * 3)
+# A clipped file, then one with an error: no warning after the error.
+@example([b"0 0.99 0.5 0.1 0.1\n", b"0 0.5 0.5 0.0 0.1\n", b"1 0.01 0.5 0.1 0.1\n"],
+         [DIMS] * 6)
+# CRLF and tab-separated files in one directory.
+@example([b"0 0.5 0.5 0.1 0.1\r\n1 0.25 0.25 0.1 0.1\r\n", b"0\t0.5\t0.5\t0.1\t0.1\n",
+          b"1\t0.5 0.5\t0.2 0.2\r\n", b"1 0.5\t0.5 0.2 0.2 0.9\r\n",
+          b"0\t0.99\t0.5\t0.1\t0.1\t0.3\r\n"], [DIMS, ImageDims(7, 3000)] * 3)
+# A CRLF file whose last line lacks its "\r\n", before one that has it.
+@example([b"0 0.5 0.5 0.1 0.1\r\n1 0.5 0.5 0.2 0.2", b"0 0.5 0.5 0.1 0.1\r\n"],
+         [DIMS] * 6)
+# A line ending in a lone "\r", which str.splitlines ends a line at.
+@example([b"0 0.5 0.5 0.1 0.1\r1 0.5 0.5 0.2 0.2\n", b"0 0.5 0.5 0.1 0.1 0.5\r\r\n"],
+         [DIMS] * 6)
+# A run of two blanks.
+@example([b"0 0.5  0.5 0.1 0.1\n", b"0 0.5 0.5 0.1\t 0.1 0.5\n"], [DIMS] * 6)
 def test_directory_reader_agrees_with_the_per_file_parsers(tmp_path_factory,
                                                            contents, frames):
     root = tmp_path_factory.mktemp("labels")

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -33,6 +34,9 @@ from koheval.screening import screen_dataset
 from koheval.synth import SynthSpec, generate
 
 _MISSING = "<missing>"  # conftest's mutate deletes a key given this value
+# A box per kind of label file that crosses the frame's right edge.
+CLIPPED = {"gt": b"1 0.990000 0.500000 0.100000 0.100000\n",
+           "pred": b"0 0.990000 0.500000 0.100000 0.100000 0.700000\n"}
 
 
 @pytest.fixture()
@@ -387,16 +391,14 @@ class TestCli:
         assert first.read_bytes() == second.read_bytes()
 
     @staticmethod
-    def _parses_of_each_file(cohort, capsys, monkeypatch, ending):
+    def _parses_of_each_file(cohort, capsys, monkeypatch, rewrite):
         """Files read through the batch and per-file parser calls of one
         `evaluate` with an explicit pred dir, after rewriting every label
-        file with ``ending`` line ends; and how many files are empty."""
+        file's bytes with ``rewrite(kind, data)``."""
         main(["synth", "--images", "20", "--out", str(cohort)])
-        empty = Counter()
         for kind in ("gt", "pred"):
             for label in cohort.glob(f"{kind}/*.txt"):
-                label.write_bytes(label.read_bytes().replace(b"\n", ending))
-                empty[kind] += not label.stat().st_size
+                label.write_bytes(rewrite(kind, label.read_bytes()))
         parsed = Counter()
         for name in ("parse_gt_file", "parse_pred_file"):
             original = getattr(koheval.dataset, name)
@@ -408,10 +410,10 @@ class TestCli:
         original_batch = koheval.dataset._canonical_boxes
 
         def counting_batch(datas, dims, with_confidence):
-            table, counts, accepted = original_batch(datas, dims, with_confidence)
-            parsed["pred batch" if with_confidence else "gt batch"] += int(
-                accepted.sum())
-            return table, counts, accepted
+            batch = original_batch(datas, dims, with_confidence)
+            accepted = batch[-1]  # which files the batch read
+            parsed["pred batch" if with_confidence else "gt batch"] += int(accepted.sum())
+            return batch
         monkeypatch.setattr(koheval.dataset, "_canonical_boxes", counting_batch)
         capsys.readouterr()
         assert main(["evaluate", str(cohort), str(cohort / "pred"),
@@ -423,24 +425,29 @@ class TestCli:
             "predictions": {"path": str(cohort / "pred"),
                             "sha256": InputTree(cohort / "pred").sha256()},
         }
-        return +parsed, empty
+        return +parsed
 
     def test_explicit_prediction_dir_parses_each_file_once(self, tmp_path,
                                                           capsys, monkeypatch):
         # Files in the spelling synth writes all go through the batch.
-        parsed, _ = self._parses_of_each_file(tmp_path / "cohort", capsys,
-                                              monkeypatch, b"\n")
+        parsed = self._parses_of_each_file(tmp_path / "cohort", capsys, monkeypatch,
+                                           lambda kind, data: data)
         assert parsed == {"gt batch": 20, "pred batch": 20}
 
-    def test_explicit_crlf_prediction_dir_parses_each_file_once(self, tmp_path,
-                                                                capsys, monkeypatch):
-        # CRLF files go through the per-file parsers; an empty file has no
-        # line to end and stays in the batch.
-        parsed, empty = self._parses_of_each_file(tmp_path / "cohort", capsys,
-                                                  monkeypatch, b"\r\n")
-        assert parsed == +Counter({
-            "parse_gt_file": 20 - empty["gt"], "gt batch": empty["gt"],
-            "parse_pred_file": 20 - empty["pred"], "pred batch": empty["pred"]})
+    @pytest.mark.parametrize("rewrite", [
+        lambda kind, data: data.replace(b"\n", b"\r\n"),
+        lambda kind, data: data.replace(b" ", b"\t"),
+        lambda kind, data: data + CLIPPED[kind],
+    ], ids=["crlf", "tabs", "clipped"])
+    def test_explicit_crlf_prediction_dir_parses_each_file_once(self, tmp_path, capsys,
+                                                                monkeypatch, rewrite):
+        # CRLF and tab-separated files, and files with a box to clip, all go
+        # through the batch too.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the clipped boxes warn
+            parsed = self._parses_of_each_file(tmp_path / "cohort", capsys,
+                                               monkeypatch, rewrite)
+        assert parsed == {"gt batch": 20, "pred batch": 20}
 
     @pytest.mark.parametrize("dims", ['{"width": 2048}',
                                       '{"width": 2048, "height": "2048"}',
