@@ -76,9 +76,9 @@ def _parse_ints(text: str, n: int, what: str) -> list[int]:
     return values
 
 
-def _read_ground_truth(args) -> tuple[Dataset, InputTree]:
+def _read_ground_truth(args, hashed: bool = True) -> tuple[Dataset, InputTree]:
     """Resolve the GT argument into ground truth and the walk it was read
-    through.
+    through, which records the files' digests if ``hashed``.
 
     GT is a cohort directory (dims.json + gt/), of which gt/ is read, a
     COCO .json file, or a directory of label files (which needs --dims).
@@ -86,7 +86,7 @@ def _read_ground_truth(args) -> tuple[Dataset, InputTree]:
     gt, dims = Path(args.gt), args.dims
     if is_cohort_dir(gt):
         dims, gt = read_cohort_dims(gt), gt / "gt"
-    tree = InputTree(gt)
+    tree = InputTree(gt, hashed)
     return load_ground_truth(gt, dims, tree), tree
 
 
@@ -128,7 +128,7 @@ def cmd_split(args) -> int:
     except ValueError:
         raise KohevalError(f"--fractions must be comma-separated numbers, "
                            f"got {cut_digits(repr(args.fractions))}") from None
-    dataset, _ = _read_ground_truth(args)
+    dataset, _ = _read_ground_truth(args, hashed=False)
     assignment = stratified_split(dataset, fractions=fractions, seed=args.seed)
     out = Path(args.out) if args.out else _output_dir() / "split.json"
     atomic_write_text(out, assignment.to_json())

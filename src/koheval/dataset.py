@@ -599,12 +599,12 @@ class InputTree:
     name order (``gt/`` before ``gt.x/``), dotfiles included, symlinked
     directories not entered. A path that is no directory is a tree of its
     one file. Readers record the digests of the files they read in
-    ``digests``, so :meth:`sha256` reads only the files they did not."""
+    ``digests`` (None if not ``hashed``), so :meth:`sha256` reads the rest."""
 
-    def __init__(self, path: Path | str):
+    def __init__(self, path: Path | str, hashed: bool = True):
         self.path = Path(path)
         self.files: dict[str, tuple[str, ...]] = {}
-        self.digests: dict[str, str] = {}
+        self.digests: dict[str, str] | None = {} if hashed else None
         # Directory parts -> (name, path) of each .txt entry in it.
         self._labels: dict[tuple[str, ...], list[tuple[str, str]]] = {}
         root = "" if self.path == Path(".") else str(self.path)
@@ -701,7 +701,7 @@ def _canonical_boxes(datas: list, dims: Sequence[ImageDims], with_confidence: bo
 
 
 def _read_label_files(files: Sequence[str], dims: Sequence[ImageDims],
-                      with_confidence: bool, digests: dict[str, str]
+                      with_confidence: bool, digests: dict[str, str] | None
                       ) -> tuple[np.ndarray, np.ndarray]:
     """The table rows of the label files, ``files[i]`` in the frame
     ``dims[i]``, file after file, and each file's number of rows.

@@ -14,11 +14,11 @@ cohort's :class:`~koheval.dataset.BoxTables` in id order: a Dataset's own
 (plain records become one through :func:`~koheval.dataset.as_dataset`),
 or those :func:`~koheval.dataset.box_tables` makes of Box lists
 (``match_image``'s one image, ``pr_curve``'s scenes). ``_match``
-runs the rule for every image at every IoU threshold in one pass: it
-packs runs of consecutive images into padded blocks of at most
-``_BLOCK_CELLS`` cells and matches each block at once. ``_pool`` splits
-the kernel's arrays by class. Counts, mean IoU, PR curves and AP all read
-the pooled arrays, and ``_integrate`` is the one AP integrator.
+runs the rule for every image at every IoU threshold in one pass over
+the pairs of a prediction and a ground-truth box of its own image and
+class, no others. ``_pool`` splits the kernel's arrays by class. Counts,
+mean IoU, PR curves and AP all read the pooled arrays, and
+``_integrate`` is the one AP integrator.
 """
 
 from __future__ import annotations
@@ -92,82 +92,90 @@ class _SceneMatch(NamedTuple):
     ious: np.ndarray  # IoU of the first threshold's match, 0.0 where it missed
 
 
-# A block's budget of padded cells: [images, ground truth, predictions]
-# IoU cells plus [images, thresholds, ground truth] availability cells.
-_BLOCK_CELLS = 1 << 16
-
-
-def _blocks(counts: list[list[int]], thresholds: int):
-    # Runs of consecutive images whose padded cells fit the budget; an image
-    # over it is a block of its own. No images make one empty block.
-    start, rows, cols = 0, 1, 1
-    for n, (g, p) in enumerate(counts):
-        rows, cols = max(rows, g), max(cols, p)
-        if n > start and (n + 1 - start) * rows * (cols + thresholds) > _BLOCK_CELLS:
-            yield start, n
-            start, rows, cols = n, max(g, 1), max(p, 1)
-    yield start, len(counts)
-
-
-def _padded(table: np.ndarray, counts: np.ndarray, fill: tuple) -> np.ndarray:
-    # One block's rows of ``table`` as [images, slots, columns]; the slots
-    # past an image's count hold ``fill``, and there is always one slot.
-    slots = max(counts.max(initial=0), 1)
-    out = np.tile(np.array(fill, dtype=float), (len(counts), slots, 1))
-    out[np.repeat(np.arange(len(counts)), counts),
-        np.arange(len(table)) - np.repeat(np.cumsum(counts) - counts, counts)] = table
-    return out
+# A chunk's budget of pairs: runs of consecutive images are matched
+# together while their pairs fit it.
+_PAIR_BUDGET = 1 << 14
 
 
 def _match(tables: BoxTables, thresholds: Sequence[float]) -> _SceneMatch:
     """The greedy matcher: every image of ``tables`` at every IoU
-    threshold, in blocks.
-
-    A block pads ground truth with class -1 and predictions with class -1
-    and confidence -inf, so padding sorts after an image's predictions and
-    cannot change what they match. Confidence is the first sort key, so
-    the predictions a confidence threshold admits are a prefix of each
-    image's greedy order.
+    threshold, over the pairs of a prediction and a ground-truth box of its
+    own image and class, whose IoU it computes once, a chunk at a time.
+    Predictions of one image and class contend for the same ground truth
+    and others never, so step k of the greedy loop takes the k-th of every
+    image and class at once. Confidence is the first sort key, so the
+    predictions a confidence threshold admits lead each image's order.
     """
     limits = np.asarray(thresholds, dtype=float)
-    gt_table, pred_table = tables.gt, tables.pred
-    counts = np.stack((tables.gt_counts, tables.pred_counts), axis=1)
-    at = np.vstack(([0, 0], np.cumsum(counts, axis=0)))
-    parts = []
-    for start, stop in _blocks(counts.tolist(), len(limits)):
-        n_gt, n_pred = counts[start:stop].T
-        gt = _padded(gt_table[at[start, 0]:at[stop, 0]], n_gt, (0, 0, 0, 0, -1))
-        pred = _padded(pred_table[at[start, 1]:at[stop, 1]], n_pred,
-                       (0, 0, 0, 0, -1, -np.inf))
-        candidate = np.where(gt[:, :, None, 4] == pred[:, None, :, 4],
-                             iou_matrix(gt[..., :4], pred[..., :4]), -1.0)
-        best = candidate.max(axis=1, initial=0.0)
-        # Stable: ties keep input order, and padding (-inf) sorts last.
-        order = np.lexsort((-best, -pred[..., 5]), axis=-1)
-        candidate = np.take_along_axis(candidate, order[:, None], axis=2)
-        pred = np.take_along_axis(pred, order[..., None], axis=1)
+    gt, pred = tables.gt, tables.pred
+    images = np.arange(len(tables.gt_counts))
+    gt_at, pred_at = (np.concatenate(([0], counts.cumsum()))
+                      for counts in (tables.gt_counts, tables.pred_counts))
+    pred_image = np.repeat(images, tables.pred_counts)
+    # A prediction's pairs are the run of its (image, class) key in the
+    # ground truth sorted stably by key, so in index order. Complex keys
+    # sort by the real part, the image, first.
+    gt_key = np.repeat(images, tables.gt_counts) + 1j * gt[:, 4]
+    by_key = np.argsort(gt_key, kind="stable")
+    gt_key, pred_key = gt_key[by_key], pred_image + 1j * pred[:, 4]
+    first, last = (np.searchsorted(gt_key, pred_key, side) for side in ("left", "right"))
+    pair_at = np.concatenate(([0], (last - first).cumsum()))
+    image_pairs = pair_at[pred_at]
 
-        images, slots, width = candidate.shape
-        matched = np.full((images, width), -1)
-        hits = np.zeros((images, len(limits), width), dtype=bool)
-        ious = np.zeros((images, width))
-        available = np.ones((images, len(limits), slots), dtype=bool)
-        for k in range(width):
-            masked = np.where(available, candidate[:, None, :, k], -1.0)
-            g, top = masked.argmax(axis=2), masked.max(axis=2)
-            hit = top >= limits
-            image, row = np.nonzero(hit)
-            available[image, row, g[hit]] = False
-            hits[..., k] = hit
-            # A hit's masked value is its IoU: the classes agree.
-            matched[:, k] = np.where(hit[:, 0], g[:, 0], -1)
-            ious[:, k] = np.where(hit[:, 0], top[:, 0], 0.0)
+    best, matched, ious = np.zeros(len(pred)), np.full(len(pred), -1), np.zeros(len(pred))
+    hits = np.zeros((len(limits), len(pred)), dtype=bool)
+    # The last row stands for no ground truth: a miss marks it taken.
+    available = np.ones((len(gt) + 1, len(limits)), dtype=bool)
+    lowest, columns, start = limits.min(initial=np.inf), np.arange(len(limits)), 0
+    while start < len(images):
+        stop = max(start + 1, int(np.searchsorted(
+            image_pairs, image_pairs[start] + _PAIR_BUDGET, "right")) - 1)
+        p0, p1, start = pred_at[start], pred_at[stop], stop
+        pair_pred = np.repeat(np.arange(p0, p1), last[p0:p1] - first[p0:p1])
+        pair_gt = by_key[first[pair_pred] + np.arange(pair_at[p0], pair_at[p1])
+                         - pair_at[pair_pred]]
+        iou = iou_matrix(gt[pair_gt, None, :4], pred[pair_pred, None, :4]).ravel()
+        np.maximum.at(best, pair_pred, iou)
+        # A pair below every threshold can neither match nor block a match.
+        reach = iou >= lowest
+        pair_pred, pair_gt, iou = pair_pred[reach], pair_gt[reach], iou[reach]
+        lengths = np.bincount(pair_pred - p0)
+        live = np.flatnonzero(lengths)
+        lengths, live = lengths[live], live + p0
+        # A prediction's step is its rank in the greedy order of its image
+        # and class, whose run of ground truth starts at ``first``.
+        by_group = np.lexsort((-best[live], -pred[live, 5], first[live]))
+        group = first[live[by_group]]
+        step = np.empty_like(live)
+        step[by_group] = np.arange(len(live)) - np.searchsorted(group, group)
+        # Step by step, the predictions in index order and each one's pairs
+        # from the highest IoU down, ties in ground-truth index order: the
+        # first available pair is the one the rule takes.
+        by_step = np.argsort(step, kind="stable")
+        runs = np.lexsort((-iou, pair_pred, np.repeat(step, lengths)))
+        step_at = np.concatenate(([0], np.bincount(step).cumsum()))
+        run_at = np.concatenate(([0], lengths[by_step].cumsum()))
+        run_heads = run_at[:-1] - run_at[step_at[step[by_step]]]
+        # A last pair stands for none available: IoU -1, the last row.
+        pair_gt, iou = np.append(pair_gt[runs], -1), np.append(iou[runs], -1.0)
+        chosen = np.empty((len(live), len(limits)), dtype=np.intp)
+        for a, b in zip(step_at[:-1].tolist(), step_at[1:].tolist()):
+            lo, hi = run_at[a], run_at[b]
+            chosen[a:b] = pair = np.minimum.reduceat(np.where(
+                available[pair_gt[lo:hi]], np.arange(lo, hi)[:, None], len(runs)),
+                run_heads[a:b], axis=0)
+            available[np.where(iou[pair] >= limits, pair_gt[pair], -1), columns] = False
+        hit, live = iou[chosen] >= limits, live[by_step]
+        hits[:, live] = hit.T
+        matched[live] = np.where(hit[:, 0], pair_gt[chosen[:, 0]], -1)
+        ious[live] = np.where(hit[:, 0], iou[chosen[:, 0]], 0.0)
 
-        valid = np.arange(width) < n_pred[:, None]
-        parts.append(_SceneMatch(order[valid], pred[..., 4][valid].astype(int),
-                                 pred[..., 5][valid], matched[valid],
-                                 hits.transpose(1, 0, 2)[:, valid], ious[valid]))
-    return _SceneMatch(*(np.concatenate(arrays, axis=-1) for arrays in zip(*parts)))
+    # Stable: ties keep input order.
+    order = np.lexsort((-best, -pred[:, 5], pred_image))
+    image, matched = pred_image[order], matched[order]
+    return _SceneMatch(order - pred_at[image], pred[order, 4].astype(int), pred[order, 5],
+                       np.where(matched >= 0, matched - gt_at[image], -1), hits[:, order],
+                       ious[order])
 
 
 def match_image(gts: Sequence[Box], preds: Sequence[Box],
@@ -236,16 +244,16 @@ class PRCurve:
             raise SchemaError("recall must be non-decreasing as confidence drops")
 
 
-def _sweep(pool: _ClassPool, hits: np.ndarray) -> tuple[np.ndarray, ...]:
+def _sweep(pool: _ClassPool) -> tuple[np.ndarray, ...]:
     # Confidence, precision and recall after each distinct confidence, a
-    # row per row of ``hits``, swept in descending confidence. Order among
+    # row per row of the pool's hits, swept in descending confidence. Order among
     # equal confidences does not matter: only the state after them is kept.
     if pool.total_gt == 0:
         raise UndefinedMetricError(f"no ground truth of class {pool.class_id}: "
                                    "recall undefined")
     order = np.argsort(-pool.confidences, kind="stable")
     confidences = pool.confidences[order]
-    tp = np.cumsum(hits[:, order], axis=1)
+    tp = np.cumsum(pool.hits[:, order], axis=1)
     swept = np.arange(1, len(order) + 1)
     last = np.ones(len(order), dtype=bool)
     last[:-1] = confidences[1:] != confidences[:-1]
@@ -270,7 +278,7 @@ def pr_curve(scenes: Sequence[ScenePair], class_id: int,
     """
     OperatingPoint(iou_threshold=iou_threshold)  # rejects one outside (0, 1]
     pool = _pool(box_tables(scenes), (iou_threshold,), (class_id,))[class_id]
-    return _curve(pool, *_sweep(pool, pool.hits))
+    return _curve(pool, *_sweep(pool))
 
 
 def _integrate(recall: np.ndarray, precision: np.ndarray,
@@ -314,7 +322,7 @@ def ap_sweep(scenes: Sequence[ScenePair], class_id: int,
              interpolation: str = "101") -> tuple[float, float]:
     """AP at IoU 0.50 and the mean over thresholds 0.50:0.05:0.95."""
     pool = _pool(box_tables(scenes), AP_IOU_THRESHOLDS, (class_id,))[class_id]
-    return _ap_pair(*_sweep(pool, pool.hits)[1:], interpolation)
+    return _ap_pair(*_sweep(pool)[1:], interpolation)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +397,7 @@ def evaluate_detections(records, op: OperatingPoint = OperatingPoint(),
         precision, recall, f1 = counts_to_prf(tp, fp, fn)
         ap50 = ap50_95 = None
         if pool.total_gt:
-            confidences, precisions, recalls = _sweep(pool, pool.hits)
+            confidences, precisions, recalls = _sweep(pool)
             curves[c] = _curve(pool, confidences, precisions, recalls)
             ap50, ap50_95 = _ap_pair(precisions[1:], recalls[1:], interpolation)
         ious = pool.ious[matched].tolist()  # image then greedy order

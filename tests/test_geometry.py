@@ -188,7 +188,8 @@ class TestIou:
     @pytest.mark.parametrize("n_rows, n_cols", [(4, 5), (0, 5), (4, 0), (0, 0)])
     def test_padded_blocks_match_scalar_bitwise(self, n_rows, n_cols):
         # Three images with n, none and n // 2 boxes a side, padded with
-        # all-zero corners the way the matcher pads a block.
+        # all-zero corners: stacks broadcast over their leading axis, as
+        # the matcher's [N, 1, 4] pair rows do.
         rng = np.random.default_rng(np.random.SeedSequence((12, n_rows, n_cols)))
 
         def image(n):

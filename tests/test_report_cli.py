@@ -282,6 +282,24 @@ class TestCli:
                      "--out", str(out_file)]) == 0
         assert json.loads(out_file.read_text()) == from_cohort
 
+    def test_split_hashes_no_file(self, tmp_path, monkeypatch, capsys):
+        # split reports no digests, so it computes none; evaluate does.
+        cohort = tmp_path / "cohort"
+        main(["synth", "--images", "20", "--out", str(cohort)])
+        real, calls = hashlib.sha256, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(hashlib, "sha256", counted)
+        for argv in (["split", str(cohort)],
+                     ["split", str(cohort / "gt"), "--dims", "2048x2048"]):
+            assert main([*argv, "--out", str(tmp_path / "split.json")]) == 0
+        assert calls == []
+        assert main(["evaluate", str(cohort / "gt"), str(cohort / "pred"),
+                     "--dims", "2048x2048"]) == 0
+        assert calls
+
     def test_split_rejects_bad_fractions(self, tmp_path, capsys):
         cohort = tmp_path / "cohort"
         main(["synth", "--images", "4", "--out", str(cohort)])

@@ -587,6 +587,11 @@ _grid_boxes = st.lists(st.tuples(st.sampled_from((FUNGAL, ARTEFACT)),
                                  st.integers(1, 4), st.integers(1, 4),
                                  st.integers(1, 10)), max_size=6)
 _cohorts = st.lists(st.tuples(_grid_boxes, _grid_boxes), min_size=1, max_size=5)
+# The same with confidences 0.5 and 1.0 only, so most predictions tie.
+_tied_boxes = st.lists(st.tuples(st.sampled_from((FUNGAL, ARTEFACT)),
+                                 st.integers(0, 6), st.integers(0, 6),
+                                 st.integers(1, 4), st.integers(1, 4),
+                                 st.sampled_from((5, 10))), max_size=6)
 
 
 def _grid_records(cohort):
@@ -669,7 +674,7 @@ class TestPooledApOracle:
 
 
 # Images with ground truth and predictions, with only one of them, and with
-# neither, interleaved, so blocks start and end on every kind of image.
+# neither, interleaved, so chunks start and end on every kind of image.
 _mixed_cohorts = st.lists(st.one_of(st.tuples(_grid_boxes, _grid_boxes),
                                     st.tuples(_grid_boxes, st.just([])),
                                     st.tuples(st.just([]), _grid_boxes),
@@ -677,11 +682,11 @@ _mixed_cohorts = st.lists(st.one_of(st.tuples(_grid_boxes, _grid_boxes),
 
 
 class TestMatcherBlocks:
-    """The blocked matcher gives the same arrays however images are packed."""
+    """The matcher gives the same arrays however images are chunked."""
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(_mixed_cohorts, st.sampled_from(("101", "all")))
-    # Image 0's match must not use up image 1's ground truth in a shared block.
+    # Image 0's match must not use up image 1's ground truth in a shared chunk.
     @example([([(0, 0, 0, 2, 2, 0)], [(0, 0, 0, 2, 2, 9)]),
               ([(0, 0, 0, 2, 2, 0)], [(0, 4, 4, 2, 2, 9), (0, 0, 0, 2, 2, 5)])], "101")
     def test_block_cap_does_not_change_the_pool(self, cohort, interpolation):
@@ -698,10 +703,11 @@ class TestMatcherBlocks:
 
         default = pooled()
         metrics = evaluate_detections(records, op, interpolation)
-        # 1 cell gives every image a block of its own; 200 mixes block sizes.
-        for cap in (1, 200):
+        # A budget of 1 pair puts no two images with pairs in one chunk;
+        # 12 mixes chunk sizes (an image has up to 36 pairs).
+        for budget in (1, 12):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(koheval.metrics, "_BLOCK_CELLS", cap)
+                patch.setattr(koheval.metrics, "_PAIR_BUDGET", budget)
                 assert pooled() == default
                 assert evaluate_detections(records, op, interpolation) == metrics
 
@@ -720,6 +726,41 @@ class TestMatcherBlocks:
             want50, want50_95 = _oracle_ap(records, class_id, interpolation)
             assert abs(got.ap50 - want50) <= 1e-12
             assert abs(got.ap50_95 - want50_95) <= 1e-12
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(_tied_boxes, _tied_boxes), min_size=1, max_size=6),
+           st.sampled_from((0.05, 0.30, 0.50)), st.sampled_from((1, 12, 1 << 14)))
+    def test_each_threshold_row_is_the_reference_match(self, cohort, first, budget):
+        # The pooled-AP oracle keeps only the state after a run of equal
+        # confidences, so it cannot see a hit swapped between tied
+        # predictions; this compares every prediction at every threshold.
+        scenes = [(r.ground_truth, r.predictions) for r in _grid_records(cohort)]
+        thresholds = (first, *AP_IOU_THRESHOLDS)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(koheval.metrics, "_PAIR_BUDGET", budget)
+            scene = koheval.metrics._match(box_tables(scenes), thresholds)
+        assert scene.hits.shape == (len(thresholds), len(scene.index))
+        start = 0
+        for gts, preds in scenes:
+            stop = start + len(preds)
+            index = scene.index[start:stop].tolist()
+            for row, threshold in enumerate(thresholds):
+                op = OperatingPoint(conf_threshold=0.05, iou_threshold=threshold)
+                want = reference_match(gts, preds, op)
+                # tp_pairs run in greedy order; the kernel lists all of it.
+                hit = [i for i, h in zip(index, scene.hits[row, start:stop]) if h]
+                assert hit == [i for _, i, _ in want.tp_pairs]
+                if row:
+                    continue
+                gt_of = {i: g for g, i, _ in want.tp_pairs}
+                iou_of = {i: v for _, i, v in want.tp_pairs}
+                assert scene.matched[start:stop].tolist() == [gt_of.get(i, -1)
+                                                              for i in index]
+                assert scene.ious[start:stop].tolist() == [iou_of.get(i, 0.0)
+                                                           for i in index]
+                assert sorted(index) == list(range(len(preds)))
+            start = stop
+        assert start == len(scene.index)
 
     def test_empty_cohort(self):
         empty = ClassMetrics(0, 0, 0, 0.0, 0.0, 0.0, None, None, None)
