@@ -251,9 +251,10 @@ def iou_matrix(rows: Sequence[Box] | np.ndarray,
     ``[N, G, P]``. Uses the same operation order as :func:`iou`, so
     entries are bit-identical to the scalar result.
     """
-    r, c = (b if isinstance(b, np.ndarray) else box_rows(b) for b in (rows, cols))
-    rx0, ry0, rx1, ry1 = (r[..., :, None, k] for k in range(4))
-    cx0, cy0, cx1, cy1 = (c[..., None, :, k] for k in range(4))
+    r = (rows if isinstance(rows, np.ndarray) else box_rows(rows))[..., :, None, :]
+    c = (cols if isinstance(cols, np.ndarray) else box_rows(cols))[..., None, :, :]
+    rx0, ry0, rx1, ry1 = r[..., 0], r[..., 1], r[..., 2], r[..., 3]
+    cx0, cy0, cx1, cy1 = c[..., 0], c[..., 1], c[..., 2], c[..., 3]
 
     # In place where it can be, so a large block holds few full-size arrays.
     inter = np.maximum(np.minimum(rx1, cx1) - np.maximum(rx0, cx0), 0.0)

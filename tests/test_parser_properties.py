@@ -10,6 +10,8 @@ documents nested deeper than the decoder's recursion limit.
 
 import json
 import math
+import re
+import sys
 import warnings
 from dataclasses import astuple, replace
 
@@ -19,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koheval.dataset import (
+    _CANONICAL_LINE,
     Dataset,
     ImageRecord,
     InputTree,
@@ -448,6 +451,20 @@ def _read_directory(tree, files, frames, parse):
          [DIMS] * 6)
 # A run of two blanks.
 @example([b"0 0.5  0.5 0.1 0.1\n", b"0 0.5 0.5 0.1\t 0.1 0.5\n"], [DIMS] * 6)
+# Tokens with 25-digit integer parts and 30-digit fractions: the batch's
+# converter must round them as float() does.
+@example([b"0 0000000000000000000000000.5 0.500000000000000000000000000001 0.1 0.1\n",
+          b"1 0.123456789012345678901234567890 0.5 0.2 0.2 "
+          b"0.999999999999999999999999999999\n",
+          b"0 0.5 0.5 0.1 0.1 0000000000000000000000001.000000000000000000000000000000\n",
+          b"1 1234567890123456789012345.5 0.5 0.2 0.2\n"], [DIMS, ImageDims(7, 3000)] * 3)
+# CRLF and tab files, with such tokens, in one batch.
+@example([b"0 0.500000000000000000000000000001 0.5 0.1 0.1\r\n",
+          b"1\t0000000000000000000000000.25\t0.5\t0.2\t0.2\n",
+          b"0\t0.5 0.5\t0.1 0.1 0.123456789012345678901234567890\r\n",
+          b"1 0.5 0.5 0.2 0.2 0.9\n1\t0.75\t0.5\t0.2\t0.2\t0.3\r\n"], [DIMS] * 6)
+# Every file empty: an empty batch, which must not warn.
+@example([b"", b"", b""], [DIMS] * 6)
 def test_directory_reader_agrees_with_the_per_file_parsers(tmp_path_factory,
                                                            contents, frames):
     root = tmp_path_factory.mktemp("labels")
@@ -466,6 +483,52 @@ def test_directory_reader_agrees_with_the_per_file_parsers(tmp_path_factory,
         if files:
             assert _read_outcome(lambda: _read_directory(tree, files, dims, parse)) \
                 == _read_outcome(lambda: _file_by_file(files, dims, parse))
+
+
+# The batch's line pattern as Python 3.10 spells it, with plain repeats.
+PLAIN_LINE = {n_fields: re.compile(rb"[01](?:[ \t][0-9]+(?:\.[0-9]+)?){%d}\r?\n"
+                                   % (n_fields - 1)) for n_fields in (5, 6)}
+# Byte strings near the pattern's edges for 5 or 6 fields: lines the
+# pattern accepts (a class digit, then fields of digits with or without a
+# fraction, each after a blank or tab, then "\n" or "\r\n"); such lines
+# with some fields ending in "." or "..", or with one piece put in
+# somewhere, which may break the line, split it or leave it whole; and runs
+# of such pieces.
+decimal_digits = st.text("0123456789", min_size=1, max_size=3)
+blank = st.sampled_from(" \t")
+line_field = st.builds("{}{}{}".format, blank, decimal_digits,
+                       st.just("") | decimal_digits.map(".".__add__))
+odd_field = st.builds("{}{}{}".format, blank, decimal_digits,
+                      st.sampled_from([".", ".."]))
+line_piece = st.sampled_from([b"0", b"1", b"2", b"07", b".", b"..", b"0.5", b" ", b"\t",
+                              b"\r", b"\n", b"\r\n", b"-", b"e", b"x", b"\x0b"])
+
+
+def near_lines(n_fields):
+    def lines(field):
+        return st.builds(
+            lambda class_id, fields, end: (class_id + "".join(fields) + end).encode(),
+            st.sampled_from("01"), st.lists(field, min_size=n_fields - 1,
+                                            max_size=n_fields - 1),
+            st.sampled_from(["\n", "\r\n"]))
+    line = lines(line_field)
+    spoiled = st.builds(lambda line, at, piece: line[:at] + piece + line[at:],
+                        line, st.integers(0, 40), line_piece)
+    pieces = st.lists(line_piece, max_size=6).map(b"".join)
+    near = line | lines(line_field | odd_field) | spoiled | pieces
+    return st.tuples(st.just(n_fields), st.lists(near, max_size=4).map(b"".join))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="possessive repeats are new in Python 3.11")
+@settings(PROPERTY, max_examples=300)
+@given(st.sampled_from([5, 6]).flatmap(near_lines))
+def test_possessive_line_pattern_accepts_what_the_plain_one_does(case):
+    n_fields, data = case
+    possessive, plain = _CANONICAL_LINE[n_fields == 6], PLAIN_LINE[n_fields]
+    assert b"++" in possessive.pattern
+    assert bool(possessive.fullmatch(data)) == bool(plain.fullmatch(data))
+    assert possessive.sub(b"", data) == plain.sub(b"", data)
 
 
 # A parsed document prints under strict UTF-8: a JSON escape of a lone

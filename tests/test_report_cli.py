@@ -513,13 +513,23 @@ class TestCli:
         cohort = tmp_path / "cohort"
         main(["synth", "--images", "12", "--seed", "5", "--out", str(cohort)])
         opened = Counter()
+        handles = {}  # directory handle -> the path it was opened with
 
         def counting(real_open):
             def counting_open(file, *args, **kwargs):
-                opened[os.path.abspath(file)] += 1
-                return real_open(file, *args, **kwargs)
+                # A name opened relative to a directory handle (dir_fd=)
+                # counts as the file in that directory.
+                path = os.path.abspath(os.path.join(
+                    handles.get(kwargs.get("dir_fd"), ""), file))
+                opened[path] += 1
+                result = real_open(file, *args, **kwargs)
+                if isinstance(result, int) and os.path.isdir(path):
+                    handles[result] = path
+                return result
             return counting_open
-        # read_text reads through os.open, sha256_file through open.
+        # Label files are read through os.open, relative to a handle of
+        # their directory; read_text reads through os.open, sha256_file
+        # through open.
         monkeypatch.setattr(builtins, "open", counting(builtins.open))
         monkeypatch.setattr(os, "open", counting(os.open))
         monkeypatch.chdir(cohort)
@@ -537,6 +547,35 @@ class TestCli:
                 assert main([command, *argv, "--out", str(out)]) == 0
                 assert {f: n for f, n in opened.items() if f in every} \
                     == dict.fromkeys(inputs, 1)
+
+    @pytest.mark.parametrize("command", ["evaluate", "screen"])
+    @pytest.mark.parametrize("kind", ["gt", "pred"])
+    @pytest.mark.parametrize("replacement, reason", [
+        (None, "No such file or directory"), ("directory", "Is a directory")])
+    def test_label_file_changed_after_the_walk_is_named_by_its_path(
+            self, tmp_path, capsys, monkeypatch, command, kind, replacement, reason):
+        # The file is opened by its name relative to a handle of its
+        # directory; the error still names its full path, and neither the
+        # handle nor the file's descriptor is left open.
+        cohort = tmp_path / "cohort"
+        main(["synth", "--images", "6", "--seed", "5", "--out", str(cohort)])
+        changed = cohort / kind / "synth-0002.txt"
+        walk = InputTree.__init__
+
+        def walk_then_change(self, *args, **kwargs):
+            walk(self, *args, **kwargs)
+            if changed.is_file():
+                changed.unlink()
+                if replacement == "directory":
+                    changed.mkdir()
+        monkeypatch.setattr(InputTree, "__init__", walk_then_change)
+        descriptors = Path("/proc/self/fd")
+        before = sorted(os.listdir(descriptors)) if descriptors.is_dir() else None
+        capsys.readouterr()
+        assert main([command, str(cohort)]) == 2
+        assert capsys.readouterr().err == f"error: {changed}: {reason}\n"
+        if before is not None:
+            assert sorted(os.listdir(descriptors)) == before
 
     def test_symlinked_pred_dir_is_read_but_not_hashed(self, tmp_path, capsys):
         cohort = tmp_path / "cohort"
