@@ -13,8 +13,8 @@ directory: files whose lines hold a class digit and plain decimals, each
 after one space or tab, and end in ``\\n`` or ``\\r\\n`` are converted
 together by ``np.loadtxt`` and their boxes clipped to the frame. Only a
 file with an error or another spelling (an exponent or sign, a run of
-blanks, another line break, no final newline) goes through the per-file
-parsers.
+blanks, another line break, no final newline) is parsed line by line. A
+file costs its open, read, close and digest; all else is once per directory.
 A :class:`Dataset` holds each image's id and frame and the tables, in
 id order, and the matcher, screening and the split read the tables;
 ``Dataset.records``, the per-image :class:`ImageRecord` view, is built on
@@ -36,8 +36,8 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, compress, repeat
+from operator import attrgetter, methodcaller
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -230,39 +230,58 @@ def _warn_clipped(clipped: int, stacklevel: int) -> None:
                       stacklevel=stacklevel + 1)
 
 
-def _parse_lines(text: str, dims: ImageDims, with_confidence: bool) -> list[Box]:
-    # The rows up to the first line that does not parse, then the box rules
-    # on them: the first error in line order is raised.
+def _parse_texts(texts: list, frames: Sequence[ImageDims], with_confidence: bool,
+                 paths: Sequence[str] | None = None
+                 ) -> tuple[np.ndarray, list[int], np.ndarray, tuple | None]:
+    # The rows of ``texts`` (with ``paths``, files' bytes or OSErrors) parsed up
+    # to the first error, then checked by the box rules at once; each text's rows
+    # and clipped boxes; and (k, the first error, in texts[k]) or None.
     n_fields = 6 if with_confidence else 5
-    rows, lines, error = [], [], None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()  # the fields of raw.strip(): both split on isspace()
-        if not parts:
-            continue
-        if len(parts) != n_fields:
-            error = ParseError(f"expected {n_fields} fields, got {len(parts)}",
-                               line=lineno)
-            break
+    rows, lines, counts, error = [], [], [], None
+    for k, text in enumerate(texts):
+        start = len(rows)
         try:
-            row = (int(parts[0]), *map(float, parts[1:]))
-        except ValueError:
-            error = ParseError(f"non-numeric field in {raw.strip()!r}", line=lineno)
+            text = text if paths is None else _decode(text, paths[k], ParseError)
+            for lineno, raw in enumerate(text.splitlines(), start=1):
+                parts = raw.split()  # the fields of raw.strip(): both split on isspace()
+                if not parts:
+                    continue
+                if len(parts) != n_fields:
+                    raise ParseError(f"expected {n_fields} fields, got {len(parts)}",
+                                     line=lineno)
+                try:
+                    row = (int(parts[0]), *map(float, parts[1:]))
+                except ValueError:
+                    raise ParseError(f"non-numeric field in {raw.strip()!r}",
+                                     line=lineno) from None
+                if row[0] not in (FUNGAL, ARTEFACT):
+                    raise ClassError(f"unknown class id {row[0]}", line=lineno)
+                rows.append(row)
+                lines.append(lineno)
+        except (OSError, ParseError) as exc:
+            error = k, exc
+        counts.append(len(rows) - start)
+        if error is not None:
             break
-        if row[0] not in (FUNGAL, ARTEFACT):
-            error = ClassError(f"unknown class id {row[0]}", line=lineno)
-            break
-        rows.append(row)
-        lines.append(lineno)
-    table, clipped, _, first = frame_rows(
-        np.array(rows, dtype=float).reshape(-1, n_fields), [dims], [len(rows)])
-    if first is not None:
-        i, error = first
-        if isinstance(error, InvalidBoxError):
-            raise ParseError("zero-area box", line=lines[i])
-        if isinstance(error, RangeError):
-            raise RangeError(str(error), line=lines[i])
+    table, clipped, _, first = frame_rows(np.array(rows, dtype=float).reshape(
+        -1, n_fields), frames[:len(counts)], counts)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    if first is not None:  # on a line before any that did not parse
+        (row, rule), line = first, lines[first[0]]
+        error = int(owner[row]), (
+            ParseError("zero-area box", line=line) if isinstance(rule, InvalidBoxError)
+            else RangeError(str(rule), line=line) if isinstance(rule, RangeError)
+            else rule)
+    if paths and error and isinstance(error[1], ParseError) and error[1].line:
+        error[1].args = (f"{shown_path(paths[error[0]])}: {error[1]}",)  # keeps .line
+    return table, counts, np.bincount(owner[clipped], minlength=len(texts)), error
+
+
+def _parse_lines(text: str, dims: ImageDims, with_confidence: bool) -> list[Box]:
+    # The boxes of ``text``, or the first error in line order raised.
+    table, _, clipped, error = _parse_texts([text], [dims], with_confidence)
     if error is not None:
-        raise error
+        raise error[1]
     _warn_clipped(int(clipped.sum()), stacklevel=3)
     return _boxes(table)
 
@@ -395,32 +414,19 @@ def format_coco_json(dataset: Dataset) -> str:
     Output is deterministic: images sorted by image_id, stable integer
     ids, sorted keys.
     """
-    images = []
-    annotations = []
-    ann_id = 1
-    for idx, rec in enumerate(dataset.records, start=1):
-        images.append({
-            "id": idx,
-            "file_name": f"{rec.image_id}.png",
-            "width": rec.dims.width,
-            "height": rec.dims.height,
-        })
-        for box in rec.ground_truth:
-            annotations.append({
-                "id": ann_id,
-                "image_id": idx,
-                "category_id": box.class_id + 1,
-                "bbox": [box.x_min, box.y_min,
-                         box.x_max - box.x_min, box.y_max - box.y_min],
-            })
-            ann_id += 1
-    document = {
-        "images": images,
-        "annotations": annotations,
+    records = list(enumerate(dataset.records, start=1))
+    boxes = [(idx, box) for idx, rec in records for box in rec.ground_truth]
+    return dump_json({
+        "images": [{"id": idx, "file_name": f"{rec.image_id}.png",
+                    "width": rec.dims.width, "height": rec.dims.height}
+                   for idx, rec in records],
+        "annotations": [{"id": ann_id, "image_id": idx, "category_id": box.class_id + 1,
+                         "bbox": [box.x_min, box.y_min,
+                                  box.x_max - box.x_min, box.y_max - box.y_min]}
+                        for ann_id, (idx, box) in enumerate(boxes, start=1)],
         "categories": [{"id": class_id + 1, "name": name}
                        for class_id, name in enumerate(CLASS_NAMES)],
-    }
-    return dump_json(document)
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -430,30 +436,35 @@ def format_coco_json(dataset: Dataset) -> str:
 _READ_SIZE = 65536
 
 
-def _read_bytes(path: Path | str, digests: dict[str, str] | None = None,
-                regular: bool = False, dir_fd: int | None = None) -> bytes:
-    """A file's bytes; ``digests``, when given, gets their SHA-256 under
-    ``str(path)``. With ``dir_fd``, a handle of the directory holding
-    ``path`` (a str), the file is opened by its name relative to that
-    handle. A ``regular`` file (one a walk found) ends at its first short
-    read, so a small one takes one ``os.read``. An OSError names ``path``."""
-    try:
-        fd = os.open(path if dir_fd is None else path.rpartition(os.sep)[2],
-                     os.O_RDONLY, dir_fd=dir_fd)
+def _read_bytes(paths: Sequence[str], digests: dict[str, str] | None = None,
+                names: Sequence[str] | None = None, dir_fd: int | None = None
+                ) -> list[bytes | OSError]:
+    """Each file's bytes, or the OSError naming its path that reading it
+    raised; ``digests``, when given, gets each SHA-256 under the path. With
+    ``dir_fd``, a handle of their directory, files are opened by ``names``
+    and each (a regular file a walk found) ends at its first short read."""
+    datas: list[bytes | OSError] = []
+    for path, name in zip(paths, names or paths):
         try:
-            data = os.read(fd, _READ_SIZE)
-            if data and (len(data) == _READ_SIZE or not regular):
-                data += b"".join(iter(lambda: os.read(fd, _READ_SIZE), b""))
-        finally:
-            os.close(fd)
-    except OSError as exc:  # os.read names no file, an open at dir_fd only the name
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
-    if digests is not None:
-        digests[str(path)] = hashlib.sha256(data).hexdigest()
-    return data
+            fd = os.open(name, os.O_RDONLY, dir_fd=dir_fd)
+            try:
+                data = os.read(fd, _READ_SIZE)
+                if data and (len(data) == _READ_SIZE or dir_fd is None):
+                    data += b"".join(iter(lambda: os.read(fd, _READ_SIZE), b""))
+            finally:
+                os.close(fd)
+        except OSError as exc:  # os.read names no file, an open at dir_fd only the name
+            datas.append(OSError(exc.errno, exc.strerror, path))
+            continue
+        if digests is not None:
+            digests[path] = hashlib.sha256(data).hexdigest()
+        datas.append(data)
+    return datas
 
 
-def _decode(data: bytes, path: Path | str, error: type[KohevalError]) -> str:
+def _decode(data: bytes | OSError, path: Path | str, error: type[KohevalError]) -> str:
+    if isinstance(data, OSError):  # as _read_bytes gives a file it could not read
+        raise data
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -466,7 +477,7 @@ def read_text(path: Path | str, digests: dict[str, str] | None = None) -> str:
     SchemaError naming the file. Line endings are kept: every reader here
     splits lines or parses JSON, and both accept CRLF. ``digests``, when
     given, gets the SHA-256 of the bytes read, under ``str(path)``."""
-    return _decode(_read_bytes(path, digests), path, SchemaError)
+    return _decode(_read_bytes([str(path)], digests)[0], path, SchemaError)
 
 
 _JSON_KINDS = {dict: "an object", list: "a list", str: "a string",
@@ -601,6 +612,9 @@ def shown_path(path: Path | str) -> str:
     return os.fsencode(path).decode("utf-8", "backslashreplace")
 
 
+_NOT_UTF8 = re.compile("[\ud800-\udfff]")  # lone surrogates: all str.encode() refuses
+
+
 class InputTree:
     """The files under an input path, walked once with ``os.scandir`` in
     the order of ``sorted(path.rglob("*"))``: each directory's entries in
@@ -609,71 +623,98 @@ class InputTree:
     one file. Readers record the digests of the files they read in
     ``digests`` (None if not ``hashed``), so :meth:`sha256` reads the rest;
     a directory's label files are read through one handle of the directory
-    (:func:`_read_label_files`), by the names the walk listed."""
+    (:func:`_read_label_files`), by the names the walk listed. The walk
+    keeps lists of names and paths, a pair per run of a directory's files
+    between its subdirectories; ``files`` is built from them on first use."""
 
     def __init__(self, path: Path | str, hashed: bool = True):
         self.path = Path(path)
-        self.files: dict[str, tuple[str, ...]] = {}
         self.digests: dict[str, str] | None = {} if hashed else None
-        # Directory parts -> (name, path) of each .txt entry in it.
-        self._labels: dict[tuple[str, ...], list[tuple[str, str]]] = {}
+        # Runs of files as (directory parts, names, paths); .txt entries no file.
+        self._runs: list[tuple[tuple[str, ...], list[str], list[str]]] = []
+        self._odd: dict[tuple[str, ...], list[tuple[str, str]]] = {}
         root = "" if self.path == Path(".") else str(self.path)
-        if self.path.is_dir():
+        self._file = None if self.path.is_dir() else root
+        if self._file is None:
             self._walk(root, ())
-        else:
-            self.files[root] = ()
 
     def _walk(self, directory: str, prefix: tuple[str, ...]) -> None:
         # "" stands for ".", so that paths read as str(Path(...)) reads them.
         with os.scandir(directory or ".") as entries:
             entries = sorted(entries, key=attrgetter("name"))
-        labels: list[tuple[str, str]] = []
-        for entry in entries:
-            name = entry.name
-            parts, path = (*prefix, name), entry.path if directory else name
-            if entry.is_dir(follow_symlinks=False):
-                self._walk(path, parts)
-            elif entry.is_file():
-                self.files[path] = parts
-            if name.endswith(".txt"):
-                if not labels:  # keyed at its first label, as the walk reaches it
-                    self._labels[prefix] = labels
-                labels.append((name, path))
+        names = list(map(attrgetter("name"), entries))
+        paths = list(map(attrgetter("path"), entries)) if directory else names
+        regular = list(map(os.DirEntry.is_file, entries))
+        if not all(regular):  # a subdirectory, a FIFO, a dangling link
+            self._odd[prefix] = [(n, p) for n, p, is_file in zip(names, paths, regular)
+                                 if not is_file and n.endswith(".txt")]
+        start = 0
+        for stop in [*compress(range(len(names)), map(methodcaller(
+                "is_dir", follow_symlinks=False), entries)), len(names)]:
+            files = regular[start:stop]
+            self._runs.append((prefix, list(compress(names[start:stop], files)),
+                               list(compress(paths[start:stop], files))))
+            if stop < len(names):
+                self._walk(paths[stop], (*prefix, names[stop]))
+            start = stop + 1
 
-    def label_files(self, directory: Path) -> dict[str, str]:
-        """Image id (the name's ``Path.stem``) -> path of each ``.txt``
-        file directly in ``directory``, in id order. A ``.txt`` entry whose
-        name is not UTF-8 (an id that output encoding strictly cannot
-        print), or that is not a regular file or a link to one, raises
-        SchemaError."""
+    @cached_property
+    def files(self) -> dict[str, tuple[str, ...]]:
+        """Path -> parts relative to ``path`` of each file, in walk order."""
+        return {self._file: ()} if self._file is not None else {
+            path: (*parts, name) for parts, names, paths in self._runs
+            for name, path in zip(names, paths)}
+
+    def label_files(self, directory: Path) -> tuple[list[str], list[str], list[str]]:
+        """The image ids (each name's ``Path.stem``), names and paths of the
+        ``.txt`` files directly in ``directory``, in id order. A ``.txt``
+        entry whose name is not UTF-8 (an id that output encoding strictly
+        cannot print), or that is not a regular file or a link to one,
+        raises SchemaError. The listing is checked as a whole; id by id only
+        to name the first offender, or if a name is ``.txt``."""
         if directory != self.path and directory.is_symlink():
             # The walk does not enter it, but its labels are still read.
             return InputTree(directory).label_files(directory)
-        entries = self._labels.get(directory.relative_to(self.path).parts, ())
-        labels = dict(sorted((name[:-4] or name, file) for name, file in entries))
-        for image_id, file in labels.items():
-            try:
-                image_id.encode()
-            except UnicodeEncodeError:
-                raise SchemaError(f"{shown_path(file)}: file name is not UTF-8") \
-                    from None
-            if file not in self.files:  # a FIFO, say: never opened, as it would block
-                raise SchemaError(f"{shown_path(file)}: not a regular file")
-        return labels
+        parts = directory.relative_to(self.path).parts
+        names, paths = ([*chain.from_iterable(run[k] for run in self._runs
+                                              if run[0] == parts)] for k in (1, 2))
+        joined = "\0".join([*names, ""])  # no name holds "\0": ".txt\0" ends a label
+        if joined.count(".txt\0") != len(names):
+            labels = [name.endswith(".txt") for name in names]
+            names, paths = list(compress(names, labels)), list(compress(paths, labels))
+            joined = "\0".join([*names, ""])
+        odd = self._odd.get(parts)
+        if odd or ".txt" in names or _NOT_UTF8.search(joined):
+            labels = dict(sorted((name[:-4] or name, (name, path))
+                                 for name, path in [*zip(names, paths), *(odd or [])]))
+            for image_id, (_, path) in labels.items():  # in id order
+                if _NOT_UTF8.search(image_id):
+                    raise SchemaError(f"{shown_path(path)}: file name is not UTF-8")
+                if path not in self.files:  # a FIFO, say: never opened, as it would block
+                    raise SchemaError(f"{shown_path(path)}: not a regular file")
+            return list(labels), *([e[k] for e in labels.values()] for k in (0, 1))
+        ids = joined.replace(".txt\0", "\0").split("\0")[:-1]
+        if ids != sorted(ids):  # "a-b.txt" sorts before "a.txt", "a" before "a-b"
+            ids, names, paths = map(list, zip(*sorted(zip(ids, names, paths))))
+        return ids, names, paths
 
     def sha256(self) -> str:
         """Digest of the file, or of the directory as the digest of its
         sorted (relative name, file digest) pairs, names as file-system bytes."""
-        pairs = [(parts, self.digests.get(file) or sha256_file(file))
-                 for file, parts in self.files.items()]
-        if len(pairs) == 1 and not pairs[0][0]:  # the tree of one file
-            return pairs[0][1]
+        if self._file is not None:  # the tree of one file
+            return self.digests.get(self._file) or sha256_file(self._file)
         digest = hashlib.sha256()
-        # A piece at a time, so that no string holds a large tree's whole listing.
-        for start in range(0, len(pairs), 1024):
-            piece = "".join(f"{'/'.join(parts)}\0{file_digest}\0"
-                            for parts, file_digest in pairs[start:start + 1024])
-            digest.update(os.fsencode(piece))
+        for parts, names, paths in self._runs:
+            prefix = "".join(f"{part}/" for part in parts)
+            # A piece at a time, so that no string holds a large run's whole listing.
+            for start in range(0, len(names), 1024):
+                piece = paths[start:start + 1024]
+                hexes = list(map(self.digests.get, piece))
+                if None in hexes:
+                    hexes = [h or sha256_file(p) for h, p in zip(hexes, piece)]
+                pairs = map("\0".join, zip(names[start:start + 1024], hexes))
+                digest.update(os.fsencode(  # "<prefix><name>\0<digest>\0" per file
+                    prefix + ("\0" + prefix).join(pairs) + "\0"))
         return digest.hexdigest()
 
 
@@ -696,80 +737,74 @@ def _canonical_boxes(datas: list, dims: Sequence[ImageDims], with_confidence: bo
     converted together, file after file; each file's number of rows and of
     clipped boxes; and which files those are. Every other file has none.
 
-    One ``sub`` deletes the canonical lines of the joined batch, and
-    ``np.loadtxt`` converts them (as ``float()`` does); a ``fullmatch`` of
-    the whole batch would hold 9-17 MB of backtracking state per batch
-    (eval-sparse peak RSS 49.5 -> 61.6 MB).
+    Line counts, final newlines and rows' owners come from the joined bytes
+    by numpy; one ``sub`` deletes the batch's canonical lines (file by file
+    only if some remain), and ``np.loadtxt`` converts them as ``float()``
+    does. A ``fullmatch`` of the batch would hold 9-17 MB of backtracking
+    state (eval-sparse peak RSS 49.5 -> 61.6 MB).
     """
-    line = _CANONICAL_LINE[with_confidence]
+    line, n = _CANONICAL_LINE[with_confidence], len(datas)
+    read = np.fromiter(map(isinstance, datas, repeat(bytes)), dtype=bool, count=n)
+    texts = datas if read.all() else [d if isinstance(d, bytes) else b"" for d in datas]
+    joined = b"".join(texts)
+    sizes = np.fromiter(map(len, texts), dtype=np.intp, count=n)
+    ends = np.cumsum(sizes)
+    breaks = np.flatnonzero(np.frombuffer(joined, dtype=np.uint8) == 10)
+    upto = np.searchsorted(breaks, ends)  # the line breaks before each file's end
     # A file not ending in "\n" could join the next one's first line.
-    canon = [i for i, data in enumerate(datas)
-             if isinstance(data, bytes) and (not data or data[-1] == 10)]
-    batch = b"".join(datas[i] for i in canon)
+    accepted = read & ((sizes == 0) | (upto > np.searchsorted(breaks, ends - 1)))
+    batch = joined if accepted.all() else b"".join(compress(texts, accepted))
     if line.sub(b"", batch):
-        canon = [i for i in canon if not line.sub(b"", datas[i])]
-        batch = b"".join(datas[i] for i in canon)
-    counts = np.zeros(len(datas), dtype=np.intp)
-    counts[canon] = [datas[i].count(b"\n") for i in canon]
+        accepted[accepted] = [not line.sub(b"", t) for t in compress(texts, accepted)]
+        batch = b"".join(compress(texts, accepted))
+    counts = np.where(accepted, np.diff(upto, prepend=0), 0)
     # loadtxt warns on empty input, so an empty batch is not handed to it.
     rows = (np.loadtxt(io.BytesIO(batch), ndmin=2) if batch
             else np.empty((0, 6 if with_confidence else 5)))
     table, clipped, rejected, _ = frame_rows(rows, dims, counts)
-    owner = np.repeat(np.arange(len(datas)), counts)
-    accepted = np.zeros(len(datas), dtype=bool)
-    accepted[canon] = True
+    owner = np.repeat(np.arange(n), counts)
     accepted[owner[rejected]] = False
     kept = accepted[owner]
     counts[~accepted] = 0
-    return (table[kept], counts, np.bincount(owner[clipped & kept], minlength=len(datas)),
-            accepted)
+    return table[kept], counts, np.bincount(owner[clipped & kept], minlength=n), accepted
 
 
-def _read_label_files(directory: Path, files: Sequence[str],
+def _read_label_files(directory: Path, names: Sequence[str], paths: Sequence[str],
                       dims: Sequence[ImageDims], with_confidence: bool,
                       digests: dict[str, str] | None) -> tuple[np.ndarray, np.ndarray]:
-    """The table rows of the label files in ``directory``, ``files[i]`` in
-    the frame ``dims[i]``, file after file, and each file's number of rows.
+    """The table rows of the label files ``names`` in ``directory``, the
+    i-th at ``paths[i]`` in the frame ``dims[i]``, file after file, and each
+    file's number of rows.
 
-    The directory is opened once and each file by its name in it, so the
-    kernel does not look up the whole path per file; an OSError and the
-    digest still name the file's path. The batch, :func:`_canonical_boxes`,
-    converts together the files in the spelling it reads that break no box
-    rule, and clips their boxes; every other file goes through
-    :func:`parse_gt_file` or :func:`parse_pred_file`, in order. So the first
-    file that fails to read, decode or parse raises, and each file's clipped
-    boxes warn in file order, as a file-by-file read does.
+    The directory is opened once and each file by its name in it (an
+    OSError and the digest name its path). A file costs its open, read and
+    close and its digest; the rest is done once for the directory. The
+    batch, :func:`_canonical_boxes`, converts the files in its spelling
+    that break no box rule; the others' lines are parsed as by
+    :func:`parse_gt_file`, and their boxes checked at once. So the first
+    file that fails to read, decode or parse raises, and clipped boxes warn
+    in file order, as a file-by-file read does.
     """
-    datas: list = []
     handle = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
     try:
-        for file in files:
-            try:
-                datas.append(_read_bytes(file, digests, regular=True, dir_fd=handle))
-            except OSError as exc:
-                datas.append(exc)
+        datas = _read_bytes(paths, digests, names, dir_fd=handle)
     finally:
         os.close(handle)
     table, counts, clipped, accepted = _canonical_boxes(datas, dims, with_confidence)
-    parse = parse_pred_file if with_confidence else parse_gt_file
-    ends = np.cumsum(counts)  # a file the batch left out adds no row
-    pieces, start = [], 0
-    for i in np.flatnonzero(~accepted | (clipped > 0)).tolist():
-        if accepted[i]:
-            _warn_clipped(int(clipped[i]), stacklevel=1)
-            continue
-        if isinstance(datas[i], OSError):
-            raise datas[i]
-        text = _decode(datas[i], files[i], ParseError)
-        try:
-            rows = box_rows(parse(text, dims[i]), with_confidence)
-        except ParseError as exc:
-            exc.args = (f"{shown_path(files[i])}: {exc}",)  # keeps its type and .line
-            raise
-        pieces += [table[start:ends[i]], rows]
-        start, counts[i] = ends[i], len(rows)
-    if pieces:
-        table = np.concatenate([*pieces, table[start:]])
+    others = np.flatnonzero(~accepted).tolist()
+    parsed, parsed_counts, parsed_clipped, error = _parse_texts(
+        [datas[i] for i in others], [dims[i] for i in others], with_confidence,
+        [paths[i] for i in others])
+    clipped[others] += parsed_clipped
+    for i in np.flatnonzero(clipped[:others[error[0]] if error else None]).tolist():
+        _warn_clipped(int(clipped[i]), stacklevel=1)
+    if error is not None:
+        raise error[1]
+    if others:  # each file's rows where its place in file order puts them
+        owners = np.concatenate([np.repeat(np.arange(len(datas)), counts),
+                                 np.repeat(others, parsed_counts)])
+        table = np.concatenate([table, parsed])[np.argsort(owners, kind="stable")]
+        counts[others] = parsed_counts
     return table, counts
 
 
@@ -788,17 +823,14 @@ def load_ground_truth(path: Path | str, dims: ImageDims | None = None,
         return parse_coco_json(read_text(path, tree.digests))
     if path.is_dir():
         if dims is None:
-            raise SchemaError(
-                "line-format ground truth needs image dimensions (--dims)"
-            )
-        files = tree.label_files(path)
-        if not files:
+            raise SchemaError("line-format ground truth needs image dimensions (--dims)")
+        ids, names, paths = tree.label_files(path)
+        if not ids:
             raise SchemaError(f"no .txt annotation files under {shown_path(path)}")
-        frames = [dims] * len(files)
-        gt, counts = _read_label_files(path, list(files.values()), frames, False,
-                                       tree.digests)
-        return Dataset._from_tables(list(files), frames, BoxTables(
-            gt, counts, np.empty((0, 6)), np.zeros(len(files), dtype=np.intp)))
+        frames = [dims] * len(ids)
+        gt, counts = _read_label_files(path, names, paths, frames, False, tree.digests)
+        return Dataset._from_tables(ids, frames, BoxTables(
+            gt, counts, np.empty((0, 6)), np.zeros(len(ids), dtype=np.intp)))
     if path.exists():
         raise SchemaError(f"ground-truth path {shown_path(path)} is not a regular "
                           "file or directory")
@@ -819,17 +851,17 @@ def attach_predictions(dataset: Dataset, pred_dir: Path | str,
                           if pred_dir.exists() else
                           f"prediction directory {shown_path(pred_dir)} does not exist")
     tree = tree or InputTree(pred_dir)
-    files = tree.label_files(pred_dir)
-    ids = dataset.ids()
-    known = set(ids)
-    for image_id, file in files.items():
-        if image_id not in known:
-            raise ReferentialError(f"prediction file {os.path.basename(file)} has "
+    pred_ids, names, paths = tree.label_files(pred_dir)
+    ids, frames = dataset.ids(), dataset.dims
+    paired = slice(None)  # a prediction file for each image, the common case
+    if pred_ids != ids:
+        position = dict(zip(ids, range(len(ids))))
+        paired = [position.get(image_id, -1) for image_id in pred_ids]
+        if -1 in paired:  # the first file, in id order, of no image
+            raise ReferentialError(f"prediction file {names[paired.index(-1)]} has "
                                    "no matching image")
-    paired = [i for i, image_id in enumerate(ids) if image_id in files]
-    pred, counts = _read_label_files(pred_dir, [files[ids[i]] for i in paired],
-                                     [dataset.dims[i] for i in paired], True,
-                                     tree.digests)
+        frames = [frames[i] for i in paired]
+    pred, counts = _read_label_files(pred_dir, names, paths, frames, True, tree.digests)
     pred_counts = np.zeros(len(ids), dtype=np.intp)
     pred_counts[paired] = counts
     return Dataset._from_tables(ids, dataset.dims, dataset.tables._replace(

@@ -157,8 +157,11 @@ def frame_rows(rows: np.ndarray, dims: Sequence[ImageDims], counts: Sequence[int
     RangeError naming the field, or what :class:`Box` or
     :func:`clip_to_frame` raises on it; or None.
     """
-    widths = np.repeat([float(d.width) for d in dims], counts)
-    heights = np.repeat([float(d.height) for d in dims], counts)
+    if dims and dims.count(dims[0]) == len(dims):  # one frame: its sides broadcast
+        widths, heights = float(dims[0].width), float(dims[0].height)
+    else:
+        widths = np.repeat([float(d.width) for d in dims], counts)
+        heights = np.repeat([float(d.height) for d in dims], counts)
     class_id, a, b, c, d = rows.T[:5]
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN, as in Python
         if normalized:

@@ -307,6 +307,38 @@ class TestLoading:
         with pytest.raises(ReferentialError):
             attach_predictions(dataset, pred_dir)
 
+    # Ids "img" < "img-b" < "img-c", though "img.txt" sorts after "img-c.txt".
+    @pytest.mark.parametrize("pred_ids, extra", [
+        (["img", "img-b", "img-c"], None),  # a file for each image
+        (["img-c"], None), ([], None),  # missing files read as empty
+        (["img", "img-b", "img-c", "img-d"], "img-d.txt"),
+        (["img", "img-a", "img-c", "img-d"], "img-a.txt"),  # the first extra in id order
+    ])
+    def test_prediction_files_pair_with_images_by_id(self, tmp_path, pred_ids, extra):
+        gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+        gt_dir.mkdir()
+        pred_dir.mkdir()
+        gt = {"img": "0 0.5 0.5 0.2 0.1\n", "img-b": "", "img-c": "1 0.25 0.25 0.1 0.1\n"}
+        for image_id, text in gt.items():
+            (gt_dir / f"{image_id}.txt").write_text(text)
+        preds = {image_id: f"{k % 2} 0.5 0.5 0.2 0.1 0.{k + 1}\n"
+                 for k, image_id in enumerate(pred_ids)}
+        for image_id, text in preds.items():
+            (pred_dir / f"{image_id}.txt").write_text(text)
+        dataset = load_ground_truth(gt_dir, dims=DIMS)
+        if extra is not None:
+            with pytest.raises(ReferentialError) as err:
+                attach_predictions(dataset, pred_dir)
+            assert str(err.value) == f"prediction file {extra} has no matching image"
+            return
+        paired = attach_predictions(dataset, pred_dir)
+        expected = Dataset([ImageRecord(image_id, DIMS, parse_gt_file(text, DIMS),
+                                        parse_pred_file(preds.get(image_id, ""), DIMS))
+                            for image_id, text in gt.items()])
+        assert paired.ids() == expected.ids() == ["img", "img-b", "img-c"]
+        for got, want in zip(paired.tables, expected.tables):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_parse_error_names_file(self, tmp_path):
         gt_dir = tmp_path / "gt"
         gt_dir.mkdir()

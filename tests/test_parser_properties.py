@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from koheval.dataset import (
     _CANONICAL_LINE,
+    _canonical_boxes,
     Dataset,
     ImageRecord,
     InputTree,
@@ -529,6 +530,55 @@ def test_possessive_line_pattern_accepts_what_the_plain_one_does(case):
     assert b"++" in possessive.pattern
     assert bool(possessive.fullmatch(data)) == bool(plain.fullmatch(data))
     assert possessive.sub(b"", data) == plain.sub(b"", data)
+
+
+def _batch_file_by_file(datas, frames, with_confidence):
+    """The batch's table, each file's number of rows and of clipped boxes,
+    and whether the batch reads it, by a plain loop that checks and converts
+    each file on its own: the reference for _canonical_boxes."""
+    line = _CANONICAL_LINE[with_confidence]
+    tables, counts, clipped, accepted = [], [], [], []
+    for data, dims in zip(datas, frames):
+        ok = (isinstance(data, bytes) and (not data or data.endswith(b"\n"))
+              and not line.sub(b"", data))
+        if ok:
+            rows = np.array([[float(token) for token in row.split()]
+                             for row in data.splitlines()], dtype=float)
+            table, clips, rejected, _ = frame_rows(
+                rows.reshape(-1, 6 if with_confidence else 5), [dims], [len(rows)])
+            ok = not rejected.any()
+        tables += [table] if ok else []
+        counts.append(len(table) if ok else 0)
+        clipped.append(int(clips.sum()) if ok else 0)
+        accepted.append(ok)
+    return tables, counts, clipped, accepted
+
+
+# A file of a label batch: canonical, in CRLF, tab-separated, without its
+# final newline, empty, in exponent spelling (which leaves the batch), or
+# the OSError its read raised.
+batch_file = (canonical_file()
+              | canonical_file().map(lambda data: data.replace(b"\n", b"\r\n"))
+              | canonical_file().map(lambda data: data.replace(b" ", b"\t"))
+              | canonical_file().map(lambda data: data[:-1])
+              | st.just(b"")
+              | canonical_file().map(lambda data: re.sub(
+                  rb"\b([01])\.([0-9]{6})\b", rb"\1\2e-6", data))
+              | st.just(FileNotFoundError(2, "No such file or directory", "gone.txt")))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.lists(batch_file, max_size=8), st.booleans(),
+       st.lists(st.sampled_from([DIMS, ImageDims(7, 3000)]), min_size=8, max_size=8))
+@example([b"0 0.5 0.5 0.1", b"", b" 0.1\n"], False, [DIMS] * 8)  # joined: one valid line
+@example([], True, [DIMS] * 8)
+def test_batch_bookkeeping_agrees_with_a_file_by_file_loop(datas, with_confidence,
+                                                           frames):
+    frames = frames[:len(datas)]
+    table, counts, clipped, accepted = _canonical_boxes(datas, frames, with_confidence)
+    tables, *expected = _batch_file_by_file(datas, frames, with_confidence)
+    assert [counts.tolist(), clipped.tolist(), accepted.tolist()] == expected
+    assert table.tobytes() == b"".join(t.tobytes() for t in tables)
 
 
 # A parsed document prints under strict UTF-8: a JSON escape of a lone

@@ -11,6 +11,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import koheval
 import koheval.dataset
@@ -37,6 +39,26 @@ _MISSING = "<missing>"  # conftest's mutate deletes a key given this value
 # A box per kind of label file that crosses the frame's right edge.
 CLIPPED = {"gt": b"1 0.990000 0.500000 0.100000 0.100000\n",
            "pred": b"0 0.990000 0.500000 0.100000 0.100000 0.700000\n"}
+
+# Trees of files (bytes), FIFOs (None) and directories (dicts), named so that
+# names sort around the separator ("gt" < "gt-y" < "gt.x", and "gt/" before
+# "gt-y"), with dotfiles and a directory that may be named x.txt.
+ENTRY_NAMES = st.sampled_from(["gt", "gt-y", "gt.x", "x.txt", "a.txt", ".d", ".d.txt",
+                               "b"])
+TREES = st.recursive(st.binary(max_size=4) | st.none(),
+                     lambda children: st.dictionaries(ENTRY_NAMES, children, max_size=4),
+                     max_leaves=12)
+
+
+def _make_tree(directory, tree):
+    for name, entry in tree.items():
+        if isinstance(entry, dict):
+            (directory / name).mkdir()
+            _make_tree(directory / name, entry)
+        elif entry is None:
+            os.mkfifo(directory / name)
+        else:
+            (directory / name).write_bytes(entry)
 
 
 @pytest.fixture()
@@ -138,6 +160,24 @@ class TestDigests:
         assert not any(parts[0] == "linked-dir" for parts in expected)
         for path in (root, root / "gt", root / "gt.x", root / "dims.json"):
             assert InputTree(path).sha256() == _rglob_sha256_path(path)
+
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(st.dictionaries(ENTRY_NAMES, TREES, max_size=5))
+    @example({"gt": {"a.txt": b"a", "x.txt": {"b.txt": b"b"}, "z.txt": b"z"},
+              "gt-y": b"y", "gt.x": {".d": b"d"}, ".hidden": b"h"})
+    def test_walk_of_a_generated_tree_equals_the_rglob_reference(
+            self, tmp_path_factory, tree):
+        # A directory's files come in runs between its subdirectories: the
+        # walk must not list them before or after a subdirectory's files.
+        root = tmp_path_factory.mktemp("tree")
+        _make_tree(root, tree)
+        expected = [p for p in sorted(root.rglob("*")) if p.is_file()]
+        for path in [root, *(p for p in sorted(root.rglob("*")) if p.is_dir())]:
+            walked = InputTree(path)
+            assert list(walked.files.items()) == [
+                (str(p), p.relative_to(path).parts) for p in expected
+                if path in p.parents]
+            assert walked.sha256() == _rglob_sha256_path(path)
 
 
 def _rglob_sha256_file(path):
@@ -638,6 +678,32 @@ class TestCli:
         assert result.returncode == 2
         assert result.stderr == \
             f"error: {cohort / folder}/\\xff.txt: file name is not UTF-8\n"
+
+    @pytest.mark.parametrize("command, folder", [("evaluate", "gt"), ("evaluate", "pred"),
+                                                 ("split", "gt")])
+    @pytest.mark.parametrize("other", ["fifo", "directory"])
+    @pytest.mark.parametrize("first", ["not utf-8", "other"])
+    def test_the_first_of_two_bad_label_entries_in_id_order_is_named(
+            self, tmp_path, capsys, command, folder, other, first):
+        # The listing is checked as a whole; the entry named must still be
+        # the first offender in id order, as an id-by-id check names it.
+        cohort = tmp_path / "cohort"
+        main(["synth", "--images", "4", "--seed", "1", "--out", str(cohort)])
+        bad_name = (b"a" if first == "not utf-8" else b"z") + b"\xff.txt"
+        try:  # "a\xff" sorts before "m", "z\xff" after it
+            Path(os.fsdecode(os.fsencode(cohort / folder) + b"/" + bad_name)).write_bytes(b"")
+        except OSError:
+            pytest.skip("the file system refuses a name that is not UTF-8")
+        entry = cohort / folder / "m.txt"
+        if other == "fifo":
+            os.mkfifo(entry)
+        else:
+            entry.mkdir()
+        capsys.readouterr()
+        assert main([command, str(cohort)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cohort / folder}/{bad_name[0]:c}\\xff.txt: file name is not UTF-8\n"
+            if first == "not utf-8" else f"error: {entry}: not a regular file\n")
 
     def test_names_that_are_not_utf8_are_shown_escaped(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
