@@ -14,7 +14,7 @@ after one space or tab, and end in ``\\n`` or ``\\r\\n`` are converted
 together by ``np.loadtxt`` and their boxes clipped to the frame. Only a
 file with an error or another spelling (an exponent or sign, a run of
 blanks, another line break, no final newline) is parsed line by line. A
-file costs its open, read, close and digest; all else is once per directory.
+file costs its open, read and close; all else, digests too, is per directory.
 A :class:`Dataset` holds each image's id and frame and the tables, in
 id order, and the matcher, screening and the split read the tables;
 ``Dataset.records``, the per-image :class:`ImageRecord` view, is built on
@@ -436,15 +436,13 @@ def format_coco_json(dataset: Dataset) -> str:
 _READ_SIZE = 65536
 
 
-def _read_bytes(paths: Sequence[str], digests: dict[str, str] | None = None,
-                names: Sequence[str] | None = None, dir_fd: int | None = None
+def _read_bytes(names: Sequence[str], head: str = "", dir_fd: int | None = None
                 ) -> list[bytes | OSError]:
-    """Each file's bytes, or the OSError naming its path that reading it
-    raised; ``digests``, when given, gets each SHA-256 under the path. With
-    ``dir_fd``, a handle of their directory, files are opened by ``names``
-    and each (a regular file a walk found) ends at its first short read."""
+    """Each file's bytes, or the OSError naming its path (``head`` + name)
+    that reading it raised. With ``dir_fd``, a handle of their directory,
+    each (a regular file a walk found) ends at its first short read."""
     datas: list[bytes | OSError] = []
-    for path, name in zip(paths, names or paths):
+    for name in names:
         try:
             fd = os.open(name, os.O_RDONLY, dir_fd=dir_fd)
             try:
@@ -454,10 +452,7 @@ def _read_bytes(paths: Sequence[str], digests: dict[str, str] | None = None,
             finally:
                 os.close(fd)
         except OSError as exc:  # os.read names no file, an open at dir_fd only the name
-            datas.append(OSError(exc.errno, exc.strerror, path))
-            continue
-        if digests is not None:
-            digests[path] = hashlib.sha256(data).hexdigest()
+            data = OSError(exc.errno, exc.strerror, head + name)
         datas.append(data)
     return datas
 
@@ -472,12 +467,16 @@ def _decode(data: bytes | OSError, path: Path | str, error: type[KohevalError]) 
                     f"{exc.start})") from None
 
 
-def read_text(path: Path | str, digests: dict[str, str] | None = None) -> str:
+def read_text(path: Path | str, tree: InputTree | None = None) -> str:
     """A file's contents decoded as UTF-8; bytes that do not decode raise
     SchemaError naming the file. Line endings are kept: every reader here
-    splits lines or parses JSON, and both accept CRLF. ``digests``, when
-    given, gets the SHA-256 of the bytes read, under ``str(path)``."""
-    return _decode(_read_bytes([str(path)], digests)[0], path, SchemaError)
+    splits lines or parses JSON, and both accept CRLF. ``tree``, when given,
+    keeps the digest of the bytes read, as :meth:`InputTree.keep` does."""
+    data = _read_bytes([str(path)])[0]
+    text = _decode(data, path, SchemaError)
+    if tree is not None:
+        tree.keep(Path(path), data)
+    return text
 
 
 _JSON_KINDS = {dict: "an object", list: "a list", str: "a string",
@@ -615,24 +614,35 @@ def shown_path(path: Path | str) -> str:
 _NOT_UTF8 = re.compile("[\ud800-\udfff]")  # lone surrogates: all str.encode() refuses
 
 
+class LabelFiles(NamedTuple):
+    """A directory's label files in id order: their ids and names, its path
+    and separator (``head``, to name a file in an error), and their digests'
+    slots: ``digests`` (None if not hashed) at ``slots`` (None: in order)."""
+
+    ids: list[str]
+    names: list[str]
+    head: str
+    digests: list | None
+    slots: list[int] | None
+
+
 class InputTree:
     """The files under an input path, walked once with ``os.scandir`` in
     the order of ``sorted(path.rglob("*"))``: each directory's entries in
     name order (``gt/`` before ``gt.x/``), dotfiles included, symlinked
-    directories not entered. A path that is no directory is a tree of its
-    one file. Readers record the digests of the files they read in
-    ``digests`` (None if not ``hashed``), so :meth:`sha256` reads the rest;
-    a directory's label files are read through one handle of the directory
-    (:func:`_read_label_files`), by the names the walk listed. The walk
-    keeps lists of names and paths, a pair per run of a directory's files
-    between its subdirectories; ``files`` is built from them on first use."""
+    directories not entered; a path that is no directory is a tree of its
+    one file. The walk keeps each directory's path once, its files' names
+    and their digests beside them (None: not read yet), and the runs of its
+    files between its subdirectories by position. Readers of a ``hashed``
+    tree fill the slots of the files they read, so :meth:`sha256` reads only
+    the rest; ``files`` builds paths on first use."""
 
     def __init__(self, path: Path | str, hashed: bool = True):
-        self.path = Path(path)
-        self.digests: dict[str, str] | None = {} if hashed else None
-        # Runs of files as (directory parts, names, paths); .txt entries no file.
-        self._runs: list[tuple[tuple[str, ...], list[str], list[str]]] = []
-        self._odd: dict[tuple[str, ...], list[tuple[str, str]]] = {}
+        self.path, self.hashed = Path(path), hashed
+        # _dirs: directory parts -> (path and separator, file names, digests),
+        # where a file's tree holds its file as "" in (); _runs: (parts, start,
+        # stop) in walk order; _odd: parts -> .txt entries that are no file.
+        self._dirs, self._runs, self._odd = {(): ("", [""], [None])}, [], {}
         root = "" if self.path == Path(".") else str(self.path)
         self._file = None if self.path.is_dir() else root
         if self._file is None:
@@ -642,77 +652,90 @@ class InputTree:
         # "" stands for ".", so that paths read as str(Path(...)) reads them.
         with os.scandir(directory or ".") as entries:
             entries = sorted(entries, key=attrgetter("name"))
-        names = list(map(attrgetter("name"), entries))
-        paths = list(map(attrgetter("path"), entries)) if directory else names
+        head = os.path.join(directory, "")
+        names = files = list(map(attrgetter("name"), entries))
         regular = list(map(os.DirEntry.is_file, entries))
         if not all(regular):  # a subdirectory, a FIFO, a dangling link
-            self._odd[prefix] = [(n, p) for n, p, is_file in zip(names, paths, regular)
+            files = list(compress(names, regular))
+            self._odd[prefix] = [n for n, is_file in zip(names, regular)
                                  if not is_file and n.endswith(".txt")]
-        start = 0
+        self._dirs[prefix] = (head, files, [None] * len(files))
+        start = done = 0
         for stop in [*compress(range(len(names)), map(methodcaller(
                 "is_dir", follow_symlinks=False), entries)), len(names)]:
-            files = regular[start:stop]
-            self._runs.append((prefix, list(compress(names[start:stop], files)),
-                               list(compress(paths[start:stop], files))))
+            end = start + sum(regular[done:stop])
+            self._runs.append((prefix, start, end))
             if stop < len(names):
-                self._walk(paths[stop], (*prefix, names[stop]))
-            start = stop + 1
+                self._walk(head + names[stop], (*prefix, names[stop]))
+            start, done = end, stop + 1
 
     @cached_property
     def files(self) -> dict[str, tuple[str, ...]]:
         """Path -> parts relative to ``path`` of each file, in walk order."""
         return {self._file: ()} if self._file is not None else {
-            path: (*parts, name) for parts, names, paths in self._runs
-            for name, path in zip(names, paths)}
+            head + name: (*parts, name) for parts, start, stop in self._runs
+            for head, names, _ in [self._dirs[parts]] for name in names[start:stop]}
 
-    def label_files(self, directory: Path) -> tuple[list[str], list[str], list[str]]:
-        """The image ids (each name's ``Path.stem``), names and paths of the
-        ``.txt`` files directly in ``directory``, in id order. A ``.txt``
-        entry whose name is not UTF-8 (an id that output encoding strictly
-        cannot print), or that is not a regular file or a link to one,
-        raises SchemaError. The listing is checked as a whole; id by id only
-        to name the first offender, or if a name is ``.txt``."""
+    def keep(self, path: Path, data: bytes) -> None:
+        """Keep the digest of ``data``, read from the file at ``path``, if
+        the tree is hashed and its walk found that file."""
+        if not (self.hashed and path.is_relative_to(self.path)):
+            return
+        *parts, name = path.relative_to(self.path).parts or [""]  # "": a file's tree
+        _, names, digests = self._dirs.get(tuple(parts), ("", [], []))
+        if name in names:  # dims.json beside gt/ and pred/, say, or a COCO file
+            digests[names.index(name)] = hashlib.sha256(data).hexdigest()
+
+    def label_files(self, directory: Path) -> LabelFiles:
+        """The ``.txt`` files directly in ``directory`` (each name's
+        ``Path.stem`` is its image id). A ``.txt`` entry whose name is not
+        UTF-8 (an id that output encoding strictly cannot print), or that is
+        not a regular file or a link to one, raises SchemaError. The listing
+        is checked as a whole; id by id only to name the first offender, or
+        if a name is ``.txt``."""
         if directory != self.path and directory.is_symlink():
             # The walk does not enter it, but its labels are still read.
-            return InputTree(directory).label_files(directory)
+            return InputTree(directory, hashed=False).label_files(directory)
         parts = directory.relative_to(self.path).parts
-        names, paths = ([*chain.from_iterable(run[k] for run in self._runs
-                                              if run[0] == parts)] for k in (1, 2))
+        head, names, digests = self._dirs.get(parts, ("", [], []))
+        slots = None
         joined = "\0".join([*names, ""])  # no name holds "\0": ".txt\0" ends a label
         if joined.count(".txt\0") != len(names):
-            labels = [name.endswith(".txt") for name in names]
-            names, paths = list(compress(names, labels)), list(compress(paths, labels))
+            slots = [k for k, name in enumerate(names) if name.endswith(".txt")]
+            names = [names[k] for k in slots]
             joined = "\0".join([*names, ""])
-        odd = self._odd.get(parts)
+        odd, ids = self._odd.get(parts), joined.replace(".txt\0", "\0").split("\0")[:-1]
         if odd or ".txt" in names or _NOT_UTF8.search(joined):
-            labels = dict(sorted((name[:-4] or name, (name, path))
-                                 for name, path in [*zip(names, paths), *(odd or [])]))
-            for image_id, (_, path) in labels.items():  # in id order
+            labels = dict(sorted((name[:-4] or name, (name, slot)) for name, slot in [
+                *zip(names, slots or range(len(names))), *zip(odd or [], repeat(None))]))
+            for image_id, (name, slot) in labels.items():  # in id order
                 if _NOT_UTF8.search(image_id):
-                    raise SchemaError(f"{shown_path(path)}: file name is not UTF-8")
-                if path not in self.files:  # a FIFO, say: never opened, as it would block
-                    raise SchemaError(f"{shown_path(path)}: not a regular file")
-            return list(labels), *([e[k] for e in labels.values()] for k in (0, 1))
-        ids = joined.replace(".txt\0", "\0").split("\0")[:-1]
+                    raise SchemaError(f"{shown_path(head + name)}: file name is not UTF-8")
+                if slot is None:  # a FIFO, say: never opened, as it would block
+                    raise SchemaError(f"{shown_path(head + name)}: not a regular file")
+            ids, (names, slots) = list(labels), map(list, zip(*labels.values()))
         if ids != sorted(ids):  # "a-b.txt" sorts before "a.txt", "a" before "a-b"
-            ids, names, paths = map(list, zip(*sorted(zip(ids, names, paths))))
-        return ids, names, paths
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            ids, names = [ids[k] for k in order], [names[k] for k in order]
+            slots = order if slots is None else [slots[k] for k in order]
+        return LabelFiles(ids, names, head, digests if self.hashed else None, slots)
 
     def sha256(self) -> str:
-        """Digest of the file, or of the directory as the digest of its
-        sorted (relative name, file digest) pairs, names as file-system bytes."""
+        """Digest of the file, or of the directory as the digest of its sorted
+        (relative name, file digest) pairs, names as file-system bytes."""
         if self._file is not None:  # the tree of one file
-            return self.digests.get(self._file) or sha256_file(self._file)
+            return self._dirs[()][2][0] or sha256_file(self._file)
         digest = hashlib.sha256()
-        for parts, names, paths in self._runs:
+        for parts, start, stop in self._runs:
+            head, names, digests = self._dirs[parts]
             prefix = "".join(f"{part}/" for part in parts)
             # A piece at a time, so that no string holds a large run's whole listing.
-            for start in range(0, len(names), 1024):
-                piece = paths[start:start + 1024]
-                hexes = list(map(self.digests.get, piece))
+            for at in range(start, stop, 1024):
+                end = min(at + 1024, stop)
+                piece, hexes = names[at:end], digests[at:end]
                 if None in hexes:
-                    hexes = [h or sha256_file(p) for h, p in zip(hexes, piece)]
-                pairs = map("\0".join, zip(names[start:start + 1024], hexes))
+                    hexes = [h or sha256_file(head + n) for h, n in zip(hexes, piece)]
+                pairs = map("\0".join, zip(piece, hexes))
                 digest.update(os.fsencode(  # "<prefix><name>\0<digest>\0" per file
                     prefix + ("\0" + prefix).join(pairs) + "\0"))
         return digest.hexdigest()
@@ -769,32 +792,30 @@ def _canonical_boxes(datas: list, dims: Sequence[ImageDims], with_confidence: bo
     return table[kept], counts, np.bincount(owner[clipped & kept], minlength=n), accepted
 
 
-def _read_label_files(directory: Path, names: Sequence[str], paths: Sequence[str],
-                      dims: Sequence[ImageDims], with_confidence: bool,
-                      digests: dict[str, str] | None) -> tuple[np.ndarray, np.ndarray]:
-    """The table rows of the label files ``names`` in ``directory``, the
-    i-th at ``paths[i]`` in the frame ``dims[i]``, file after file, and each
-    file's number of rows.
+def _read_label_files(directory: Path, labels: LabelFiles, dims: Sequence[ImageDims],
+                      with_confidence: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The table rows of the label files ``labels.names`` in ``directory``,
+    the i-th in the frame ``dims[i]``, file after file, and each file's
+    number of rows.
 
-    The directory is opened once and each file by its name in it (an
-    OSError and the digest name its path). A file costs its open, read and
-    close and its digest; the rest is done once for the directory. The
-    batch, :func:`_canonical_boxes`, converts the files in its spelling
-    that break no box rule; the others' lines are parsed as by
+    A file costs its open (by name, in the directory opened once), read
+    and close; its path is built only to name it in an error or if it
+    leaves the batch, :func:`_canonical_boxes`, which converts the files in
+    its spelling that break no box rule. The others' lines are parsed as by
     :func:`parse_gt_file`, and their boxes checked at once. So the first
     file that fails to read, decode or parse raises, and clipped boxes warn
-    in file order, as a file-by-file read does.
+    in file order, as a file-by-file read does. Then one pass digests them.
     """
     handle = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
     try:
-        datas = _read_bytes(paths, digests, names, dir_fd=handle)
+        datas = _read_bytes(labels.names, labels.head, dir_fd=handle)
     finally:
         os.close(handle)
     table, counts, clipped, accepted = _canonical_boxes(datas, dims, with_confidence)
     others = np.flatnonzero(~accepted).tolist()
     parsed, parsed_counts, parsed_clipped, error = _parse_texts(
         [datas[i] for i in others], [dims[i] for i in others], with_confidence,
-        [paths[i] for i in others])
+        [labels.head + labels.names[i] for i in others])
     clipped[others] += parsed_clipped
     for i in np.flatnonzero(clipped[:others[error[0]] if error else None]).tolist():
         _warn_clipped(int(clipped[i]), stacklevel=1)
@@ -805,6 +826,13 @@ def _read_label_files(directory: Path, names: Sequence[str], paths: Sequence[str
                                  np.repeat(others, parsed_counts)])
         table = np.concatenate([table, parsed])[np.argsort(owners, kind="stable")]
         counts[others] = parsed_counts
+    if labels.digests is not None:  # the digests, in one pass, into their slots
+        hexes = list(map(methodcaller("hexdigest"), map(hashlib.sha256, datas)))
+        if labels.slots is None:
+            labels.digests[:] = hexes
+        else:
+            for slot, hexdigest in zip(labels.slots, hexes):
+                labels.digests[slot] = hexdigest
     return table, counts
 
 
@@ -820,17 +848,17 @@ def load_ground_truth(path: Path | str, dims: ImageDims | None = None,
     path = Path(path)
     tree = tree or InputTree(path)
     if path.is_file():
-        return parse_coco_json(read_text(path, tree.digests))
+        return parse_coco_json(read_text(path, tree))
     if path.is_dir():
         if dims is None:
             raise SchemaError("line-format ground truth needs image dimensions (--dims)")
-        ids, names, paths = tree.label_files(path)
-        if not ids:
+        labels = tree.label_files(path)
+        if not labels.ids:
             raise SchemaError(f"no .txt annotation files under {shown_path(path)}")
-        frames = [dims] * len(ids)
-        gt, counts = _read_label_files(path, names, paths, frames, False, tree.digests)
-        return Dataset._from_tables(ids, frames, BoxTables(
-            gt, counts, np.empty((0, 6)), np.zeros(len(ids), dtype=np.intp)))
+        frames = [dims] * len(labels.ids)
+        gt, counts = _read_label_files(path, labels, frames, False)
+        return Dataset._from_tables(labels.ids, frames, BoxTables(
+            gt, counts, np.empty((0, 6)), np.zeros(len(frames), dtype=np.intp)))
     if path.exists():
         raise SchemaError(f"ground-truth path {shown_path(path)} is not a regular "
                           "file or directory")
@@ -851,17 +879,17 @@ def attach_predictions(dataset: Dataset, pred_dir: Path | str,
                           if pred_dir.exists() else
                           f"prediction directory {shown_path(pred_dir)} does not exist")
     tree = tree or InputTree(pred_dir)
-    pred_ids, names, paths = tree.label_files(pred_dir)
+    labels = tree.label_files(pred_dir)
     ids, frames = dataset.ids(), dataset.dims
     paired = slice(None)  # a prediction file for each image, the common case
-    if pred_ids != ids:
+    if labels.ids != ids:
         position = dict(zip(ids, range(len(ids))))
-        paired = [position.get(image_id, -1) for image_id in pred_ids]
+        paired = [position.get(image_id, -1) for image_id in labels.ids]
         if -1 in paired:  # the first file, in id order, of no image
-            raise ReferentialError(f"prediction file {names[paired.index(-1)]} has "
-                                   "no matching image")
+            raise ReferentialError(f"prediction file {labels.names[paired.index(-1)]} "
+                                   "has no matching image")
         frames = [frames[i] for i in paired]
-    pred, counts = _read_label_files(pred_dir, names, paths, frames, True, tree.digests)
+    pred, counts = _read_label_files(pred_dir, labels, frames, True)
     pred_counts = np.zeros(len(ids), dtype=np.intp)
     pred_counts[paired] = counts
     return Dataset._from_tables(ids, dataset.dims, dataset.tables._replace(
@@ -873,14 +901,13 @@ def is_cohort_dir(path: Path) -> bool:
     return (path / "dims.json").is_file() and (path / "gt").is_dir()
 
 
-def read_cohort_dims(path: Path | str,
-                     digests: dict[str, str] | None = None) -> ImageDims:
-    """The frame size a cohort directory's dims.json records."""
+def read_cohort_dims(path: Path | str, tree: InputTree | None = None) -> ImageDims:
+    """The frame size a cohort directory's dims.json records (see read_text)."""
     dims_file = Path(path) / "dims.json"
     shown = shown_path(dims_file)
     if not dims_file.is_file():
         raise SchemaError(f"{shown_path(path)}: not a cohort directory (no dims.json)")
-    doc = load_json(read_text(dims_file, digests), shown)
+    doc = load_json(read_text(dims_file, tree), shown)
     sides = [require(doc, side, int, shown) for side in ("width", "height")]
     try:
         return ImageDims(*sides)
@@ -894,8 +921,7 @@ def read_cohort(path: Path | str, tree: InputTree | None = None) -> Dataset:
     read through ``tree``, a walk of the cohort."""
     root = Path(path)
     tree = tree or InputTree(root)
-    dataset = load_ground_truth(root / "gt", read_cohort_dims(root, tree.digests),
-                                tree)
+    dataset = load_ground_truth(root / "gt", read_cohort_dims(root, tree), tree)
     if (root / "pred").is_dir():
         dataset = attach_predictions(dataset, root / "pred", tree)
     return dataset

@@ -102,13 +102,10 @@ def _values_match(expected, actual) -> bool:
 
 def validate_manifest(manifest: TrainManifest) -> list[FieldVerdict]:
     """Compare every manifest field against the reference protocol."""
-    verdicts = []
-    for spec in dataclasses.fields(TrainManifest):
-        expected = getattr(REFERENCE_PROTOCOL, spec.name)
-        actual = getattr(manifest, spec.name)
-        verdicts.append(FieldVerdict(spec.name, expected, actual,
-                                     _values_match(expected, actual)))
-    return verdicts
+    pairs = [(spec.name, getattr(REFERENCE_PROTOCOL, spec.name),
+              getattr(manifest, spec.name)) for spec in dataclasses.fields(TrainManifest)]
+    return [FieldVerdict(name, expected, actual, _values_match(expected, actual))
+            for name, expected, actual in pairs]
 
 
 def manifest_conforms(verdicts: list[FieldVerdict]) -> bool:
@@ -117,7 +114,6 @@ def manifest_conforms(verdicts: list[FieldVerdict]) -> bool:
 
 def verdict_table(verdicts: list[FieldVerdict]) -> str:
     lines = [f"{'field':<22}{'expected':>14}{'actual':>14}  verdict"]
-    for v in verdicts:
-        status = "ok" if v.ok else "MISMATCH"
-        lines.append(f"{v.field:<22}{v.expected!s:>14}{v.actual!s:>14}  {status}")
+    lines += [f"{v.field:<22}{v.expected!s:>14}{v.actual!s:>14}  "
+              + ("ok" if v.ok else "MISMATCH") for v in verdicts]
     return "\n".join(lines) + "\n"

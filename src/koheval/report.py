@@ -128,76 +128,57 @@ def _check_blocks(report: dict) -> None:
 def _fmt(value, percent: bool = False) -> str:
     if value is None:
         return "-"
-    if isinstance(value, bool):
+    if isinstance(value, int):  # a bool too, as true or false
         return str(value).lower()
-    if isinstance(value, int):
-        return str(value)
-    if percent:
-        return f"{100.0 * value:.2f}"
-    return f"{value:.4f}"
+    return f"{100.0 * value:.2f}" if percent else f"{value:.4f}"
 
 
 def _aligned(rows: list[list[str]], indent: str = "  ") -> list[str]:
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    out = []
-    for row in rows:
-        cells = [row[0].ljust(widths[0])]
-        cells += [cell.rjust(width) for cell, width in zip(row[1:], widths[1:])]
-        out.append(indent + "  ".join(cells).rstrip())
-    return out
+    return [indent + "  ".join([row[0].ljust(widths[0]),
+                                *map(str.rjust, row[1:], widths[1:])]).rstrip()
+            for row in rows]
 
 
 def render_table(report: dict) -> str:
-    lines: list[str] = []
     op = report.get("operating_point", {})
-    lines.append(f"koheval report (schema {report.get('schema_version')})")
-    lines.append(
-        f"operating point: conf {_fmt(op.get('conf_threshold'))}, "
-        f"IoU {_fmt(op.get('iou_threshold'))}, "
-        f"interpolation {report.get('interpolation')}"
-    )
+    lines = [f"koheval report (schema {report.get('schema_version')})",
+             f"operating point: conf {_fmt(op.get('conf_threshold'))}, "
+             f"IoU {_fmt(op.get('iou_threshold'))}, "
+             f"interpolation {report.get('interpolation')}"]
 
     if "inputs" in report:
-        lines.append("")
-        lines.append("inputs")
-        for name, entry in sorted(report["inputs"].items()):
-            lines.append(f"  {name}: {entry['path']}  sha256 "
-                         f"{entry['sha256'][:12]}")
+        lines += ["", "inputs"]
+        lines += [f"  {name}: {entry['path']}  sha256 {entry['sha256'][:12]}"
+                  for name, entry in sorted(report["inputs"].items())]
 
     if "object_metrics" in report:
-        lines.append("")
-        lines.append("object level")
-        header = ["class", "tp", "fp", "fn", "prec", "rec", "f1",
-                  "ap50%", "ap50:95%", "miou"]
-        rows = [header]
+        lines += ["", "object level"]
+        rows = [["class", "tp", "fp", "fn", "prec", "rec", "f1",
+                 "ap50%", "ap50:95%", "miou"]]
         block = report["object_metrics"]
         # The macro row has no counts; its missing cells render as "-".
         for name, m in [*sorted(block["per_class"].items()), ("macro", block["macro"])]:
             rows.append([name] + [_fmt(m.get(field), percent=field.startswith("ap"))
                                   for field in _CLASS_FIELDS])
-        lines.extend(_aligned(rows))
+        lines += _aligned(rows)
 
     if "screening" in report:
         block = report["screening"]
-        matrix = block["matrix"]
-        lines.append("")
-        lines.append("image level")
-        rows = [["", "called +", "called -"],
-                ["actual +", str(matrix["tp"]), str(matrix["fn"])],
-                ["actual -", str(matrix["fp"]), str(matrix["tn"])]]
-        lines.extend(_aligned(rows))
-        rates = block["rates"]
-        rows = [[name, _fmt(rates[name])] for name in _RATE_NAMES]
-        lines.extend(_aligned(rows))
+        matrix, rates = block["matrix"], block["rates"]
+        lines += ["", "image level", *_aligned([
+            ["", "called +", "called -"],
+            ["actual +", str(matrix["tp"]), str(matrix["fn"])],
+            ["actual -", str(matrix["fp"]), str(matrix["tn"])]])]
+        lines += _aligned([[name, _fmt(rates[name])] for name in _RATE_NAMES])
         if block.get("false_negative_ids"):
             lines.append("  missed positives: "
                          + ", ".join(block["false_negative_ids"]))
 
     if "manifest" in report:
-        lines.append("")
-        lines.append("manifest")
-        for key, value in sorted(report["manifest"].items()):
-            lines.append(f"  {key}: {_fmt(value) if value is None else value}")
+        lines += ["", "manifest"]
+        lines += [f"  {key}: {_fmt(value) if value is None else value}"
+                  for key, value in sorted(report["manifest"].items())]
 
     return "\n".join(lines) + "\n"
 
@@ -213,27 +194,27 @@ def _csv_cell(value) -> str:
 
 
 def render_csv(report: dict) -> str:
-    rows = [("section", "metric", "class", "value")]
     op = report.get("operating_point", {})
-    rows.append(("run", "conf_threshold", "", _csv_cell(op.get("conf_threshold"))))
-    rows.append(("run", "iou_threshold", "", _csv_cell(op.get("iou_threshold"))))
-    rows.append(("run", "interpolation", "", report.get("interpolation", "")))
+    rows = [("section", "metric", "class", "value"),
+            ("run", "conf_threshold", "", _csv_cell(op.get("conf_threshold"))),
+            ("run", "iou_threshold", "", _csv_cell(op.get("iou_threshold"))),
+            ("run", "interpolation", "", report.get("interpolation", ""))]
     if "object_metrics" in report:
         block = report["object_metrics"]
-        for name, m in sorted(block["per_class"].items()):
-            for metric in _CLASS_FIELDS:
-                rows.append(("object", metric, name, _csv_cell(m[metric])))
-        for metric, value in sorted(block["macro"].items()):
-            rows.append(("object", metric, "macro", _csv_cell(value)))
+        rows += [("object", metric, name, _csv_cell(m[metric]))
+                 for name, m in sorted(block["per_class"].items())
+                 for metric in _CLASS_FIELDS]
+        rows += [("object", metric, "macro", _csv_cell(value))
+                 for metric, value in sorted(block["macro"].items())]
     if "screening" in report:
         block = report["screening"]
-        for cell in ("tp", "fn", "fp", "tn"):
-            rows.append(("screening", cell, "", _csv_cell(block["matrix"][cell])))
-        for name in _RATE_NAMES:
-            rows.append(("screening", name, "", _csv_cell(block["rates"][name])))
+        rows += [("screening", cell, "", _csv_cell(block["matrix"][cell]))
+                 for cell in ("tp", "fn", "fp", "tn")]
+        rows += [("screening", name, "", _csv_cell(block["rates"][name]))
+                 for name in _RATE_NAMES]
     if "manifest" in report:
-        for key, value in sorted(report["manifest"].items()):
-            rows.append(("manifest", key, "", _csv_cell(value)))
+        rows += [("manifest", key, "", _csv_cell(value))
+                 for key, value in sorted(report["manifest"].items())]
     return "\n".join(",".join(row) for row in rows) + "\n"
 
 
@@ -280,20 +261,19 @@ def pr_curve_svg(curves: Mapping[str, PRCurve]) -> str:
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" '
         f'stroke="#404040"/>',
     ]
-    for k in range(6):
-        v = k / 5.0
-        parts.append(f'<line x1="{sx(v):.1f}" y1="{mt}" x2="{sx(v):.1f}" '
-                     f'y2="{mt + ph}" stroke="#d8d8d8"/>')
-        parts.append(f'<line x1="{ml}" y1="{sy(v):.1f}" x2="{ml + pw}" '
-                     f'y2="{sy(v):.1f}" stroke="#d8d8d8"/>')
-        parts.append(f'<text x="{sx(v):.1f}" y="{mt + ph + 16}" '
-                     f'text-anchor="middle">{v:.1f}</text>')
-        parts.append(f'<text x="{ml - 6}" y="{sy(v) + 4:.1f}" '
-                     f'text-anchor="end">{v:.1f}</text>')
-    parts.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 8}" '
-                 f'text-anchor="middle">recall</text>')
-    parts.append(f'<text x="14" y="{mt + ph / 2:.1f}" text-anchor="middle" '
-                 f'transform="rotate(-90 14 {mt + ph / 2:.1f})">precision</text>')
+    for v in (k / 5.0 for k in range(6)):
+        parts += [f'<line x1="{sx(v):.1f}" y1="{mt}" x2="{sx(v):.1f}" '
+                  f'y2="{mt + ph}" stroke="#d8d8d8"/>',
+                  f'<line x1="{ml}" y1="{sy(v):.1f}" x2="{ml + pw}" '
+                  f'y2="{sy(v):.1f}" stroke="#d8d8d8"/>',
+                  f'<text x="{sx(v):.1f}" y="{mt + ph + 16}" '
+                  f'text-anchor="middle">{v:.1f}</text>',
+                  f'<text x="{ml - 6}" y="{sy(v) + 4:.1f}" '
+                  f'text-anchor="end">{v:.1f}</text>']
+    parts += [f'<text x="{ml + pw / 2:.1f}" y="{height - 8}" '
+              f'text-anchor="middle">recall</text>',
+              f'<text x="14" y="{mt + ph / 2:.1f}" text-anchor="middle" '
+              f'transform="rotate(-90 14 {mt + ph / 2:.1f})">precision</text>']
 
     for slot, (name, curve) in enumerate(sorted(curves.items())):
         color = _SVG_COLORS[slot % len(_SVG_COLORS)]
@@ -306,9 +286,7 @@ def pr_curve_svg(curves: Mapping[str, PRCurve]) -> str:
                 parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.2" '
                              f'fill="{color}"/>')
         ly = mt + 16 + 16 * slot
-        parts.append(f'<rect x="{ml + pw - 120}" y="{ly - 9}" width="10" '
-                     f'height="10" fill="{color}"/>')
-        parts.append(f'<text x="{ml + pw - 104}" y="{ly}">{name}</text>')
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts += [f'<rect x="{ml + pw - 120}" y="{ly - 9}" width="10" '
+                  f'height="10" fill="{color}"/>',
+                  f'<text x="{ml + pw - 104}" y="{ly}">{name}</text>']
+    return "\n".join([*parts, "</svg>"]) + "\n"

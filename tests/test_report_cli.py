@@ -18,9 +18,16 @@ import koheval
 import koheval.dataset
 import koheval.metrics
 from koheval.cli import main
-from koheval.dataset import InputTree, dump_json, format_coco_json, read_cohort
+from koheval.dataset import (
+    InputTree,
+    attach_predictions,
+    dump_json,
+    format_coco_json,
+    load_ground_truth,
+    read_cohort,
+)
 from koheval.errors import SchemaError
-from koheval.geometry import ARTEFACT, FUNGAL
+from koheval.geometry import ARTEFACT, FUNGAL, ImageDims
 from koheval.manifest import REFERENCE_PROTOCOL
 from koheval.metrics import OperatingPoint, PRCurve, evaluate_detections, pr_curve
 from koheval.report import (
@@ -48,6 +55,22 @@ ENTRY_NAMES = st.sampled_from(["gt", "gt-y", "gt.x", "x.txt", "a.txt", ".d", ".d
 TREES = st.recursive(st.binary(max_size=4) | st.none(),
                      lambda children: st.dictionaries(ENTRY_NAMES, children, max_size=4),
                      max_leaves=12)
+
+
+# Label directories: image ids that sort apart from their names ("a-b.txt"
+# before "a.txt", id "a" before "a-b"); each image's ground truth and, or
+# not, its predictions, in the batch's spelling, in CRLF, in exponent
+# spelling (which the per-line parser reads) or empty; and, per folder,
+# entries beside the labels: a subdirectory "<id>.d" holding a file, which
+# sorts between "<id>-b.txt" and "<id>.txt" and so splits the folder's files
+# into runs, or a note "<id>.md".
+LABEL_IDS = st.text(alphabet="ab-.", min_size=1, max_size=3).filter(
+    lambda image_id: image_id not in (".", ".."))
+GT_TEXTS = [b"", b"0 0.500000 0.500000 0.100000 0.100000\n",
+            b"1 0.25 0.25 0.1 0.1\r\n0 0.75 0.75 0.2 0.2\r\n", b"1 5e-1 0.5 0.2 0.2\n"]
+PRED_TEXTS = [b"", b"0 0.500000 0.500000 0.100000 0.100000 0.900000\n",
+              b"1 0.25 0.25 0.1 0.1 0.5\r\n", b"0 5e-1 0.5 0.2 0.2 1e-1\n"]
+LABEL_EXTRAS = st.dictionaries(LABEL_IDS, st.sampled_from(["d", "md"]), max_size=3)
 
 
 def _make_tree(directory, tree):
@@ -178,6 +201,67 @@ class TestDigests:
                 (str(p), p.relative_to(path).parts) for p in expected
                 if path in p.parents]
             assert walked.sha256() == _rglob_sha256_path(path)
+
+    def test_an_unhashed_tree_hashes_every_file(self, tmp_path):
+        cohort = tmp_path / "cohort"
+        main(["synth", "--images", "6", "--seed", "1", "--out", str(cohort)])
+        (cohort / "gt" / "notes.md").write_text("n")
+        for path in (cohort, cohort / "gt", cohort / "dims.json"):
+            assert InputTree(path, hashed=False).sha256() \
+                == InputTree(path).sha256() == _rglob_sha256_path(path)
+        for path, tree in ((cohort, InputTree(cohort, hashed=False)),
+                           (cohort / "gt", InputTree(cohort / "gt", hashed=False))):
+            load_ground_truth(cohort / "gt", ImageDims(2048, 2048), tree)
+            assert tree.sha256() == _rglob_sha256_path(path)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.dictionaries(LABEL_IDS, st.tuples(st.sampled_from(GT_TEXTS), st.none()
+                                                | st.sampled_from(PRED_TEXTS)),
+                           min_size=1, max_size=6),
+           LABEL_EXTRAS, LABEL_EXTRAS)
+    @example({"a": (GT_TEXTS[1], PRED_TEXTS[1]), "a-b": (GT_TEXTS[3], None),
+              "b": (GT_TEXTS[0], PRED_TEXTS[3])}, {"a": "d"}, {"a-b": "md", "a": "d"})
+    def test_digests_the_readers_keep_equal_the_rglob_reference(
+            self, tmp_path_factory, images, gt_extras, pred_extras):
+        # Readers fill each label file's slot by its position in its
+        # directory, through the .txt filter and the id re-sort; sha256()
+        # reads from disk only the files no reader opened.
+        root = tmp_path_factory.mktemp("cohort")
+        (root / "dims.json").write_text('{"width": 640, "height": 480}')
+        for folder, extras in (("gt", gt_extras), ("pred", pred_extras)):
+            (root / folder).mkdir()
+            for image_id, kind in extras.items():
+                if kind == "d":
+                    (root / folder / f"{image_id}.d").mkdir()
+                    (root / folder / f"{image_id}.d" / "inner.txt").write_bytes(b"i")
+                else:
+                    (root / folder / f"{image_id}.md").write_bytes(b"m")
+        for image_id, (gt, pred) in images.items():
+            (root / "gt" / f"{image_id}.txt").write_bytes(gt)
+            if pred is not None:
+                (root / "pred" / f"{image_id}.txt").write_bytes(pred)
+        read = {str(p) for p in [root / "dims.json", *root.glob("*/*.txt")]}
+        unread = {str(p) for p in root.rglob("*") if p.is_file()} - read
+        dims = ImageDims(640, 480)
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+            warnings.simplefilter("ignore")  # boxes clipped to the frame
+            from_disk = []
+            real = koheval.dataset.sha256_file
+            patch.setattr(koheval.dataset, "sha256_file",
+                          lambda path: from_disk.append(str(path)) or real(path))
+            tree = InputTree(root)
+            read_cohort(root, tree)
+            assert tree.sha256() == _rglob_sha256_path(root)
+            assert sorted(from_disk) == sorted(unread)
+            gt, pred = InputTree(root / "gt"), InputTree(root / "pred")
+            attach_predictions(load_ground_truth(root / "gt", dims, gt),
+                               root / "pred", pred)
+            for folder, walked in (("gt", gt), ("pred", pred)):
+                from_disk.clear()
+                assert walked.sha256() == _rglob_sha256_path(root / folder)
+                assert sorted(from_disk) == sorted(
+                    p for p in unread if Path(p).parent.parent.name == folder
+                    or Path(p).parent.name == folder)
 
 
 def _rglob_sha256_file(path):
@@ -587,6 +671,45 @@ class TestCli:
                 assert main([command, *argv, "--out", str(out)]) == 0
                 assert {f: n for f, n in opened.items() if f in every} \
                     == dict.fromkeys(inputs, 1)
+
+    def test_evaluate_and_screen_hash_each_input_file_once(self, tmp_path,
+                                                           capsys, monkeypatch):
+        # The readers hash the bytes they read; sha256_file reads only the
+        # files no reader opened (truth.json, a note), each once.
+        cohort = tmp_path / "cohort"
+        main(["synth", "--images", "12", "--seed", "5", "--out", str(cohort)])
+        (cohort / "pred" / "notes.md").write_text("a note\n")
+        every = {p for p in cohort.rglob("*") if p.is_file()}
+        labels = {p for p in every if p.parent.name in ("gt", "pred")} \
+            - {cohort / "pred" / "notes.md"}
+        assert (cohort / "truth.json") in every and len(labels) == 24
+        made, from_disk = [], []
+        real_sha256, real_file = hashlib.sha256, koheval.dataset.sha256_file
+
+        def counting_sha256(*args):
+            made.append(args)
+            return real_sha256(*args)
+
+        def counting_file(path):
+            from_disk.append(Path(path))
+            return real_file(path)
+        monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+        monkeypatch.setattr(koheval.dataset, "sha256_file", counting_file)
+        cohort_files = (every, labels | {cohort / "dims.json"}, 1)
+        pred_dir_files = ({p for p in every if p.parent.name in ("gt", "pred")},
+                          labels, 2)
+        for argv, (hashed, read, trees) in (
+                ([str(cohort)], cohort_files),
+                ([str(cohort), str(cohort / "pred")], pred_dir_files)):
+            for command in ("evaluate", "screen"):
+                made.clear()
+                from_disk.clear()
+                assert main([command, *argv, "--out", str(tmp_path / "r.json")]) == 0
+                # One hash per file, and one per input tree for its digest.
+                assert len(made) == len(hashed) + trees
+                assert sorted(from_disk) == sorted(hashed - read)
+                assert sorted(args[0] for args in made if args) \
+                    == sorted(p.read_bytes() for p in read)
 
     @pytest.mark.parametrize("command", ["evaluate", "screen"])
     @pytest.mark.parametrize("kind", ["gt", "pred"])
