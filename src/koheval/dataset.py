@@ -33,6 +33,7 @@ import re
 import sys
 import tempfile
 import warnings
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -145,11 +146,12 @@ def image_max(values: np.ndarray, counts: np.ndarray, empty) -> np.ndarray:
     return np.where(counts > 0, top, empty)
 
 
-def _check_unique(ids: list[str]) -> None:
-    # ``ids`` is in id order, so a repeated id follows itself.
+def _check_unique(ids: list[str]) -> list[str]:
+    # ``ids`` if no id repeats; they are in id order, so a repeat follows itself.
     for image_id, following in zip(ids, ids[1:]):
         if image_id == following:
             raise SchemaError(f"duplicate image_id {image_id!r}")
+    return ids
 
 
 class Dataset:
@@ -171,10 +173,9 @@ class Dataset:
     @classmethod
     def _from_tables(cls, ids: list[str], dims: list[ImageDims],
                      tables: BoxTables) -> Dataset:
-        # The images ``ids``, in id order, in frames ``dims``, with ``tables``.
+        # The images ``ids``, unique and in id order, in frames ``dims``, with ``tables``.
         dataset = cls.__new__(cls)
         dataset._ids, dataset.dims, dataset.tables = ids, dims, tables
-        _check_unique(ids)
         return dataset
 
     @cached_property
@@ -377,8 +378,8 @@ def parse_coco_json(document: str | bytes | dict) -> Dataset:
     by_stem = sorted(frames, key=lambda img_id: frames[img_id][0])
     position = {img_id: k for k, img_id in enumerate(by_stem)}
     image_of = np.array([position[i] for i in owners], dtype=np.intp)
-    return Dataset._from_tables(
-        [frames[i][0] for i in by_stem], [frames[i][1] for i in by_stem],
+    return Dataset._from_tables(  # two file names may share a stem
+        _check_unique([frames[i][0] for i in by_stem]), [frames[i][1] for i in by_stem],
         BoxTables(gt[np.argsort(image_of, kind="stable")],
                   np.bincount(image_of, minlength=len(frames)), np.empty((0, 6)),
                   np.zeros(len(frames), dtype=np.intp)))
@@ -629,13 +630,13 @@ class LabelFiles(NamedTuple):
 class InputTree:
     """The files under an input path, walked once with ``os.scandir`` in
     the order of ``sorted(path.rglob("*"))``: each directory's entries in
-    name order (``gt/`` before ``gt.x/``), dotfiles included, symlinked
-    directories not entered; a path that is no directory is a tree of its
-    one file. The walk keeps each directory's path once, its files' names
-    and their digests beside them (None: not read yet), and the runs of its
-    files between its subdirectories by position. Readers of a ``hashed``
-    tree fill the slots of the files they read, so :meth:`sha256` reads only
-    the rest; ``files`` builds paths on first use."""
+    name order (``gt/`` before ``gt.x/``; of files alone, only their names
+    are sorted), dotfiles included, symlinked directories not entered; a
+    path that is no directory is a tree of its one file. The walk keeps each
+    directory's path once, its files' names and their digests beside them
+    (None: not read yet), and the runs of its files between its
+    subdirectories by position. Readers of a ``hashed`` tree fill the slots
+    of the files they read, so :meth:`sha256` reads only the rest."""
 
     def __init__(self, path: Path | str, hashed: bool = True):
         self.path, self.hashed = Path(path), hashed
@@ -649,29 +650,30 @@ class InputTree:
             self._walk(root, ())
 
     def _walk(self, directory: str, prefix: tuple[str, ...]) -> None:
+        """Record ``directory``'s files and walk its subdirectories: files
+        alone, as in a label directory, are one run of their sorted names."""
         # "" stands for ".", so that paths read as str(Path(...)) reads them.
-        with os.scandir(directory or ".") as entries:
-            entries = sorted(entries, key=attrgetter("name"))
-        head = os.path.join(directory, "")
-        names = files = list(map(attrgetter("name"), entries))
-        regular = list(map(os.DirEntry.is_file, entries))
-        if not all(regular):  # a subdirectory, a FIFO, a dangling link
-            files = list(compress(names, regular))
-            self._odd[prefix] = [n for n, is_file in zip(names, regular)
-                                 if not is_file and n.endswith(".txt")]
+        with os.scandir(directory or ".") as listing:
+            entries = list(listing)
+        head, start = os.path.join(directory, ""), 0
+        if all(map(os.DirEntry.is_file, entries)):
+            files, stops = sorted(map(attrgetter("name"), entries)), []
+        else:  # a subdirectory (which no file is), a FIFO, a dangling link
+            files = sorted(entry.name for entry in entries if entry.is_file())
+            others = sorted((entry.name, entry) for entry in entries if not entry.is_file())
+            self._odd[prefix] = [name for name, _ in others if name.endswith(".txt")]
+            stops = [(bisect_left(files, name), name) for name, entry in others
+                     if entry.is_dir(follow_symlinks=False)]
         self._dirs[prefix] = (head, files, [None] * len(files))
-        start = done = 0
-        for stop in [*compress(range(len(names)), map(methodcaller(
-                "is_dir", follow_symlinks=False), entries)), len(names)]:
-            end = start + sum(regular[done:stop])
-            self._runs.append((prefix, start, end))
-            if stop < len(names):
-                self._walk(head + names[stop], (*prefix, names[stop]))
-            start, done = end, stop + 1
+        for stop, name in stops:
+            self._runs.append((prefix, start, stop))
+            self._walk(head + name, (*prefix, name))
+            start = stop
+        self._runs.append((prefix, start, len(files)))
 
     @cached_property
     def files(self) -> dict[str, tuple[str, ...]]:
-        """Path -> parts relative to ``path`` of each file, in walk order."""
+        """Path -> parts under ``path`` of each file, in walk order; built on first use."""
         return {self._file: ()} if self._file is not None else {
             head + name: (*parts, name) for parts, start, stop in self._runs
             for head, names, _ in [self._dirs[parts]] for name in names[start:stop]}
@@ -690,34 +692,32 @@ class InputTree:
         """The ``.txt`` files directly in ``directory`` (each name's
         ``Path.stem`` is its image id). A ``.txt`` entry whose name is not
         UTF-8 (an id that output encoding strictly cannot print), or that is
-        not a regular file or a link to one, raises SchemaError. The listing
-        is checked as a whole; id by id only to name the first offender, or
-        if a name is ``.txt``."""
-        if directory != self.path and directory.is_symlink():
-            # The walk does not enter it, but its labels are still read.
+        not a regular file or a link to one, raises SchemaError, as do two
+        names of one id (``.txt`` and ``.txt.txt``). A listing of ``.txt``
+        files alone is checked as a whole, and id by id, in id order, only to
+        name the first offender, if a name is ``.txt``, or if ids sort apart
+        from names (``a-b.txt`` before ``a.txt``, but ``a`` before ``a-b``)."""
+        if directory != self.path and directory.is_symlink():  # not walked, still read
             return InputTree(directory, hashed=False).label_files(directory)
         parts = directory.relative_to(self.path).parts
         head, names, digests = self._dirs.get(parts, ("", [], []))
-        slots = None
         joined = "\0".join([*names, ""])  # no name holds "\0": ".txt\0" ends a label
-        if joined.count(".txt\0") != len(names):
-            slots = [k for k, name in enumerate(names) if name.endswith(".txt")]
-            names = [names[k] for k in slots]
-            joined = "\0".join([*names, ""])
-        odd, ids = self._odd.get(parts), joined.replace(".txt\0", "\0").split("\0")[:-1]
-        if odd or ".txt" in names or _NOT_UTF8.search(joined):
-            labels = dict(sorted((name[:-4] or name, (name, slot)) for name, slot in [
-                *zip(names, slots or range(len(names))), *zip(odd or [], repeat(None))]))
-            for image_id, (name, slot) in labels.items():  # in id order
+        odd, slots = self._odd.get(parts, []), None
+        ids = joined.replace(".txt\0", "\0").split("\0")[:-1]
+        if (odd or joined.count(".txt\0") != len(names) or ".txt" in names
+                or _NOT_UTF8.search(joined) or ids != sorted(ids)):
+            labels = sorted((name[:-4] or name, name, slot) for slot, name in [
+                *enumerate(names), *zip(repeat(None), odd)] if name.endswith(".txt"))
+            for k, (image_id, name, slot) in enumerate(labels):
                 if _NOT_UTF8.search(image_id):
                     raise SchemaError(f"{shown_path(head + name)}: file name is not UTF-8")
                 if slot is None:  # a FIFO, say: never opened, as it would block
                     raise SchemaError(f"{shown_path(head + name)}: not a regular file")
-            ids, (names, slots) = list(labels), map(list, zip(*labels.values()))
-        if ids != sorted(ids):  # "a-b.txt" sorts before "a.txt", "a" before "a-b"
-            order = sorted(range(len(ids)), key=ids.__getitem__)
-            ids, names = [ids[k] for k in order], [names[k] for k in order]
-            slots = order if slots is None else [slots[k] for k in order]
+                if k and labels[k - 1][0] == image_id:
+                    raise SchemaError(f"{shown_path(head + labels[k - 1][1])} and "
+                                      f"{shown_path(head + name)}: duplicate image_id "
+                                      f"{image_id!r}")
+            ids, names, slots = ([label[k] for label in labels] for k in range(3))
         return LabelFiles(ids, names, head, digests if self.hashed else None, slots)
 
     def sha256(self) -> str:
@@ -843,10 +843,10 @@ def load_ground_truth(path: Path | str, dims: ImageDims | None = None,
 
     Line-format directories need ``dims`` because the format stores only
     normalized fractions. Files are read through ``tree``, a walk holding
-    ``path`` (by default, of ``path``).
+    ``path`` (by default, an unhashed walk of ``path``: no file is digested).
     """
     path = Path(path)
-    tree = tree or InputTree(path)
+    tree = tree or InputTree(path, hashed=False)
     if path.is_file():
         return parse_coco_json(read_text(path, tree))
     if path.is_dir():
@@ -878,7 +878,7 @@ def attach_predictions(dataset: Dataset, pred_dir: Path | str,
         raise SchemaError(f"prediction path {shown_path(pred_dir)} is not a directory"
                           if pred_dir.exists() else
                           f"prediction directory {shown_path(pred_dir)} does not exist")
-    tree = tree or InputTree(pred_dir)
+    tree = tree or InputTree(pred_dir, hashed=False)
     labels = tree.label_files(pred_dir)
     ids, frames = dataset.ids(), dataset.dims
     paired = slice(None)  # a prediction file for each image, the common case
@@ -918,9 +918,9 @@ def read_cohort_dims(path: Path | str, tree: InputTree | None = None) -> ImageDi
 def read_cohort(path: Path | str, tree: InputTree | None = None) -> Dataset:
     """Read a cohort directory written by ``synth.write_cohort``: dims.json,
     gt/ and pred/; a cohort without pred/ has no detections. Files are
-    read through ``tree``, a walk of the cohort."""
+    read through ``tree``, a walk of the cohort (by default, unhashed)."""
     root = Path(path)
-    tree = tree or InputTree(root)
+    tree = tree or InputTree(root, hashed=False)
     dataset = load_ground_truth(root / "gt", read_cohort_dims(root, tree), tree)
     if (root / "pred").is_dir():
         dataset = attach_predictions(dataset, root / "pred", tree)

@@ -1,7 +1,10 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from koheval.dataset import (
     Dataset,
@@ -217,6 +220,13 @@ class TestCoco:
         with pytest.raises(SchemaError, match="^duplicate image id 7$"):
             parse_coco_json(doc)
 
+    def test_two_images_of_one_file_stem_are_refused(self):
+        # Image ids 7 and 8 are distinct, but both files are image "a".
+        doc = self.document()
+        doc["images"][0]["file_name"], doc["images"][1]["file_name"] = "a.png", "a.jpg"
+        with pytest.raises(SchemaError, match="^duplicate image_id 'a'$"):
+            parse_coco_json(doc)
+
     def test_unknown_category_reference(self):
         doc = self.document()
         doc["annotations"][0]["category_id"] = 99
@@ -338,6 +348,46 @@ class TestLoading:
         assert paired.ids() == expected.ids() == ["img", "img-b", "img-c"]
         for got, want in zip(paired.tables, expected.tables):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    # Label names: an id, which may sort apart from its name ("a-b.txt" before
+    # "a.txt", id "a" before "a-b"), then a chain of one to three ".txt".
+    # ".txt" and ".txt.txt" are both of id ".txt"; "a.txt" and "a.txt.txt"
+    # are of ids "a" and "a.txt".
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.lists(st.tuples(st.sampled_from(["", "a", "a-b", "a.b", "b", "-"]),
+                              st.integers(1, 3)), min_size=1, max_size=6, unique=True))
+    @example([("", 1), ("", 2), ("a", 1)])
+    @example([("a", 1), ("a", 2), ("a-b", 1)])
+    def test_each_label_file_lands_in_one_image_or_the_listing_raises(
+            self, tmp_path_factory, stems):
+        names = [base + ".txt" * chain for base, chain in stems]
+        # Each file holds one box of its own width, in gt/ and in pred/.
+        width = {name: (k + 1) / 16 for k, name in enumerate(names)}
+        root = tmp_path_factory.mktemp("labels")
+        for folder, confidence in (("gt", ""), ("pred", " 0.5")):
+            (root / folder).mkdir()
+            for name in names:
+                (root / folder / name).write_text(
+                    f"0 0.5 0.5 {width[name]} 0.1{confidence}\n")
+        by_id = sorted((Path(name).stem, name) for name in names)
+        repeated = [(first, second) for (image_id, first), (other, second)
+                    in zip(by_id, by_id[1:]) if image_id == other]
+        images = Dataset([ImageRecord(image_id, DIMS) for image_id in dict(by_id)])
+        for folder, read in (("gt", lambda: load_ground_truth(root / "gt", DIMS)),
+                             ("pred", lambda: attach_predictions(images, root / "pred"))):
+            if repeated:
+                (first, second), = repeated
+                with pytest.raises(SchemaError) as err:
+                    read()
+                assert str(err.value) == (f"{root / folder / first} and "
+                                          f"{root / folder / second}: duplicate "
+                                          f"image_id {Path(first).stem!r}")
+                continue
+            dataset = read()
+            assert dataset.ids() == [image_id for image_id, _ in by_id]
+            for record, (_, name) in zip(dataset.records, by_id):
+                boxes = record.ground_truth if folder == "gt" else record.predictions
+                assert [box.x_max - box.x_min for box in boxes] == [width[name] * 2048]
 
     def test_parse_error_names_file(self, tmp_path):
         gt_dir = tmp_path / "gt"

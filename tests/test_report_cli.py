@@ -55,6 +55,14 @@ ENTRY_NAMES = st.sampled_from(["gt", "gt-y", "gt.x", "x.txt", "a.txt", ".d", ".d
 TREES = st.recursive(st.binary(max_size=4) | st.none(),
                      lambda children: st.dictionaries(ENTRY_NAMES, children, max_size=4),
                      max_leaves=12)
+# Symlinks (str): "file" links to a file outside the tree, "ghost" dangles.
+# A directory of files alone (regular files and links to files), which the
+# walk lists by name only, and the entry that puts a directory on the other
+# path: a subdirectory, a FIFO, a dangling link, or a directory named x.txt.
+FILES_ALONE = st.dictionaries(ENTRY_NAMES, st.binary(max_size=4) | st.just("file"),
+                              max_size=4)
+OTHER_ENTRY = st.sampled_from([("gt", {"b.txt": b"b"}), ("a.txt", None),
+                               (".d.txt", "ghost"), ("x.txt", {"a.txt": b"a"})])
 
 
 # Label directories: image ids that sort apart from their names ("a-b.txt"
@@ -73,13 +81,16 @@ PRED_TEXTS = [b"", b"0 0.500000 0.500000 0.100000 0.100000 0.900000\n",
 LABEL_EXTRAS = st.dictionaries(LABEL_IDS, st.sampled_from(["d", "md"]), max_size=3)
 
 
-def _make_tree(directory, tree):
+def _make_tree(directory, tree, outside=None):
+    # A str entry is a symlink to that name in the directory ``outside``.
     for name, entry in tree.items():
         if isinstance(entry, dict):
             (directory / name).mkdir()
-            _make_tree(directory / name, entry)
+            _make_tree(directory / name, entry, outside)
         elif entry is None:
             os.mkfifo(directory / name)
+        elif isinstance(entry, str):
+            os.symlink(outside / entry, directory / name)
         else:
             (directory / name).write_bytes(entry)
 
@@ -185,15 +196,23 @@ class TestDigests:
             assert InputTree(path).sha256() == _rglob_sha256_path(path)
 
     @settings(derandomize=True, deadline=None, max_examples=80)
-    @given(st.dictionaries(ENTRY_NAMES, TREES, max_size=5))
+    @given(st.dictionaries(ENTRY_NAMES, TREES, max_size=5), FILES_ALONE,
+           st.dictionaries(ENTRY_NAMES, TREES | st.sampled_from(["file", "ghost"]),
+                           max_size=3), OTHER_ENTRY)
     @example({"gt": {"a.txt": b"a", "x.txt": {"b.txt": b"b"}, "z.txt": b"z"},
-              "gt-y": b"y", "gt.x": {".d": b"d"}, ".hidden": b"h"})
+              "gt-y": b"y", "gt.x": {".d": b"d"}, ".hidden": b"h"},
+             {"a.txt": b"a", "b": "file"}, {"b": "file"}, ("a.txt", None))
     def test_walk_of_a_generated_tree_equals_the_rglob_reference(
-            self, tmp_path_factory, tree):
+            self, tmp_path_factory, tree, alone, mixed, other):
         # A directory's files come in runs between its subdirectories: the
         # walk must not list them before or after a subdirectory's files.
+        # Every tree has a directory of files alone, "pred", one of them a
+        # link, and one with another entry, "pred.x".
+        outside = tmp_path_factory.mktemp("outside")
+        (outside / "file").write_bytes(b"linked")
         root = tmp_path_factory.mktemp("tree")
-        _make_tree(root, tree)
+        _make_tree(root, {**tree, "pred": {**alone, "linked.txt": "file"},
+                          "pred.x": dict([*mixed.items(), other])}, outside)
         expected = [p for p in sorted(root.rglob("*")) if p.is_file()]
         for path in [root, *(p for p in sorted(root.rglob("*")) if p.is_dir())]:
             walked = InputTree(path)
@@ -683,6 +702,8 @@ class TestCli:
         labels = {p for p in every if p.parent.name in ("gt", "pred")} \
             - {cohort / "pred" / "notes.md"}
         assert (cohort / "truth.json") in every and len(labels) == 24
+        coco = tmp_path / "coco.json"
+        coco.write_text(format_coco_json(read_cohort(cohort)))
         made, from_disk = [], []
         real_sha256, real_file = hashlib.sha256, koheval.dataset.sha256_file
 
@@ -710,6 +731,14 @@ class TestCli:
                 assert sorted(from_disk) == sorted(hashed - read)
                 assert sorted(args[0] for args in made if args) \
                     == sorted(p.read_bytes() for p in read)
+        # The library readers, given no tree, walk one that digests nothing.
+        made.clear()
+        from_disk.clear()
+        read_cohort(cohort)
+        attach_predictions(load_ground_truth(cohort / "gt", ImageDims(2048, 2048)),
+                           cohort / "pred")
+        load_ground_truth(coco)
+        assert made == [] and from_disk == []
 
     @pytest.mark.parametrize("command", ["evaluate", "screen"])
     @pytest.mark.parametrize("kind", ["gt", "pred"])
@@ -1079,6 +1108,52 @@ class TestCli:
         capsys.readouterr()
         assert main([command, str(cohort)]) == 2
         assert capsys.readouterr().err == f"error: {entry}: not a regular file\n"
+
+
+    @pytest.mark.parametrize("folder, command", [
+        ("gt", "evaluate"), ("gt", "screen"), ("gt", "split"),
+        ("pred", "evaluate"), ("pred", "screen")])
+    def test_two_label_files_of_one_image_id_exit_2_naming_both(
+            self, tmp_path, capsys, folder, command):
+        # ".txt" and ".txt.txt" both have the Path.stem ".txt"; reading one
+        # of them as the image would drop the other's boxes unseen.
+        cohort = tmp_path / "cohort"
+        main(["synth", "--images", "4", "--seed", "1", "--out", str(cohort)])
+        box = "0 0.5 0.5 0.1 0.1" + " 0.9" * (folder == "pred") + "\n"
+        (cohort / folder / ".txt").write_text(box)
+        (cohort / folder / ".txt.txt").write_text("")
+        capsys.readouterr()
+        assert main([command, str(cohort)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cohort / folder}/.txt and {cohort / folder}/.txt.txt: "
+            "duplicate image_id '.txt'\n")
+
+    @pytest.mark.parametrize("folder", ["gt", "pred"])
+    def test_label_names_x_txt_and_x_txt_txt_are_two_images(self, tmp_path, capsys,
+                                                           folder):
+        # Two negative images, then "x.txt" and "x.txt.txt" (ids "x" and
+        # "x.txt"), each with a fungal box in ``folder`` and none in the other.
+        cohort = tmp_path / "cohort"
+        main(["synth", "--plant-matrix", "0,0,0,2", "--seed", "1", "--out", str(cohort)])
+        for name in ("x.txt", "x.txt.txt"):
+            (cohort / "gt" / name).write_text(
+                "0 0.5 0.5 0.1 0.1\n" if folder == "gt" else "")
+            if folder == "pred":
+                (cohort / "pred" / name).write_text("0 0.5 0.5 0.1 0.1 0.9\n")
+        missed, false = (2, 0) if folder == "gt" else (0, 2)
+        capsys.readouterr()
+        assert main(["screen", str(cohort), "--format", "json"]) == 0
+        assert parse_report(capsys.readouterr().out)["screening"]["matrix"] == {
+            "tp": 0, "fn": missed, "fp": false, "tn": 2}
+        assert main(["evaluate", str(cohort), "--format", "json"]) == 0
+        per_class = parse_report(capsys.readouterr().out)["object_metrics"]["per_class"]
+        assert (per_class["fungal"]["fn"], per_class["fungal"]["fp"]) == (missed, false)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # strata of one image
+            assert main(["split", str(cohort), "--out", str(tmp_path / "split.json")]) == 0
+        split = json.loads((tmp_path / "split.json").read_text())
+        assert sorted(split["train"] + split["val"] + split["test"]) == [
+            "screen-0000", "screen-0001", "x", "x.txt"]
 
 
 @pytest.mark.parametrize("argv", [
