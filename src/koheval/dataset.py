@@ -671,13 +671,6 @@ class InputTree:
             start = stop
         self._runs.append((prefix, start, len(files)))
 
-    @cached_property
-    def files(self) -> dict[str, tuple[str, ...]]:
-        """Path -> parts under ``path`` of each file, in walk order; built on first use."""
-        return {self._file: ()} if self._file is not None else {
-            head + name: (*parts, name) for parts, start, stop in self._runs
-            for head, names, _ in [self._dirs[parts]] for name in names[start:stop]}
-
     def keep(self, path: Path, data: bytes) -> None:
         """Keep the digest of ``data``, read from the file at ``path``, if
         the tree is hashed and its walk found that file."""

@@ -189,7 +189,6 @@ class TestDigests:
         os.symlink(tmp_path / "ghost", root / "gt" / "dangling.txt")
         expected = [p.relative_to(root).parts
                     for p in sorted(root.rglob("*")) if p.is_file()]
-        assert list(InputTree(root).files.values()) == expected
         assert ("gt", "linked.txt") in expected
         assert not any(parts[0] == "linked-dir" for parts in expected)
         for path in (root, root / "gt", root / "gt.x", root / "dims.json"):
@@ -213,13 +212,8 @@ class TestDigests:
         root = tmp_path_factory.mktemp("tree")
         _make_tree(root, {**tree, "pred": {**alone, "linked.txt": "file"},
                           "pred.x": dict([*mixed.items(), other])}, outside)
-        expected = [p for p in sorted(root.rglob("*")) if p.is_file()]
         for path in [root, *(p for p in sorted(root.rglob("*")) if p.is_dir())]:
-            walked = InputTree(path)
-            assert list(walked.files.items()) == [
-                (str(p), p.relative_to(path).parts) for p in expected
-                if path in p.parents]
-            assert walked.sha256() == _rglob_sha256_path(path)
+            assert InputTree(path).sha256() == _rglob_sha256_path(path)
 
     def test_an_unhashed_tree_hashes_every_file(self, tmp_path):
         cohort = tmp_path / "cohort"
@@ -1156,31 +1150,52 @@ class TestCli:
             "screen-0000", "screen-0001", "x", "x.txt"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["split", "COHORT", "--fractions", "a,b,c"],
-    ["split", "COHORT", "--fractions", "nan,0.5,0.5"],
-    ["split", "COHORT", "--seed", "-1"],
-    ["synth", "--seed", "-1"],
-    ["synth", "--plant-counts", "1,2"],
-    ["synth", "--plant-counts=--5,1,1"],
-    ["synth", "--plant-counts", "\u00b2,1,1"],
-    ["synth", "--plant-matrix", "1,2,3"],
-    ["synth", "--plant-counts", "99999999999999999999,0,0"],
-    ["synth", "--plant-matrix", "0,0,0,99999999999999999999"],
-    ["synth", "--plant-counts", "1000000000000000,0,0"],
-    ["synth", "--plant-counts", "9" * 60 + ",1"],
-    ["synth", "--plant-matrix", "9" * 60 + ",1"],
-    ["split", "COHORT", "--fractions", "9" * 60 + ",x"],
-], ids=" ".join)
-def test_bad_split_and_synth_numbers_exit_2(tmp_path, monkeypatch, capsys, argv):
+_REFUSED = [
+    (["split", "COHORT", "--fractions", "a,b,c"],
+     "--fractions must be comma-separated numbers, got 'a,b,c'"),
+    (["split", "COHORT", "--fractions", "nan,0.5,0.5"],
+     "fractions must be three non-negative values"),
+    (["split", "COHORT", "--seed", "-1"], "seed must be non-negative, got -1"),
+    (["synth", "--seed", "-1"], "seed must be non-negative, got -1"),
+    (["synth", "--plant-counts", "1,2"],
+     "expected 3 comma-separated integers for --plant-counts, got '1,2'"),
+    (["synth", "--plant-counts=--5,1,1"],
+     "expected 3 comma-separated integers for --plant-counts, got '--5,1,1'"),
+    (["synth", "--plant-counts", "\u00b2,1,1"],
+     "expected 3 comma-separated integers for --plant-counts, got '\u00b2,1,1'"),
+    (["synth", "--plant-matrix", "1,2,3"],
+     "expected 4 comma-separated integers for --plant-matrix, got '1,2,3'"),
+    (["synth", "--plant-counts", "99999999999999999999,0,0"], "counts too large to plant"),
+    (["synth", "--plant-matrix", "0,0,0,99999999999999999999"], "counts too large to plant"),
+    (["synth", "--plant-counts", "1000000000000000,0,0"], "counts too large to plant"),
+    (["synth", "--plant-counts", "9" * 60 + ",1"],
+     "expected 3 comma-separated integers for --plant-counts, got '99999999...,1'"),
+    (["synth", "--plant-matrix", "9" * 60 + ",1"],
+     "expected 4 comma-separated integers for --plant-matrix, got '99999999...,1'"),
+    (["split", "COHORT", "--fractions", "9" * 60 + ",x"],
+     "--fractions must be comma-separated numbers, got '99999999...,x'"),
+    (["synth", "--plant-counts", "1,0,0", "--plant-matrix", "1,0,0,1"],
+     "--plant-counts and --plant-matrix are exclusive"),
+    (["synth", "--images", "0"], "n_images must be at least 1"),
+    (["synth", "--plant-matrix", "0,0,0,0"],
+     "matrix cells must be non-negative and not all zero"),
+    (["split", "EMPTY"], "cannot split an empty dataset"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _REFUSED,
+                         ids=[" ".join(argv) for argv, _ in _REFUSED])
+def test_refused_split_and_synth_requests_exit_2(tmp_path, monkeypatch, capsys,
+                                                 argv, message):
     cohort, outs = tmp_path / "cohort", tmp_path / "outs"
     main(["synth", "--images", "4", "--out", str(cohort)])
+    empty = tmp_path / "empty.json"  # a COCO document with no images
+    empty.write_text('{"images": [], "annotations": [], "categories": []}')
     capsys.readouterr()
     monkeypatch.setenv("KOHEVAL_OUTPUT_DIR", str(outs))
-    assert main([str(cohort) if arg == "COHORT" else arg for arg in argv]) == 2
-    out, err = capsys.readouterr()
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not re.search("[0-9]{16}", out + err)
+    paths = {"COHORT": str(cohort), "EMPTY": str(empty)}
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not outs.exists()
 
 

@@ -323,6 +323,29 @@ class TestSolveOffsets:
         with pytest.raises(GenerationError, match="^img-b: perturbation missed"):
             _solve_offsets(_FRAME, [good, *bad])
 
+    @settings(derandomize=True, deadline=None)
+    @given(st.floats(1.0, 2048.0), st.floats(1.0, 2048.0), st.floats(0.55, 0.95),
+           st.integers(0, 2**32 - 1))
+    def test_offset_w_plus_h_is_below_every_target(self, width, height, target, seed):
+        # The bisection's upper end: at offset gt width + height, a candidate
+        # of any scale and angle _perturb_to_iou draws overlaps its gt with
+        # IoU below the lowest target the generators draw.
+        gt = Box(0.0, 0.0, width, height, FUNGAL)
+        p = _perturb_to_iou(np.random.default_rng(seed), gt, target, 0.9, "img-x")
+        t = width + height
+        cx, cy = width / 2.0 + t * p.dx, height / 2.0 + t * p.dy
+        far = Box(cx - p.w / 2.0, cy - p.h / 2.0, cx + p.w / 2.0, cy + p.h / 2.0, FUNGAL)
+        assert iou(gt, far) < 0.55
+
+    def test_target_beyond_offset_w_plus_h_is_missed(self):
+        # Ten times the gt's sides: IoU 0.01 at every offset up to w + h, so
+        # target 0.005 lies beyond the bisection's interval and is refused.
+        gt = Box(100.0, 100.0, 200.0, 200.0, FUNGAL)
+        wide = _Perturbation(gt, 1000.0, 1000.0, 1.0, 0.0, 0.005, 0.9, "img-x")
+        with pytest.raises(GenerationError,
+                           match=r"^img-x: perturbation missed the target IoU 0\.0050$"):
+            _solve_offsets(_FRAME, [wide])
+
     def test_degenerate_candidate_box_rejected(self):
         gt = Box(100.0, 100.0, 200.0, 200.0, FUNGAL)
         flat = _Perturbation(gt, 0.0, 100.0, 1.0, 0.0, 0.7, 0.9, "img-a")
