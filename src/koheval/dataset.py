@@ -11,7 +11,9 @@ A directory of label files is read as one batch into float64
 :class:`BoxTables`, each file opened by name through one handle of the
 directory: files whose lines hold a class digit and plain decimals, each
 after one space or tab, and end in ``\\n`` or ``\\r\\n`` are converted
-together by ``np.loadtxt`` and their boxes clipped to the frame. Only a
+together and their boxes clipped to the frame. A batch whose lines all
+share one layout, as every file ``koheval synth`` writes does, is converted
+by byte arithmetic, column by column; any other by ``np.loadtxt``. Only a
 file with an error or another spelling (an exponent or sign, a run of
 blanks, another line break, no final newline) is parsed line by line. A
 file costs its open, read and close; all else, digests too, is per directory.
@@ -745,6 +747,50 @@ _CANONICAL_LINE = {with_confidence: re.compile(
     for with_confidence, n in ((False, 4), (True, 5))}
 
 
+def _fixed_layout_rows(batch: bytes, n_lines: int, line: re.Pattern) -> np.ndarray | None:
+    """The rows of ``batch``, ``n_lines`` lines each ending in ``"\\n"``, if
+    all of them have the layout of the first, which ``line`` matches: its
+    length, its ".", "\\r" and "\\n" columns, a digit in each of its digit
+    columns (0 or 1 in the class column) and a space or tab in each of its
+    blank columns. Else None, as for a field of more than 15 digits.
+
+    A field of at most 15 digits is exactly its digits, taken as an integer,
+    over a power of ten, and so is read as ``float()`` and ``np.loadtxt``
+    read it (Clinger, PLDI 1990): bit for bit. Each field's columns are
+    folded into one int64 per line, so memory stays a few bytes a line.
+    """
+    width = len(batch) // n_lines if n_lines else 0
+    if not width or width * n_lines != len(batch) or not line.fullmatch(batch, 0, width):
+        return None
+    grid = np.frombuffer(batch, dtype=np.uint8).reshape(n_lines, width)
+    first = grid[0]
+    digit, blank = first - ord("0") <= 9, (first == ord(" ")) | (first == ord("\t"))
+    # Each column's bytes lie in [low, low + span]: for a blank column, a tab
+    # to a space, of which only those two are then let through.
+    low, span = first.copy(), np.zeros(width, dtype=np.uint8)
+    low[digit], span[digit] = ord("0"), 9
+    low[blank], span[blank] = ord("\t"), ord(" ") - ord("\t")
+    span[0] = 1
+    blanks = grid[:, blank]
+    if ((grid - low) > span).any() or ((blanks != ord(" ")) & (blanks != ord("\t"))).any():
+        return None
+    fields = [m.span() for m in re.finditer(rb"[0-9.]+", batch[:width])]
+    rows = np.empty((n_lines, len(fields)))
+    rows[:, 0] = grid[:, 0] - ord("0")
+    for k, (start, stop) in enumerate(fields[1:], start=1):
+        dot = batch.find(b".", start, stop)
+        columns = [c for c in range(start, stop) if c != dot]
+        if len(columns) > 15:
+            return None
+        value = np.zeros(n_lines, dtype=np.int64)
+        for c in columns:
+            value *= 10
+            value += grid[:, c]
+        value -= ord("0") * (10 ** len(columns) - 1) // 9  # the folded "0"s
+        rows[:, k] = value / float(10 ** (stop - dot - 1 if dot >= 0 else 0))
+    return rows
+
+
 def _canonical_boxes(datas: list, dims: Sequence[ImageDims], with_confidence: bool
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The table rows of every file in ``datas`` (bytes, or the OSError
@@ -754,10 +800,12 @@ def _canonical_boxes(datas: list, dims: Sequence[ImageDims], with_confidence: bo
     clipped boxes; and which files those are. Every other file has none.
 
     Line counts, final newlines and rows' owners come from the joined bytes
-    by numpy; one ``sub`` deletes the batch's canonical lines (file by file
-    only if some remain), and ``np.loadtxt`` converts them as ``float()``
-    does. A ``fullmatch`` of the batch would hold 9-17 MB of backtracking
-    state (eval-sparse peak RSS 49.5 -> 61.6 MB).
+    by numpy. A batch of files all read and ending in ``"\\n"`` whose lines
+    share one layout is converted by :func:`_fixed_layout_rows`. Any other
+    takes one ``sub`` that deletes its canonical lines (file by file only if
+    some remain), and ``np.loadtxt`` converts them as ``float()`` does. A
+    ``fullmatch`` of the batch would hold 9-17 MB of backtracking state
+    (eval-sparse peak RSS 49.5 -> 61.6 MB).
     """
     line, n = _CANONICAL_LINE[with_confidence], len(datas)
     read = np.fromiter(map(isinstance, datas, repeat(bytes)), dtype=bool, count=n)
@@ -770,13 +818,16 @@ def _canonical_boxes(datas: list, dims: Sequence[ImageDims], with_confidence: bo
     # A file not ending in "\n" could join the next one's first line.
     accepted = read & ((sizes == 0) | (upto > np.searchsorted(breaks, ends - 1)))
     batch = joined if accepted.all() else b"".join(compress(texts, accepted))
-    if line.sub(b"", batch):
-        accepted[accepted] = [not line.sub(b"", t) for t in compress(texts, accepted)]
-        batch = b"".join(compress(texts, accepted))
+    # ``breaks`` are the batch's line ends only if the batch is all the bytes.
+    rows = _fixed_layout_rows(batch, len(breaks), line) if batch is joined else None
+    if rows is None:
+        if line.sub(b"", batch):
+            accepted[accepted] = [not line.sub(b"", t) for t in compress(texts, accepted)]
+            batch = b"".join(compress(texts, accepted))
+        # loadtxt warns on empty input, so an empty batch is not handed to it.
+        rows = (np.loadtxt(io.BytesIO(batch), ndmin=2) if batch
+                else np.empty((0, 6 if with_confidence else 5)))
     counts = np.where(accepted, np.diff(upto, prepend=0), 0)
-    # loadtxt warns on empty input, so an empty batch is not handed to it.
-    rows = (np.loadtxt(io.BytesIO(batch), ndmin=2) if batch
-            else np.empty((0, 6 if with_confidence else 5)))
     table, clipped, rejected, _ = frame_rows(rows, dims, counts)
     owner = np.repeat(np.arange(n), counts)
     accepted[owner[rejected]] = False

@@ -8,6 +8,7 @@ reaches the checks deep inside the document. Every JSON reader also meets
 documents nested deeper than the decoder's recursion limit.
 """
 
+import io
 import json
 import math
 import re
@@ -17,12 +18,13 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from koheval.dataset import (
     _CANONICAL_LINE,
     _canonical_boxes,
+    _fixed_layout_rows,
     Dataset,
     ImageRecord,
     InputTree,
@@ -581,6 +583,127 @@ def test_batch_bookkeeping_agrees_with_a_file_by_file_loop(datas, with_confidenc
     assert table.tobytes() == b"".join(t.tobytes() for t in tables)
 
 
+def _layout_line(rng, layout, blanks, end, in_range):
+    """A line of ``layout``: a class digit 0 or 1, then per (whole, fraction)
+    digit counts a blank from ``blanks`` and a field of random digits, or,
+    ``in_range``, of a whole part of zeros and a last digit not 0 (a value
+    in (0, 1]); ``end``."""
+    fields = []
+    for whole, fraction in layout:
+        digits = "".join(map(str, rng.integers(0, 10, whole + fraction)))
+        if in_range:
+            digits = ("0" * whole + digits[whole:])[:-1] + (
+                str(rng.integers(1, 10)) if fraction else "1")
+        fields.append(rng.choice(blanks) + digits[:whole]
+                      + ("." + digits[whole:]) * (fraction > 0))
+    return str(rng.integers(0, 2)) + "".join(fields) + end
+
+
+@st.composite
+def one_layout_batch(draw, long_field=False):
+    """A label batch whose lines share one layout, ground truth (4 fields)
+    or predictions (5): each field of 1 to 15 digits (16 or 17 in one field
+    if ``long_field``), with or without a fraction, leading zeros included;
+    a space or tab per blank column, drawn line by line; "\\n" or "\\r\\n"
+    ends every line. Three batches in four hold values in (0, 1] alone. The
+    digits come from a seeded generator, which keeps 200-line batches cheap
+    to draw. Returns (with_confidence, lines)."""
+    with_confidence = draw(st.booleans())
+    sizes = draw(st.lists(st.integers(1, 15), min_size=4 + with_confidence,
+                          max_size=4 + with_confidence))
+    if long_field:
+        sizes[draw(st.integers(0, len(sizes) - 1))] = draw(st.sampled_from([16, 17]))
+    layout = []
+    for size in sizes:
+        whole = draw(st.integers(1, size))
+        layout.append((whole, size - whole))
+    blanks = draw(st.sampled_from([[" "], ["\t"], [" ", "\t"]]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    in_range = draw(st.integers(0, 3)) > 0
+    lines = [_layout_line(rng, layout, blanks, end, in_range)
+             for _ in range(draw(st.integers(1, 200)))]
+    return with_confidence, lines
+
+
+@st.composite
+def refused_batch(draw):
+    """A batch the fixed-layout reader must refuse: a one-layout batch with
+    one line spoiled (a line longer than the rest; a later line whose end
+    moved by a column, at the first one's length; a "." or blank swapped
+    with a neighbour in a later line; a class 2 to 9; a byte no canonical
+    line holds in the first line), or one with a field of 16 or 17 digits."""
+    spoil = draw(st.sampled_from(["longer", "end", "swap", "class", "first", "16 digits"]))
+    with_confidence, lines = draw(one_layout_batch(long_field=spoil == "16 digits"))
+    if spoil == "16 digits":
+        return with_confidence, lines
+    assume(spoil in ("class", "first") or len(lines) > 1)
+    at = 0 if spoil == "first" else draw(
+        st.integers(0 if spoil in ("longer", "class") else 1, len(lines) - 1))
+    line = lines[at]
+    body, end = (line[:-2], "\r\n") if line.endswith("\r\n") else (line[:-1], "\n")
+    digit = draw(st.sampled_from("0123456789"))
+    if spoil == "longer":
+        line = body + digit + end
+    elif spoil == "end":  # "\r\n" for a digit and "\n", or the other way
+        line = body + digit + "\n" if end == "\r\n" else body[:-1] + "\r\n"
+    elif spoil == "swap":
+        k = draw(st.sampled_from([k for k, c in enumerate(body) if c in ". \t"]))
+        j = draw(st.sampled_from([j for j in (k - 1, k + 1) if j < len(body)]))
+        chars = list(body)
+        chars[k], chars[j] = chars[j], chars[k]
+        line = "".join(chars) + end
+    elif spoil == "class":
+        line = draw(st.sampled_from("23456789")) + line[1:]
+    else:
+        k = draw(st.integers(0, len(line) - 1))
+        line = line[:k] + draw(st.sampled_from("+-e_x\x0b")) + line[k + 1:]
+    lines[at] = line
+    return with_confidence, lines
+
+
+def _files(lines, cuts):
+    """``lines`` cut into files at the line numbers ``cuts``."""
+    bounds = [0, *sorted({c % len(lines) for c in cuts} - {0}), len(lines)]
+    return ["".join(lines[a:b]).encode() for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(PROPERTY, max_examples=200)
+@given(one_layout_batch(), st.lists(st.integers(0, 199), max_size=5))
+def test_fixed_layout_rows_equal_loadtxt_bit_for_bit(drawn, cuts):
+    with_confidence, lines = drawn
+    batch = "".join(lines).encode()
+    rows = _fixed_layout_rows(batch, len(lines), _CANONICAL_LINE[with_confidence])
+    assert rows is not None
+    assert rows.tobytes() == np.loadtxt(io.BytesIO(batch), ndmin=2).tobytes()
+    # The same lines, as files, through the whole batch.
+    datas = _files(lines, cuts)
+    frames = [DIMS] * len(datas)
+    table, *bookkeeping = _canonical_boxes(datas, frames, with_confidence)
+    tables, *expected = _batch_file_by_file(datas, frames, with_confidence)
+    assert [b.tolist() for b in bookkeeping] == expected
+    assert table.tobytes() == b"".join(t.tobytes() for t in tables)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(refused_batch(), st.lists(st.integers(0, 199), max_size=5), FRAMES)
+@example((False, ["0 0.5 0.5 0.1 0.1\r\n", "1 0.5 0.5 0.1 0.12\n"]), [], [DIMS] * 6)
+@example((True, ["0 0.5 0.5 0.1 0.1 0.1234567890123456\n"] * 2), [1], [DIMS] * 6)
+def test_fixed_layout_reader_refuses_other_batches(tmp_path_factory, drawn, cuts, frames):
+    with_confidence, lines = drawn
+    batch = "".join(lines).encode()
+    assert _fixed_layout_rows(batch, batch.count(b"\n"),
+                              _CANONICAL_LINE[with_confidence]) is None
+    # The directory reader takes such a batch by the regex pass, np.loadtxt
+    # and the per-line parser, and reads it as the per-file parser does.
+    parse = parse_pred_file if with_confidence else parse_gt_file
+    contents = _files(lines, cuts)
+    dims = (frames if with_confidence else [DIMS] * 6)[:len(contents)]
+    tree, files = _write_directory(tmp_path_factory.mktemp("refused") / "labels", contents)
+    assert _read_outcome(lambda: _read_directory(tree, files, dims, parse)) \
+        == _read_outcome(lambda: _file_by_file(files, dims, parse))
+
+
 # A parsed document prints under strict UTF-8: a JSON escape of a lone
 # surrogate (\udcff) is refused, not handed on to the output.
 @PROPERTY
@@ -618,8 +741,9 @@ def test_cohort_dims_reader(tmp_path_factory, data):
     cohort.mkdir(exist_ok=True)
     (cohort / "dims.json").write_bytes(data)
     dims = parses_or_raises_koheval_error(read_cohort_dims, cohort)
-    if dims is not None:
-        parse_pred_file("0 0.5 0.5 0.25 0.25 0.9\n1 0.999 0.001 0.5 0.5 0.3\n", dims)
+    if dims is not None:  # the second box crosses every frame's corner
+        with pytest.warns(UserWarning, match=r"^1 box\(es\) clipped to the frame$"):
+            parse_pred_file("0 0.5 0.5 0.25 0.25 0.9\n1 0.999 0.001 0.5 0.5 0.3\n", dims)
 
 
 @PROPERTY
