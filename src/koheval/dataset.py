@@ -9,14 +9,14 @@ the one set of box rules, :func:`~koheval.geometry.frame_rows`.
 
 A directory of label files is read as one batch into float64
 :class:`BoxTables`, each file opened by name through one handle of the
-directory: files whose lines hold a class digit and plain decimals, each
-after one space or tab, and end in ``\\n`` or ``\\r\\n`` are converted
-together and their boxes clipped to the frame. A batch whose lines all
-share one layout, as every file ``koheval synth`` writes does, is converted
-by byte arithmetic, column by column; any other by ``np.loadtxt``. Only a
-file with an error or another spelling (an exponent or sign, a run of
-blanks, another line break, no final newline) is parsed line by line. A
-file costs its open, read and close; all else, digests too, is per directory.
+directory. When every line of the directory shares one layout (a class
+digit and plain decimals, each after one space or tab, ending in ``\\n``
+or ``\\r\\n``, with digits, points, blanks and line ends in the same
+columns), as every file ``koheval synth`` writes does, the batch is
+converted by byte arithmetic, column by column, and its boxes clipped to
+the frame together. Any other batch is parsed line by line, as is a file
+of a converted batch whose box breaks a rule. A file costs its open, read
+and close; all else, digests too, is per directory.
 A :class:`Dataset` holds each image's id and frame and the tables, in
 id order, and the matcher, screening and the split read the tables;
 ``Dataset.records``, the per-image :class:`ImageRecord` view, is built on
@@ -27,19 +27,17 @@ records through :func:`as_dataset`.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import os
 import re
-import sys
 import tempfile
 import warnings
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import attrgetter, methodcaller
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -736,14 +734,11 @@ class InputTree:
         return digest.hexdigest()
 
 
-# A line the batch reads: ASCII, a class digit and plain decimals, each after
-# one space or tab, ending in "\n" or "\r\n"; for ground truth (5 fields) and
-# for predictions (6); np.loadtxt reads a tab as a blank and drops the "\r".
-# No digit follows a digit run, nor "." a field, so the possessive repeats of
-# Python 3.11+ (which never backtrack) accept the same lines, faster.
-_ONCE = "+" if sys.version_info >= (3, 11) else ""
+# The first line of a batch the column reader takes: ASCII, a class digit
+# and plain decimals, each after one space or tab, ending in "\n" or "\r\n";
+# for ground truth (5 fields) and for predictions (6).
 _CANONICAL_LINE = {with_confidence: re.compile(
-    rf"[01](?:[ \t][0-9]+{_ONCE}(?:\.[0-9]+{_ONCE})?{_ONCE}){{{n}}}\r?\n".encode())
+    rf"[01](?:[ \t][0-9]+(?:\.[0-9]+)?){{{n}}}\r?\n".encode())
     for with_confidence, n in ((False, 4), (True, 5))}
 
 
@@ -755,8 +750,8 @@ def _fixed_layout_rows(batch: bytes, n_lines: int, line: re.Pattern) -> np.ndarr
     blank columns. Else None, as for a field of more than 15 digits.
 
     A field of at most 15 digits is exactly its digits, taken as an integer,
-    over a power of ten, and so is read as ``float()`` and ``np.loadtxt``
-    read it (Clinger, PLDI 1990): bit for bit. Each field's columns are
+    over a power of ten, and so is read as ``float()`` reads it (Clinger,
+    PLDI 1990): bit for bit. Each field's columns are
     folded into one int64 per line, so memory stays a few bytes a line.
     """
     width = len(batch) // n_lines if n_lines else 0
@@ -794,42 +789,33 @@ def _fixed_layout_rows(batch: bytes, n_lines: int, line: re.Pattern) -> np.ndarr
 def _canonical_boxes(datas: list, dims: Sequence[ImageDims], with_confidence: bool
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The table rows of every file in ``datas`` (bytes, or the OSError
-    reading it raised) in the spelling the batch reads whose boxes pass the
-    rules of :func:`~koheval.geometry.frame_rows` in its ``dims`` frame,
-    converted together, file after file; each file's number of rows and of
-    clipped boxes; and which files those are. Every other file has none.
+    reading it raised) whose boxes pass the rules of
+    :func:`~koheval.geometry.frame_rows` in its ``dims`` frame, converted
+    together, file after file; each file's number of rows and of clipped
+    boxes; and which files those are. Every other file has none.
 
-    Line counts, final newlines and rows' owners come from the joined bytes
-    by numpy. A batch of files all read and ending in ``"\\n"`` whose lines
-    share one layout is converted by :func:`_fixed_layout_rows`. Any other
-    takes one ``sub`` that deletes its canonical lines (file by file only if
-    some remain), and ``np.loadtxt`` converts them as ``float()`` does. A
-    ``fullmatch`` of the batch would hold 9-17 MB of backtracking state
-    (eval-sparse peak RSS 49.5 -> 61.6 MB).
+    The batch is converted only if every file was read and ends in ``"\\n"``
+    (or is empty) and :func:`_fixed_layout_rows` takes the joined bytes;
+    else no file is, and all are parsed line by line. Line counts and rows'
+    owners come from the joined bytes by numpy.
     """
-    line, n = _CANONICAL_LINE[with_confidence], len(datas)
-    read = np.fromiter(map(isinstance, datas, repeat(bytes)), dtype=bool, count=n)
-    texts = datas if read.all() else [d if isinstance(d, bytes) else b"" for d in datas]
-    joined = b"".join(texts)
-    sizes = np.fromiter(map(len, texts), dtype=np.intp, count=n)
-    ends = np.cumsum(sizes)
-    breaks = np.flatnonzero(np.frombuffer(joined, dtype=np.uint8) == 10)
-    upto = np.searchsorted(breaks, ends)  # the line breaks before each file's end
-    # A file not ending in "\n" could join the next one's first line.
-    accepted = read & ((sizes == 0) | (upto > np.searchsorted(breaks, ends - 1)))
-    batch = joined if accepted.all() else b"".join(compress(texts, accepted))
-    # ``breaks`` are the batch's line ends only if the batch is all the bytes.
-    rows = _fixed_layout_rows(batch, len(breaks), line) if batch is joined else None
+    n, rows = len(datas), None
+    if all(map(isinstance, datas, repeat(bytes))):
+        joined = b"".join(datas)
+        sizes = np.fromiter(map(len, datas), dtype=np.intp, count=n)
+        ends = np.cumsum(sizes)
+        view = np.frombuffer(joined, dtype=np.uint8)
+        breaks = np.flatnonzero(view == 10)
+        # A file not ending in "\n" could join the next one's first line.
+        if (view[ends[sizes > 0] - 1] == 10).all():
+            rows = _fixed_layout_rows(joined, len(breaks), _CANONICAL_LINE[with_confidence])
     if rows is None:
-        if line.sub(b"", batch):
-            accepted[accepted] = [not line.sub(b"", t) for t in compress(texts, accepted)]
-            batch = b"".join(compress(texts, accepted))
-        # loadtxt warns on empty input, so an empty batch is not handed to it.
-        rows = (np.loadtxt(io.BytesIO(batch), ndmin=2) if batch
-                else np.empty((0, 6 if with_confidence else 5)))
-    counts = np.where(accepted, np.diff(upto, prepend=0), 0)
+        return (np.empty((0, 6 if with_confidence else 5)), np.zeros(n, dtype=np.intp),
+                np.zeros(n, dtype=np.intp), np.zeros(n, dtype=bool))
+    counts = np.diff(np.searchsorted(breaks, ends), prepend=0)  # each file's lines
     table, clipped, rejected, _ = frame_rows(rows, dims, counts)
     owner = np.repeat(np.arange(n), counts)
+    accepted = np.ones(n, dtype=bool)
     accepted[owner[rejected]] = False
     kept = accepted[owner]
     counts[~accepted] = 0
@@ -844,8 +830,8 @@ def _read_label_files(directory: Path, labels: LabelFiles, dims: Sequence[ImageD
 
     A file costs its open (by name, in the directory opened once), read
     and close; its path is built only to name it in an error or if it
-    leaves the batch, :func:`_canonical_boxes`, which converts the files in
-    its spelling that break no box rule. The others' lines are parsed as by
+    leaves the batch, :func:`_canonical_boxes`, which converts a one-layout
+    batch's files that break no box rule. The others' lines are parsed as by
     :func:`parse_gt_file`, and their boxes checked at once. So the first
     file that fails to read, decode or parse raises, and clipped boxes warn
     in file order, as a file-by-file read does. Then one pass digests them.

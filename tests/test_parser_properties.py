@@ -12,7 +12,6 @@ import io
 import json
 import math
 import re
-import sys
 import warnings
 from dataclasses import astuple, replace
 
@@ -433,7 +432,7 @@ def _read_directory(tree, files, frames, parse):
 @example([b"0 0.75 0.5 0.75 0.5\n", b"1 0.5 0.25 0.5 0.75\n", b"0 0.5 0.5 0.5 0.5 1.5\n",
           b"0 0.25 0.5 0.75 0.5 0.5\n", b"1 0.5 0.75 0.5 0.75 0.5\n"],
          [DIMS] * 6)  # past the frame, or a confidence past 1, in canonical spelling
-@example([b"0 0.5 0.5 0.25 0_5\n", b"1 0.5 0.5 0.2 0.2\n"], [DIMS] * 6)  # numpy stops at _
+@example([b"0 0.5 0.5 0.25 0_5\n", b"1 0.5 0.5 0.2 0.2\n"], [DIMS] * 6)  # float() reads 0_5
 # A box to clip between clean files, in both kinds: its warning comes in
 # file order, after that of a file in another spelling.
 @example([b"0 0.5 0.5 0.1 0.1\n", b"0 2e-1 0.5 0.1 0.1 0.5\n1 0.99 0.5 0.1 0.1 0.5\n",
@@ -454,8 +453,8 @@ def _read_directory(tree, files, frames, parse):
          [DIMS] * 6)
 # A run of two blanks.
 @example([b"0 0.5  0.5 0.1 0.1\n", b"0 0.5 0.5 0.1\t 0.1 0.5\n"], [DIMS] * 6)
-# Tokens with 25-digit integer parts and 30-digit fractions: the batch's
-# converter must round them as float() does.
+# Tokens with 25-digit integer parts and 30-digit fractions, which the
+# column reader refuses: read as float() reads them.
 @example([b"0 0000000000000000000000000.5 0.500000000000000000000000000001 0.1 0.1\n",
           b"1 0.123456789012345678901234567890 0.5 0.2 0.2 "
           b"0.999999999999999999999999999999\n",
@@ -488,7 +487,7 @@ def test_directory_reader_agrees_with_the_per_file_parsers(tmp_path_factory,
                 == _read_outcome(lambda: _file_by_file(files, dims, parse))
 
 
-# The batch's line pattern as Python 3.10 spells it, with plain repeats.
+# A batch's first line as the column reader takes it, spelled out.
 PLAIN_LINE = {n_fields: re.compile(rb"[01](?:[ \t][0-9]+(?:\.[0-9]+)?){%d}\r?\n"
                                    % (n_fields - 1)) for n_fields in (5, 6)}
 # Byte strings near the pattern's edges for 5 or 6 fields: lines the
@@ -496,7 +495,7 @@ PLAIN_LINE = {n_fields: re.compile(rb"[01](?:[ \t][0-9]+(?:\.[0-9]+)?){%d}\r?\n"
 # fraction, each after a blank or tab, then "\n" or "\r\n"); such lines
 # with some fields ending in "." or "..", or with one piece put in
 # somewhere, which may break the line, split it or leave it whole; and runs
-# of such pieces.
+# of such pieces. A batch is a few of them, or one of them repeated.
 decimal_digits = st.text("0123456789", min_size=1, max_size=3)
 blank = st.sampled_from(" \t")
 line_field = st.builds("{}{}{}".format, blank, decimal_digits,
@@ -519,30 +518,51 @@ def near_lines(n_fields):
                         line, st.integers(0, 40), line_piece)
     pieces = st.lists(line_piece, max_size=6).map(b"".join)
     near = line | lines(line_field | odd_field) | spoiled | pieces
-    return st.tuples(st.just(n_fields), st.lists(near, max_size=4).map(b"".join))
+    batch = st.lists(near, max_size=4).map(b"".join) | st.builds(
+        bytes.__mul__, near, st.integers(1, 3))
+    return st.tuples(st.just(n_fields), batch)
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="possessive repeats are new in Python 3.11")
+def _layout(line):
+    """A line's layout: its bytes with each digit a 9 and each tab a space."""
+    return re.sub(rb"[0-9]", b"9", line.replace(b"\t", b" "))
+
+
+def _one_layout(lines, n_fields):
+    """Whether the column reader takes ``lines``, each ending in "\\n": some,
+    all of one layout, each a line of PLAIN_LINE with no field over 15 digits."""
+    return (bool(lines) and len(set(map(_layout, lines))) == 1
+            and all(PLAIN_LINE[n_fields].fullmatch(line) for line in lines)
+            and max(len(field.replace(b".", b"")) for field in lines[0].split()) <= 15)
+
+
 @settings(PROPERTY, max_examples=300)
 @given(st.sampled_from([5, 6]).flatmap(near_lines))
-def test_possessive_line_pattern_accepts_what_the_plain_one_does(case):
+def test_fixed_layout_rows_near_the_line_pattern_read_as_float_or_refuse(case):
     n_fields, data = case
-    possessive, plain = _CANONICAL_LINE[n_fields == 6], PLAIN_LINE[n_fields]
-    assert b"++" in possessive.pattern
-    assert bool(possessive.fullmatch(data)) == bool(plain.fullmatch(data))
-    assert possessive.sub(b"", data) == plain.sub(b"", data)
+    *lines, tail = data.split(b"\n")
+    lines = [line + b"\n" for line in lines]
+    rows = _fixed_layout_rows(data, len(lines), _CANONICAL_LINE[n_fields == 6])
+    assert (rows is not None) == (not tail and _one_layout(lines, n_fields))
+    if rows is not None:
+        assert rows.tobytes() == np.array(
+            [[float(token) for token in line.split()] for line in lines]).tobytes()
 
 
 def _batch_file_by_file(datas, frames, with_confidence):
     """The batch's table, each file's number of rows and of clipped boxes,
-    and whether the batch reads it, by a plain loop that checks and converts
-    each file on its own: the reference for _canonical_boxes."""
-    line = _CANONICAL_LINE[with_confidence]
+    and whether the batch reads it, by a plain loop: the batch reads every
+    file or none, every file if all were read and end in "\\n" (or are
+    empty), and their lines share one layout; then each file is converted
+    and checked on its own. The reference for _canonical_boxes."""
+    whole = all(isinstance(data, bytes) and (not data or data.endswith(b"\n"))
+                for data in datas)
+    whole = whole and _one_layout([line + b"\n" for data in datas
+                                   for line in data.split(b"\n")[:-1]],
+                                  6 if with_confidence else 5)
     tables, counts, clipped, accepted = [], [], [], []
     for data, dims in zip(datas, frames):
-        ok = (isinstance(data, bytes) and (not data or data.endswith(b"\n"))
-              and not line.sub(b"", data))
+        ok = whole
         if ok:
             rows = np.array([[float(token) for token in row.split()]
                              for row in data.splitlines()], dtype=float)
@@ -557,8 +577,9 @@ def _batch_file_by_file(datas, frames, with_confidence):
 
 
 # A file of a label batch: canonical, in CRLF, tab-separated, without its
-# final newline, empty, in exponent spelling (which leaves the batch), or
-# the OSError its read raised.
+# final newline, empty, in exponent spelling, or the OSError its read raised.
+# All but the canonical, tab-separated and empty files keep a batch from the
+# column reader.
 batch_file = (canonical_file()
               | canonical_file().map(lambda data: data.replace(b"\n", b"\r\n"))
               | canonical_file().map(lambda data: data.replace(b" ", b"\t"))
@@ -569,13 +590,37 @@ batch_file = (canonical_file()
               | st.just(FileNotFoundError(2, "No such file or directory", "gone.txt")))
 
 
+# The last line of a file of one_layout_files: none, a box to clip, or a box
+# of zero area, which leaves the batch.
+EDGE_LINES = [b"", b"1 0.990000 0.500000 0.100000 0.100000",
+              b"0 0.500000 0.500000 0.000000 0.100000"]
+
+
+@st.composite
+def one_layout_files(draw, with_confidence):
+    """Up to 8 files as format_label_file writes them, ground truth or
+    predictions, each perhaps tab-separated and ending in a line of
+    EDGE_LINES, all in LF or all in CRLF: batches the column reader takes."""
+    files = []
+    for _ in range(draw(st.integers(0, 8))):
+        boxes = draw(in_frame_boxes(st.floats(0.0, 1.0) if with_confidence else st.none()))
+        edge = draw(st.sampled_from(EDGE_LINES))
+        data = format_label_file(boxes, DIMS).encode() + (
+            edge and edge + b" 0.500000" * with_confidence + b"\n")
+        files.append(data.replace(b" ", b"\t") if draw(st.booleans()) else data)
+    crlf = draw(st.booleans())
+    return [data.replace(b"\n", b"\r\n") for data in files] if crlf else files
+
+
 @settings(PROPERTY, max_examples=300)
-@given(st.lists(batch_file, max_size=8), st.booleans(),
+@given(st.booleans().flatmap(lambda with_confidence: st.tuples(
+           st.lists(batch_file, max_size=8) | one_layout_files(with_confidence),
+           st.just(with_confidence))),
        st.lists(st.sampled_from([DIMS, ImageDims(7, 3000)]), min_size=8, max_size=8))
-@example([b"0 0.5 0.5 0.1", b"", b" 0.1\n"], False, [DIMS] * 8)  # joined: one valid line
-@example([], True, [DIMS] * 8)
-def test_batch_bookkeeping_agrees_with_a_file_by_file_loop(datas, with_confidence,
-                                                           frames):
+@example(([b"0 0.5 0.5 0.1", b"", b" 0.1\n"], False), [DIMS] * 8)  # joined: one valid line
+@example(([], True), [DIMS] * 8)
+def test_batch_bookkeeping_agrees_with_a_file_by_file_loop(case, frames):
+    datas, with_confidence = case
     frames = frames[:len(datas)]
     table, counts, clipped, accepted = _canonical_boxes(datas, frames, with_confidence)
     tables, *expected = _batch_file_by_file(datas, frames, with_confidence)
@@ -694,8 +739,8 @@ def test_fixed_layout_reader_refuses_other_batches(tmp_path_factory, drawn, cuts
     batch = "".join(lines).encode()
     assert _fixed_layout_rows(batch, batch.count(b"\n"),
                               _CANONICAL_LINE[with_confidence]) is None
-    # The directory reader takes such a batch by the regex pass, np.loadtxt
-    # and the per-line parser, and reads it as the per-file parser does.
+    # The directory reader parses such a batch line by line, as the
+    # per-file parser does.
     parse = parse_pred_file if with_confidence else parse_gt_file
     contents = _files(lines, cuts)
     dims = (frames if with_confidence else [DIMS] * 6)[:len(contents)]
