@@ -18,7 +18,8 @@ runs the rule for every image at every IoU threshold in one pass over
 the pairs of a prediction and a ground-truth box of its own image and
 class, no others. ``_pool`` splits the kernel's arrays by class. Counts,
 mean IoU, PR curves and AP all read the pooled arrays, and
-``_integrate`` is the one AP integrator.
+``_integrate`` is the one AP integrator. Every sort of the matcher is one unstable argsort
+of a unique int key ending in the element's position: ties fall as in a stable sort.
 """
 
 from __future__ import annotations
@@ -97,6 +98,16 @@ class _SceneMatch(NamedTuple):
 _PAIR_BUDGET = 1 << 14
 
 
+def _rank(values: np.ndarray) -> np.ndarray:
+    # Dense ascending ranks: equal values, -0.0 and 0.0 among them, share one.
+    return np.unique(values, return_inverse=True)[1]
+
+
+def _then(order: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    # ``order`` sorted stably by ``rank``: one unstable sort of rank * len + position.
+    return order[np.argsort(rank[order] * len(order) + np.arange(len(order)))]
+
+
 def _match(tables: BoxTables, thresholds: Sequence[float]) -> _SceneMatch:
     """The greedy matcher: every image of ``tables`` at every IoU
     threshold, over the pairs of a prediction and a ground-truth box of its
@@ -105,6 +116,8 @@ def _match(tables: BoxTables, thresholds: Sequence[float]) -> _SceneMatch:
     and others never, so step k of the greedy loop takes the k-th of every
     image and class at once. Confidence is the first sort key, so the
     predictions a confidence threshold admits lead each image's order.
+    Each ordering is an unstable argsort of a unique int64 key ending in the element's
+    position, each stage a rank below n + 1 for n sorted elements: no key exceeds (n + 1)**2.
     """
     limits = np.asarray(thresholds, dtype=float)
     gt, pred = tables.gt, tables.pred
@@ -112,17 +125,18 @@ def _match(tables: BoxTables, thresholds: Sequence[float]) -> _SceneMatch:
     gt_at, pred_at = (np.concatenate(([0], counts.cumsum()))
                       for counts in (tables.gt_counts, tables.pred_counts))
     pred_image = np.repeat(images, tables.pred_counts)
-    # A prediction's pairs are the run of its (image, class) key in the
-    # ground truth sorted stably by key, so in index order. Complex keys
-    # sort by the real part, the image, first.
-    gt_key = np.repeat(images, tables.gt_counts) + 1j * gt[:, 4]
-    by_key = np.argsort(gt_key, kind="stable")
-    gt_key, pred_key = gt_key[by_key], pred_image + 1j * pred[:, 4]
-    first, last = (np.searchsorted(gt_key, pred_key, side) for side in ("left", "right"))
+    # A prediction's pairs are the run of its key, K * gt_at[image] + class rank * span (K, the
+    # boxes of both tables, exceeds every rank), in the ground truth sorted by key then index.
+    classes, span = _rank(np.concatenate((gt[:, 4], pred[:, 4]))), tables.gt_counts
+    gt_image = np.repeat(images, span)
+    gt_key, pred_key = (len(classes) * gt_at[i] + c * span[i] for i, c in
+                        ((gt_image, classes[:len(gt)]), (pred_image, classes[len(gt):])))
+    by_key = np.argsort(gt_key + np.arange(len(gt)) - gt_at[gt_image])
+    first, last = np.searchsorted(gt_key[by_key], (pred_key, pred_key + span[pred_image]))
     pair_at = np.concatenate(([0], (last - first).cumsum()))
     image_pairs = pair_at[pred_at]
 
-    best, matched, ious = np.zeros(len(pred)), np.full(len(pred), -1), np.zeros(len(pred))
+    (best, ious), (matched, order) = np.zeros((2, len(pred))), np.full((2, len(pred)), -1)
     hits = np.zeros((len(limits), len(pred)), dtype=bool)
     # The last row stands for no ground truth: a miss marks it taken.
     available = np.ones((len(gt) + 1, len(limits)), dtype=bool)
@@ -136,6 +150,9 @@ def _match(tables: BoxTables, thresholds: Sequence[float]) -> _SceneMatch:
                          - pair_at[pair_pred]]
         iou = iou_matrix(gt[pair_gt, None, :4], pred[pair_pred, None, :4]).ravel()
         np.maximum.at(best, pair_pred, iou)
+        greedy = _then(_then(_then(np.arange(p1 - p0), _rank(-best[p0:p1])),
+                             _rank(-pred[p0:p1, 5])), pred_at[pred_image[p0:p1]] - p0)
+        order[p0:p1], seat = greedy + p0, np.argsort(greedy)  # seat: place in greedy
         # A pair below every threshold can neither match nor block a match.
         reach = iou >= lowest
         pair_pred, pair_gt, iou = pair_pred[reach], pair_gt[reach], iou[reach]
@@ -144,15 +161,15 @@ def _match(tables: BoxTables, thresholds: Sequence[float]) -> _SceneMatch:
         lengths, live = lengths[live], live + p0
         # A prediction's step is its rank in the greedy order of its image
         # and class, whose run of ground truth starts at ``first``.
-        by_group = np.lexsort((-best[live], -pred[live, 5], first[live]))
+        by_group = np.argsort(first[live] * (p1 - p0) + seat[live - p0])
         group = first[live[by_group]]
         step = np.empty_like(live)
         step[by_group] = np.arange(len(live)) - np.searchsorted(group, group)
         # Step by step, the predictions in index order and each one's pairs
         # from the highest IoU down, ties in ground-truth index order: the
         # first available pair is the one the rule takes.
-        by_step = np.argsort(step, kind="stable")
-        runs = np.lexsort((-iou, pair_pred, np.repeat(step, lengths)))
+        by_step = _then(np.arange(len(live)), step)
+        runs = _then(_then(np.arange(len(iou)), _rank(-iou)), by_step.argsort().repeat(lengths))
         step_at = np.concatenate(([0], np.bincount(step).cumsum()))
         run_at = np.concatenate(([0], lengths[by_step].cumsum()))
         run_heads = run_at[:-1] - run_at[step_at[step[by_step]]]
@@ -170,8 +187,6 @@ def _match(tables: BoxTables, thresholds: Sequence[float]) -> _SceneMatch:
         matched[live] = np.where(hit[:, 0], pair_gt[chosen[:, 0]], -1)
         ious[live] = np.where(hit[:, 0], iou[chosen[:, 0]], 0.0)
 
-    # Stable: ties keep input order.
-    order = np.lexsort((-best, -pred[:, 5], pred_image))
     image, matched = pred_image[order], matched[order]
     return _SceneMatch(order - pred_at[image], pred[order, 4].astype(int), pred[order, 5],
                        np.where(matched >= 0, matched - gt_at[image], -1), hits[:, order],
@@ -246,12 +261,12 @@ class PRCurve:
 
 def _sweep(pool: _ClassPool) -> tuple[np.ndarray, ...]:
     # Confidence, precision and recall after each distinct confidence, a
-    # row per row of the pool's hits, swept in descending confidence. Order among
-    # equal confidences does not matter: only the state after them is kept.
+    # row per row of the pool's hits, swept in descending confidence. An unstable
+    # sort serves: order among equal confidences cannot change the state kept after them.
     if pool.total_gt == 0:
         raise UndefinedMetricError(f"no ground truth of class {pool.class_id}: "
                                    "recall undefined")
-    order = np.argsort(-pool.confidences, kind="stable")
+    order = np.argsort(-pool.confidences)
     confidences = pool.confidences[order]
     tp = np.cumsum(pool.hits[:, order], axis=1)
     swept = np.arange(1, len(order) + 1)
@@ -384,9 +399,9 @@ def evaluate_detections(records, op: OperatingPoint = OperatingPoint(),
     ``records`` is a Dataset or any sequence of ImageRecord; pooling is in
     id order, so record order never changes the result.
     """
-    # Row 0 of the hits is the operating point, rows 1: the AP thresholds.
-    pools = _pool(as_dataset(records).tables, (op.iou_threshold, *AP_IOU_THRESHOLDS),
-                  (FUNGAL, ARTEFACT))
+    thresholds = tuple(dict.fromkeys((op.iou_threshold, *AP_IOU_THRESHOLDS)))  # distinct, op first
+    rows = [thresholds.index(t) for t in AP_IOU_THRESHOLDS]
+    pools = _pool(as_dataset(records).tables, thresholds, (FUNGAL, ARTEFACT))
     per_class: dict[int, ClassMetrics] = {}
     curves: dict[int, PRCurve] = {}
     for c, pool in pools.items():
@@ -399,7 +414,7 @@ def evaluate_detections(records, op: OperatingPoint = OperatingPoint(),
         if pool.total_gt:
             confidences, precisions, recalls = _sweep(pool)
             curves[c] = _curve(pool, confidences, precisions, recalls)
-            ap50, ap50_95 = _ap_pair(precisions[1:], recalls[1:], interpolation)
+            ap50, ap50_95 = _ap_pair(precisions[rows], recalls[rows], interpolation)
         ious = pool.ious[matched].tolist()  # image then greedy order
         mean_iou = sum(ious) / len(ious) if ious else None
         per_class[c] = ClassMetrics(tp, fp, fn, precision, recall, f1,

@@ -21,7 +21,7 @@ import os
 import shutil
 from collections import Counter, namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -291,7 +291,7 @@ def _perturb_to_iou(rng: np.random.Generator, gt: Box, target: float,
 
 def _solve_offsets(frame: ImageDims, pending: Sequence[_Perturbation]
                    ) -> list[tuple[Box, float]]:
-    """Bisect (80 steps) every pending offset at once on ``[0, w + h]``, its
+    """Bisect (at most 80 steps) every pending offset at once on ``[0, w + h]``, its
     gt's width plus height; return each snapped prediction and its achieved
     IoU, in ``pending`` order. At ``w + h`` one axis moves at least ``(w + h)
     / sqrt(2)``, so IoU <= 0.293 at every scale :func:`_perturb_to_iou` draws,
@@ -322,6 +322,9 @@ def _solve_offsets(frame: ImageDims, pending: Sequence[_Perturbation]
     for _ in range(80):
         mid = (t_lo + t_hi) / 2.0
         inside = iou_at(mid) >= target
+        # A step that moves no bound would repeat itself at every later step.
+        if not np.where(inside, mid != t_lo, mid != t_hi).any():
+            break
         t_lo = np.where(inside, mid, t_lo)
         t_hi = np.where(inside, t_hi, mid)
 
@@ -347,19 +350,20 @@ def _sample_target_iou(rng: np.random.Generator, spec: SynthSpec) -> float:
 def _build_scene(rng: np.random.Generator, spec: SynthSpec, image_id: str,
                  gt_plants: Sequence[tuple[int, str]], fp_classes: Sequence[int]
                  ) -> tuple[str, list[Box], list[Box | _Perturbation],
-                            list[PlantedBox]]:
+                            list[dict]]:
     """Place the requested plants in one frame.
 
     ``gt_plants`` lists (class_id, role) for ground-truth boxes, role in
     {"tp", "fn", "suppressed"}; ``fp_classes`` lists classes of extra
     unmatched predictions. The scene lists each perturbed prediction as
-    its :class:`_Perturbation`, for :func:`_cohort` to solve.
+    its :class:`_Perturbation`, for :func:`_cohort` to solve, and each
+    plant as the fields of its :class:`PlantedBox` but the achieved IoU.
     """
     taken: list = []
     gt_boxes: list[Box] = []
     # (prediction or its perturbation, plant position)
     staged: list[tuple[Box | _Perturbation, int]] = []
-    planted: list[PlantedBox] = []
+    planted: list[dict] = []
 
     for class_id, role in gt_plants:
         cx, cy, w, h = _place(rng, FRAME, taken, class_id, image_id)
@@ -367,21 +371,21 @@ def _build_scene(rng: np.random.Generator, spec: SynthSpec, image_id: str,
         gt_index = len(gt_boxes)
         gt_boxes.append(gt)
         if role == "fn":
-            planted.append(PlantedBox("fn", class_id, gt_index=gt_index))
+            planted.append(dict(role="fn", class_id=class_id, gt_index=gt_index))
             continue
         band = TP_CONFIDENCE if role == "tp" else SUPPRESSED_CONFIDENCE
         target = _sample_target_iou(rng, spec)
         staged.append((_perturb_to_iou(rng, gt, target, rng.uniform(*band),
                                        image_id), len(planted)))
-        planted.append(PlantedBox(role, class_id, gt_index=gt_index,
-                                  target_iou=target))
+        planted.append(dict(role=role, class_id=class_id, gt_index=gt_index,
+                            target_iou=target))
 
     for class_id in fp_classes:
         cx, cy, w, h = _place(rng, FRAME, taken, class_id, image_id)
         pred = _grid_box(FRAME, class_id, cx, cy, w, h,
                          rng.uniform(*FP_CONFIDENCE))
         staged.append((pred, len(planted)))
-        planted.append(PlantedBox("fp", class_id))
+        planted.append(dict(role="fp", class_id=class_id))
 
     # Shuffle prediction order so matching never sees generation order.
     order = rng.permutation(len(staged))
@@ -389,7 +393,7 @@ def _build_scene(rng: np.random.Generator, spec: SynthSpec, image_id: str,
     for new_index, old_index in enumerate(order):
         box, plant_pos = staged[old_index]
         predictions.append(box)
-        planted[plant_pos] = replace(planted[plant_pos], pred_index=new_index)
+        planted[plant_pos]["pred_index"] = new_index
     return image_id, gt_boxes, predictions, planted
 
 
@@ -409,8 +413,8 @@ def _cohort(spec: SynthSpec, prefix: str, n_images: int, plan
     for image_id, gt_boxes, staged, planted in scenes:
         outcomes = [next(solved) if isinstance(p, _Perturbation) else (p, None)
                     for p in staged]  # (prediction, achieved IoU)
-        planted = tuple(p if p.target_iou is None else replace(
-            p, achieved_iou=outcomes[p.pred_index][1]) for p in planted)
+        planted = tuple(PlantedBox(**p, achieved_iou=outcomes[p["pred_index"]][1]
+                                   if "target_iou" in p else None) for p in planted)
         records.append(ImageRecord(image_id=image_id, dims=FRAME,
                                    ground_truth=gt_boxes,
                                    predictions=[box for box, _ in outcomes]))

@@ -704,6 +704,63 @@ _mixed_cohorts = st.lists(st.one_of(st.tuples(_grid_boxes, _grid_boxes),
                                     st.just(([], []))), min_size=1, max_size=8)
 
 
+def _assert_rows_are_the_reference_match(scenes, thresholds, scene):
+    # Every prediction at every threshold row, and the first row's matched
+    # ground truth and IoU, as reference_match gives them image by image.
+    assert scene.hits.shape == (len(thresholds), len(scene.index))
+    start = 0
+    for gts, preds in scenes:
+        stop = start + len(preds)
+        index = scene.index[start:stop].tolist()
+        for row, threshold in enumerate(thresholds):
+            op = OperatingPoint(conf_threshold=0.05, iou_threshold=threshold)
+            want = reference_match(gts, preds, op)
+            # tp_pairs run in greedy order; the kernel lists all of it.
+            hit = [i for i, h in zip(index, scene.hits[row, start:stop]) if h]
+            assert hit == [i for _, i, _ in want.tp_pairs]
+            if row:
+                continue
+            gt_of = {i: g for g, i, _ in want.tp_pairs}
+            iou_of = {i: v for _, i, v in want.tp_pairs}
+            assert scene.matched[start:stop].tolist() == [gt_of.get(i, -1) for i in index]
+            assert scene.ious[start:stop].tolist() == [iou_of.get(i, 0.0) for i in index]
+            assert sorted(index) == list(range(len(preds)))
+        start = stop
+    assert start == len(scene.index)
+
+
+def test_negative_zero_confidence_ties_with_zero():
+    # -0.0 and 0.0 compare equal, so the tie falls to index order whichever
+    # of the two predictions carries the sign.
+    for confidences in ((-0.0, 0.0), (0.0, -0.0)):
+        tables = box_tables([([Box(0.0, 0.0, 4.0, 4.0, FUNGAL)],
+                              [Box(0.0, 0.0, 4.0, 4.0, FUNGAL, c) for c in confidences])])
+        scene = koheval.metrics._match(tables, (0.5,))
+        assert (scene.index.tolist(), scene.matched.tolist()) == ([0, 1], [0, -1])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.integers(1, 3),
+       st.sampled_from(((0.5, 1.0), tuple(k / 10 for k in range(1, 11)))))
+def test_sweep_equals_a_stable_order_sweep_byte_for_byte(seed, n, rows, values):
+    # The sweep sorts confidences unstably; ties may fall in any order, but
+    # what it keeps, the state after each run of equal confidences, must
+    # be the bytes a stable sort gives.
+    rng = np.random.default_rng(seed)
+    pool = koheval.metrics._ClassPool(FUNGAL, int(rng.integers(1, n + 1)),
+                                      rng.choice(values, n), rng.random((rows, n)) < 0.5,
+                                      np.zeros(n))
+    order = np.argsort(-pool.confidences, kind="stable")
+    confidences = pool.confidences[order]
+    tp = np.cumsum(pool.hits[:, order], axis=1)
+    last = np.append(confidences[1:] != confidences[:-1], True)
+    want = (confidences[last], (tp / np.arange(1, n + 1))[:, last],
+            (tp / pool.total_gt)[:, last])
+    got = koheval.metrics._sweep(pool)
+    assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [
+        (a.dtype, a.shape, a.tobytes()) for a in want]
+
+
 class TestMatcherBlocks:
     """The matcher gives the same arrays however images are chunked."""
 
@@ -762,28 +819,23 @@ class TestMatcherBlocks:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(koheval.metrics, "_PAIR_BUDGET", budget)
             scene = koheval.metrics._match(box_tables(scenes), thresholds)
-        assert scene.hits.shape == (len(thresholds), len(scene.index))
-        start = 0
-        for gts, preds in scenes:
-            stop = start + len(preds)
-            index = scene.index[start:stop].tolist()
-            for row, threshold in enumerate(thresholds):
-                op = OperatingPoint(conf_threshold=0.05, iou_threshold=threshold)
-                want = reference_match(gts, preds, op)
-                # tp_pairs run in greedy order; the kernel lists all of it.
-                hit = [i for i, h in zip(index, scene.hits[row, start:stop]) if h]
-                assert hit == [i for _, i, _ in want.tp_pairs]
-                if row:
-                    continue
-                gt_of = {i: g for g, i, _ in want.tp_pairs}
-                iou_of = {i: v for _, i, v in want.tp_pairs}
-                assert scene.matched[start:stop].tolist() == [gt_of.get(i, -1)
-                                                              for i in index]
-                assert scene.ious[start:stop].tolist() == [iou_of.get(i, 0.0)
-                                                           for i in index]
-                assert sorted(index) == list(range(len(preds)))
-            start = stop
-        assert start == len(scene.index)
+        _assert_rows_are_the_reference_match(scenes, thresholds, scene)
+
+    def test_rows_are_the_reference_match_past_the_natural_pair_budget(self):
+        # One image whose same-class pairs alone exceed the budget, matched
+        # with the budget as it ships: the image is a chunk of its own and
+        # its sort keys are the largest a scene of this size makes. Ties
+        # everywhere: confidences in pairs, a coarse grid, a repeated box.
+        rng = np.random.default_rng(30)
+        cells = rng.integers((0, 0, 1, 1), (7, 7, 5, 5), size=(2, 130, 4)).tolist()
+        gts = [(FUNGAL, *cell, 0) for cell in cells[0]]
+        gts[1] = gts[0]
+        preds = [(FUNGAL, *cell, 3 + k // 2 % 8) for k, cell in enumerate(cells[1])]
+        scenes = [(r.ground_truth, r.predictions) for r in _grid_records([(gts, preds)])]
+        assert len(gts) * len(preds) > koheval.metrics._PAIR_BUDGET
+        thresholds = (0.50, *AP_IOU_THRESHOLDS[1:])
+        scene = koheval.metrics._match(box_tables(scenes), thresholds)
+        _assert_rows_are_the_reference_match(scenes, thresholds, scene)
 
     def test_empty_cohort(self):
         empty = ClassMetrics(0, 0, 0, 0.0, 0.0, 0.0, None, None, None)
