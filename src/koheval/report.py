@@ -5,7 +5,10 @@ canonical JSON (sorted keys, two-space indent, trailing newline) so that
 parse + render is byte-identical. CSV and table renderers are
 presentation-only; every number lives in the report as a fraction and is
 formatted at the edge (AP as a two-decimal percentage, counts as
-integers, everything else to four decimals).
+integers, everything else to four decimals). One walk of a report's
+cells feeds the checker, the CSV and the table, so every field a renderer
+reads, both screening id lists included, is checked. CSV fields are
+quoted as RFC 4180 requires.
 """
 
 from __future__ import annotations
@@ -77,48 +80,54 @@ def parse_report(text: str) -> dict:
             f"unsupported schema_version {report.get('schema_version')!r}; "
             f"expected {SCHEMA_VERSION!r}"
         )
-    _check_blocks(report)
+    _cells(report)
     return report
 
 
-def _numbers(block: dict, keys, where: str) -> None:
-    """``block``'s ``keys`` (all of its keys when None) must hold numbers or
-    null, which is what the renderers format."""
-    for key in keys or block:
-        require(block, key, (int, float, type(None)), where)
+def _cells(report: dict) -> list[tuple[str, str, str, object]]:
+    """Every (section, metric, row, value) cell the renderers read, in CSV
+    order, each value required to be of the kind they format: a number or
+    null, but a string for the interpolation and any scalar in the manifest.
+    The blocks the table prints beside the cells are required too: ``tool``,
+    each ``inputs`` entry's path and digest, and both screening id lists."""
+    cells: list[tuple[str, str, str, object]] = []
 
+    def take(section, row, block, keys, where, kinds=(int, float, type(None))):
+        cells.extend((section, key, row, require(block, key, kinds, where))
+                     for key in keys)
 
-def _check_blocks(report: dict) -> None:
-    """Require the header blocks build_report always writes, and every
-    block the renderers read to have the shape they read."""
     require(report, "tool", dict, "report")
-    _numbers(require(report, "operating_point", dict, "report"),
-             ("conf_threshold", "iou_threshold"), "report: operating_point")
-    require(report, "interpolation", str, "report")
+    take("run", "", require(report, "operating_point", dict, "report"),
+         ("conf_threshold", "iou_threshold"), "report: operating_point")
+    take("run", "", report, ("interpolation",), "report", str)
     if "inputs" in report:
         for name, entry in require(report, "inputs", dict, "report").items():
-            require(entry, "path", str, f"report: inputs.{name}")
-            require(entry, "sha256", str, f"report: inputs.{name}")
+            for key in ("path", "sha256"):
+                require(entry, key, str, f"report: inputs.{name}")
     if "object_metrics" in report:
         block = require(report, "object_metrics", dict, "report")
         where = "report: object_metrics"
         per_class = require(block, "per_class", dict, where)
-        for name in per_class:
-            _numbers(require(per_class, name, dict, f"{where}.per_class"),
-                     _CLASS_FIELDS, f"{where}.per_class.{name}")
-        _numbers(require(block, "macro", dict, where), None, f"{where}.macro")
+        for name in sorted(per_class):
+            take("object", name, require(per_class, name, dict, f"{where}.per_class"),
+                 _CLASS_FIELDS, f"{where}.per_class.{name}")
+        macro = require(block, "macro", dict, where)
+        take("object", "macro", macro, sorted(macro), f"{where}.macro")
     if "screening" in report:
         block = require(report, "screening", dict, "report")
         where = "report: screening"
-        _numbers(require(block, "matrix", dict, where), ("tp", "fn", "fp", "tn"),
-                 f"{where}.matrix")
-        _numbers(require(block, "rates", dict, where), _RATE_NAMES, f"{where}.rates")
-        missed = block.get("false_negative_ids", [])
-        if not (isinstance(missed, list) and all(isinstance(i, str) for i in missed)):
-            raise SchemaError(f"{where}: 'false_negative_ids' must be a list "
-                              "of strings")
+        take("screening", "", require(block, "matrix", dict, where),
+             ("tp", "fn", "fp", "tn"), f"{where}.matrix")
+        take("screening", "", require(block, "rates", dict, where), _RATE_NAMES,
+             f"{where}.rates")
+        for key in ("false_negative_ids", "false_positive_ids"):
+            if not all(isinstance(i, str) for i in require(block, key, list, where)):
+                raise SchemaError(f"{where}: {key!r} must be a list of strings")
     if "manifest" in report:
-        require(report, "manifest", dict, "report")
+        manifest = require(report, "manifest", dict, "report")
+        take("manifest", "", manifest, sorted(manifest), "report: manifest",
+             (str, int, float, bool, type(None)))
+    return cells
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +137,8 @@ def _check_blocks(report: dict) -> None:
 def _fmt(value, percent: bool = False) -> str:
     if value is None:
         return "-"
-    if isinstance(value, int):  # a bool too, as true or false
-        return str(value).lower()
+    if isinstance(value, int):
+        return str(value)
     return f"{100.0 * value:.2f}" if percent else f"{value:.4f}"
 
 
@@ -141,11 +150,14 @@ def _aligned(rows: list[list[str]], indent: str = "  ") -> list[str]:
 
 
 def render_table(report: dict) -> str:
-    op = report.get("operating_point", {})
+    grid: dict[tuple[str, str], dict] = {}  # (section, row) -> metric -> value
+    for section, metric, row, value in _cells(report):
+        grid.setdefault((section, row), {})[metric] = value
+    run = grid["run", ""]
     lines = [f"koheval report (schema {report.get('schema_version')})",
-             f"operating point: conf {_fmt(op.get('conf_threshold'))}, "
-             f"IoU {_fmt(op.get('iou_threshold'))}, "
-             f"interpolation {report.get('interpolation')}"]
+             f"operating point: conf {_fmt(run['conf_threshold'])}, "
+             f"IoU {_fmt(run['iou_threshold'])}, "
+             f"interpolation {run['interpolation']}"]
 
     if "inputs" in report:
         lines += ["", "inputs"]
@@ -156,66 +168,49 @@ def render_table(report: dict) -> str:
         lines += ["", "object level"]
         rows = [["class", "tp", "fp", "fn", "prec", "rec", "f1",
                  "ap50%", "ap50:95%", "miou"]]
-        block = report["object_metrics"]
         # The macro row has no counts; its missing cells render as "-".
-        for name, m in [*sorted(block["per_class"].items()), ("macro", block["macro"])]:
-            rows.append([name] + [_fmt(m.get(field), percent=field.startswith("ap"))
-                                  for field in _CLASS_FIELDS])
+        rows += [[name] + [_fmt(m.get(field), percent=field.startswith("ap"))
+                           for field in _CLASS_FIELDS]
+                 for (section, name), m in grid.items() if section == "object"]
         lines += _aligned(rows)
 
     if "screening" in report:
-        block = report["screening"]
-        matrix, rates = block["matrix"], block["rates"]
+        counts = grid["screening", ""]  # the matrix and the rates
         lines += ["", "image level", *_aligned([
             ["", "called +", "called -"],
-            ["actual +", str(matrix["tp"]), str(matrix["fn"])],
-            ["actual -", str(matrix["fp"]), str(matrix["tn"])]])]
-        lines += _aligned([[name, _fmt(rates[name])] for name in _RATE_NAMES])
-        if block.get("false_negative_ids"):
-            lines.append("  missed positives: "
-                         + ", ".join(block["false_negative_ids"]))
+            ["actual +", str(counts["tp"]), str(counts["fn"])],
+            ["actual -", str(counts["fp"]), str(counts["tn"])]])]
+        lines += _aligned([[name, _fmt(counts[name])] for name in _RATE_NAMES])
+        if missed := report["screening"]["false_negative_ids"]:
+            lines.append("  missed positives: " + ", ".join(missed))
 
     if "manifest" in report:
         lines += ["", "manifest"]
         lines += [f"  {key}: {_fmt(value) if value is None else value}"
-                  for key, value in sorted(report["manifest"].items())]
+                  for key, value in grid.get(("manifest", ""), {}).items()]
 
     return "\n".join(lines) + "\n"
 
 
-def _csv_cell(value) -> str:
+def _csv_field(value) -> str:
+    """``value`` as a CSV field: null empty, a boolean as JSON spells it, a
+    float in full, and text holding a comma, a quote or a line break quoted
+    as RFC 4180 requires."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def render_csv(report: dict) -> str:
-    op = report.get("operating_point", {})
-    rows = [("section", "metric", "class", "value"),
-            ("run", "conf_threshold", "", _csv_cell(op.get("conf_threshold"))),
-            ("run", "iou_threshold", "", _csv_cell(op.get("iou_threshold"))),
-            ("run", "interpolation", "", report.get("interpolation", ""))]
-    if "object_metrics" in report:
-        block = report["object_metrics"]
-        rows += [("object", metric, name, _csv_cell(m[metric]))
-                 for name, m in sorted(block["per_class"].items())
-                 for metric in _CLASS_FIELDS]
-        rows += [("object", metric, "macro", _csv_cell(value))
-                 for metric, value in sorted(block["macro"].items())]
-    if "screening" in report:
-        block = report["screening"]
-        rows += [("screening", cell, "", _csv_cell(block["matrix"][cell]))
-                 for cell in ("tp", "fn", "fp", "tn")]
-        rows += [("screening", name, "", _csv_cell(block["rates"][name]))
-                 for name in _RATE_NAMES]
-    if "manifest" in report:
-        rows += [("manifest", key, "", _csv_cell(value))
-                 for key, value in sorted(report["manifest"].items())]
-    return "\n".join(",".join(row) for row in rows) + "\n"
+    rows = [("section", "metric", "class", "value"), *_cells(report)]
+    return "".join(",".join(map(_csv_field, row)) + "\n" for row in rows)
 
 
 def render(report: dict, fmt: str) -> str:

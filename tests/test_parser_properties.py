@@ -8,6 +8,7 @@ reaches the checks deep inside the document. Every JSON reader also meets
 documents nested deeper than the decoder's recursion limit.
 """
 
+import csv
 import io
 import json
 import math
@@ -761,14 +762,29 @@ def test_coco_parser(text):
             record.image_id.encode()
 
 
+# The CSV of a report reads back as rows of its four fields, whatever text
+# its strings hold.
 @PROPERTY
 @given(documents(REPORT))
 @example(json.dumps({**REPORT, "interpolation": "\udcff"}))
+@example(json.dumps({**REPORT, "interpolation": "a,b"}))
+@example(json.dumps({**REPORT, "interpolation": "a\nb"}))
+@example(json.dumps({**REPORT, "interpolation": "a\rb"}))
+@example(json.dumps({**REPORT, "interpolation": 'a"b'}))
+@example(json.dumps({**REPORT, "object_metrics": {
+    **REPORT["object_metrics"],
+    "per_class": {"fun,gal": REPORT["object_metrics"]["per_class"]["fungal"]}}}))
 def test_report_parser_and_renderers(text):
     report = parses_or_raises_koheval_error(parse_report, text)
     if report is not None:
         for fmt in ("json", "csv", "table"):
             render(report, fmt).encode()
+        # Python 3.10's reader refuses NUL, which needs no quoting.
+        rows = list(csv.reader(io.StringIO(render(report, "csv").replace("\0", " "),
+                                           newline="")))
+        assert all(len(row) == 4 for row in rows)
+        assert rows[3] == ["run", "interpolation", "",
+                           report["interpolation"].replace("\0", " ")]
 
 
 @PROPERTY

@@ -1250,6 +1250,28 @@ def test_screen_output_bytes_match_the_pinned_ones(tmp_path, monkeypatch, capsys
         "csv": "9cb0db7845a06ad66c450dade27e8a70f557ead8f9d778883459917e4f311da1"}
 
 
+# SHA-256 of the text table and the CSV of the report with every block, and
+# of the `evaluate --format table` and `--format csv` stdout on the cohort of
+# the evaluate pins, run from its parent.
+def test_table_and_csv_bytes_match_the_pinned_ones(sample_report, tmp_path,
+                                                   monkeypatch, capsys):
+    report = {**sample_report, "inputs": {
+        "cohort": {"path": "cohort", "sha256": "0" * 64}}}
+    written = {"table": render_table(report), "csv": render_csv(report)}
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", *_SPARSE, "--out", "cohort"]) == 0
+    for fmt in ("table", "csv"):
+        capsys.readouterr()
+        assert main(["evaluate", "cohort", "--format", fmt]) == 0
+        written[f"evaluate-{fmt}"] = capsys.readouterr().out
+    assert {name: hashlib.sha256(text.encode()).hexdigest()
+            for name, text in written.items()} == {
+        "table": "d0db612d2b279c6ee02fee6686e1f272e9f11fe4152d992508942eb31b76452f",
+        "csv": "dbbd5eaac8e43d1d4a3bc3ca1d2a8add57051a625e4c18553d346f5990690d39",
+        "evaluate-table": "010968baf458abc3fb3dd155fd6d621cdc7caa6d47a6a8470dd3dadd79b68f2a",
+        "evaluate-csv": "77fcafd6320bcdef4e4170b14570134845a0bc9bc2d7438321bad0ae031c2d00"}
+
+
 # SHA-256 of JSON outputs the tests above do not pin, from the same cohort
 # as the evaluate pins.
 def test_json_writer_output_bytes_match_the_pinned_ones(tmp_path, monkeypatch):
@@ -1298,6 +1320,9 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, command, nesting):
     ("screening.matrix.tn", _MISSING),
     ("screening.rates.f1", _MISSING),
     ("screening.false_negative_ids", "img-1"),
+    ("screening.false_positive_ids", "img-1"),
+    ("screening.false_positive_ids", [1]),
+    ("screening.false_positive_ids", _MISSING),
     ("screening", "ok"),
     ("inputs", []),
     ("inputs.cohort.sha256", _MISSING),
@@ -1310,6 +1335,7 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, command, nesting):
     ("tool", _MISSING),
     ("tool", "koheval"),
     ("manifest", []),
+    ("manifest.epochs", [250]),
 ], ids=str)
 def test_report_with_malformed_block_exits_2(sample_report, tmp_path, capsys,
                                              mutate, path, value):
