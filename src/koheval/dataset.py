@@ -14,9 +14,10 @@ digit and plain decimals, each after one space or tab, ending in ``\\n``
 or ``\\r\\n``, with digits, points, blanks and line ends in the same
 columns), as every file ``koheval synth`` writes does, the batch is
 converted by byte arithmetic, column by column, and its boxes clipped to
-the frame together. Any other batch is parsed line by line, as is a file
-of a converted batch whose box breaks a rule. A file costs its open, read
-and close; all else, digests too, is per directory.
+the frame together. The column reader takes a directory whole or not at
+all: any other batch, or one with a box that breaks a rule, is parsed line
+by line. A file costs its open, read and close; all else, digests too, is
+per directory.
 A :class:`Dataset` holds each image's id and frame and the tables, in
 id order, and the matcher, screening and the split read the tables;
 ``Dataset.records``, the per-image :class:`ImageRecord` view, is built on
@@ -787,39 +788,36 @@ def _fixed_layout_rows(batch: bytes, n_lines: int, line: re.Pattern) -> np.ndarr
 
 
 def _canonical_boxes(datas: list, dims: Sequence[ImageDims], with_confidence: bool
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The table rows of every file in ``datas`` (bytes, or the OSError
-    reading it raised) whose boxes pass the rules of
-    :func:`~koheval.geometry.frame_rows` in its ``dims`` frame, converted
-    together, file after file; each file's number of rows and of clipped
-    boxes; and which files those are. Every other file has none.
+    reading it raised), the i-th in the frame ``dims[i]``, converted
+    together, file after file, and each file's number of rows and of
+    clipped boxes: the whole batch, or None.
 
-    The batch is converted only if every file was read and ends in ``"\\n"``
-    (or is empty) and :func:`_fixed_layout_rows` takes the joined bytes;
-    else no file is, and all are parsed line by line. Line counts and rows'
-    owners come from the joined bytes by numpy.
+    The batch is taken only if every file was read and ends in ``"\\n"``
+    (or is empty), :func:`_fixed_layout_rows` takes the joined bytes, and
+    no box breaks a rule of :func:`~koheval.geometry.frame_rows`. Line
+    counts and rows' owners come from the joined bytes by numpy.
     """
-    n, rows = len(datas), None
-    if all(map(isinstance, datas, repeat(bytes))):
-        joined = b"".join(datas)
-        sizes = np.fromiter(map(len, datas), dtype=np.intp, count=n)
-        ends = np.cumsum(sizes)
-        view = np.frombuffer(joined, dtype=np.uint8)
-        breaks = np.flatnonzero(view == 10)
-        # A file not ending in "\n" could join the next one's first line.
-        if (view[ends[sizes > 0] - 1] == 10).all():
-            rows = _fixed_layout_rows(joined, len(breaks), _CANONICAL_LINE[with_confidence])
+    if not all(map(isinstance, datas, repeat(bytes))):
+        return None
+    joined = b"".join(datas)
+    sizes = np.fromiter(map(len, datas), dtype=np.intp, count=len(datas))
+    ends = np.cumsum(sizes)
+    view = np.frombuffer(joined, dtype=np.uint8)
+    breaks = np.flatnonzero(view == 10)
+    # A file not ending in "\n" could join the next one's first line.
+    if not (view[ends[sizes > 0] - 1] == 10).all():
+        return None
+    rows = _fixed_layout_rows(joined, len(breaks), _CANONICAL_LINE[with_confidence])
     if rows is None:
-        return (np.empty((0, 6 if with_confidence else 5)), np.zeros(n, dtype=np.intp),
-                np.zeros(n, dtype=np.intp), np.zeros(n, dtype=bool))
+        return None
     counts = np.diff(np.searchsorted(breaks, ends), prepend=0)  # each file's lines
-    table, clipped, rejected, _ = frame_rows(rows, dims, counts)
-    owner = np.repeat(np.arange(n), counts)
-    accepted = np.ones(n, dtype=bool)
-    accepted[owner[rejected]] = False
-    kept = accepted[owner]
-    counts[~accepted] = 0
-    return table[kept], counts, np.bincount(owner[clipped & kept], minlength=n), accepted
+    table, clipped, _, first = frame_rows(rows, dims, counts)
+    if first is not None:
+        return None
+    owner = np.repeat(np.arange(len(datas)), counts)
+    return table, counts, np.bincount(owner[clipped], minlength=len(datas))
 
 
 def _read_label_files(directory: Path, labels: LabelFiles, dims: Sequence[ImageDims],
@@ -829,33 +827,25 @@ def _read_label_files(directory: Path, labels: LabelFiles, dims: Sequence[ImageD
     number of rows.
 
     A file costs its open (by name, in the directory opened once), read
-    and close; its path is built only to name it in an error or if it
-    leaves the batch, :func:`_canonical_boxes`, which converts a one-layout
-    batch's files that break no box rule. The others' lines are parsed as by
-    :func:`parse_gt_file`, and their boxes checked at once. So the first
-    file that fails to read, decode or parse raises, and clipped boxes warn
-    in file order, as a file-by-file read does. Then one pass digests them.
+    and close. The column reader, :func:`_canonical_boxes`, takes the
+    directory whole or not at all; if not, every file's lines are parsed
+    as by :func:`parse_gt_file`, and their boxes checked at once, with
+    each path built to name a file in an error. So the first file that
+    fails to read, decode or parse raises, and clipped boxes warn in file
+    order, as a file-by-file read does. Then one pass digests them.
     """
     handle = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
     try:
         datas = _read_bytes(labels.names, labels.head, dir_fd=handle)
     finally:
         os.close(handle)
-    table, counts, clipped, accepted = _canonical_boxes(datas, dims, with_confidence)
-    others = np.flatnonzero(~accepted).tolist()
-    parsed, parsed_counts, parsed_clipped, error = _parse_texts(
-        [datas[i] for i in others], [dims[i] for i in others], with_confidence,
-        [labels.head + labels.names[i] for i in others])
-    clipped[others] += parsed_clipped
-    for i in np.flatnonzero(clipped[:others[error[0]] if error else None]).tolist():
+    batch = _canonical_boxes(datas, dims, with_confidence)
+    table, counts, clipped, error = (*batch, None) if batch else _parse_texts(
+        datas, dims, with_confidence, [labels.head + name for name in labels.names])
+    for i in np.flatnonzero(clipped[:error[0] if error else None]).tolist():
         _warn_clipped(int(clipped[i]), stacklevel=1)
     if error is not None:
         raise error[1]
-    if others:  # each file's rows where its place in file order puts them
-        owners = np.concatenate([np.repeat(np.arange(len(datas)), counts),
-                                 np.repeat(others, parsed_counts)])
-        table = np.concatenate([table, parsed])[np.argsort(owners, kind="stable")]
-        counts[others] = parsed_counts
     if labels.digests is not None:  # the digests, in one pass, into their slots
         hexes = list(map(methodcaller("hexdigest"), map(hashlib.sha256, datas)))
         if labels.slots is None:
@@ -863,7 +853,7 @@ def _read_label_files(directory: Path, labels: LabelFiles, dims: Sequence[ImageD
         else:
             for slot, hexdigest in zip(labels.slots, hexes):
                 labels.digests[slot] = hexdigest
-    return table, counts
+    return table, np.asarray(counts, dtype=np.intp)
 
 
 def load_ground_truth(path: Path | str, dims: ImageDims | None = None,

@@ -25,6 +25,7 @@ of a unique int key ending in the element's position: ties fall as in a stable s
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -251,11 +252,12 @@ class PRCurve:
     total_gt: int
 
     def __post_init__(self):
-        confs = [p[0] for p in self.points]
-        recalls = [p[2] for p in self.points]
-        if confs != sorted(confs, reverse=True):
+        values = np.fromiter(chain.from_iterable(self.points), float, 3 * len(self.points))
+        if not ((values >= 0.0) & (values <= 1.0)).all():  # NaN is neither
+            raise SchemaError("curve confidence, precision and recall must lie in [0, 1]")
+        if (np.diff(values[0::3]) > 0.0).any():  # each point's confidence
             raise SchemaError("curve points must be sorted by descending confidence")
-        if recalls != sorted(recalls):
+        if (np.diff(values[2::3]) < 0.0).any():  # and its recall
             raise SchemaError("recall must be non-decreasing as confidence drops")
 
 
@@ -296,12 +298,15 @@ def pr_curve(scenes: Sequence[ScenePair], class_id: int,
     return _curve(pool, *_sweep(pool))
 
 
+def _check_interpolation(interpolation: str) -> None:
+    if interpolation not in ("101", "all"):
+        raise SchemaError(f"unknown interpolation {interpolation!r}")
+
+
 def _integrate(recall: np.ndarray, precision: np.ndarray,
                interpolation: str) -> float:
     # Points run from high confidence to low, which is ascending recall.
     # The suffix maximum makes the envelope non-increasing in recall.
-    if interpolation not in ("101", "all"):
-        raise SchemaError(f"unknown interpolation {interpolation!r}")
     if not len(recall):
         return 0.0
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
@@ -322,6 +327,7 @@ def average_precision(curve: PRCurve, interpolation: str = "101") -> float:
     sampled at recalls 0.00, 0.01, ..., 1.00); ``"all"`` integrates the
     envelope step function exactly.
     """
+    _check_interpolation(interpolation)
     return _integrate(np.array([p[2] for p in curve.points]),
                       np.array([p[1] for p in curve.points]), interpolation)
 
@@ -336,6 +342,7 @@ def _ap_pair(precision: np.ndarray, recall: np.ndarray,
 def ap_sweep(scenes: Sequence[ScenePair], class_id: int,
              interpolation: str = "101") -> tuple[float, float]:
     """AP at IoU 0.50 and the mean over thresholds 0.50:0.05:0.95."""
+    _check_interpolation(interpolation)
     pool = _pool(box_tables(scenes), AP_IOU_THRESHOLDS, (class_id,))[class_id]
     return _ap_pair(*_sweep(pool)[1:], interpolation)
 
@@ -399,6 +406,7 @@ def evaluate_detections(records, op: OperatingPoint = OperatingPoint(),
     ``records`` is a Dataset or any sequence of ImageRecord; pooling is in
     id order, so record order never changes the result.
     """
+    _check_interpolation(interpolation)
     thresholds = tuple(dict.fromkeys((op.iou_threshold, *AP_IOU_THRESHOLDS)))  # distinct, op first
     rows = [thresholds.index(t) for t in AP_IOU_THRESHOLDS]
     pools = _pool(as_dataset(records).tables, thresholds, (FUNGAL, ARTEFACT))

@@ -121,6 +121,10 @@ class TestRecords:
         with pytest.raises(OutOfFrameError):
             ImageRecord("a", ImageDims(100, 100), [Box(0, 0, 150, 50, FUNGAL)])
 
+    def test_empty_image_id_rejected(self):
+        with pytest.raises(SchemaError, match="^image_id must be non-empty$"):
+            ImageRecord("", DIMS)
+
     def test_composition_stratum(self):
         rec = ImageRecord("a", DIMS, [Box(0, 0, 1, 1, FUNGAL),
                                       Box(5, 5, 6, 6, ARTEFACT)])
@@ -249,6 +253,19 @@ class TestCoco:
         doc = self.document()
         doc["images"][0]["width"] = 2048.0
         with pytest.raises(SchemaError):
+            parse_coco_json(doc)
+
+    @pytest.mark.parametrize("path, value, message", [
+        ("images.0.file_name", "", "image 7: empty file_name"),
+        ("annotations.0.bbox", [100.0, 200.0, 10**399, 80.0],
+         "bbox holds a number too large, got [100.0, 200.0, 10000000..., 80.0]"),
+        ("annotations.0.bbox", [100.0, 200.0, 0.0, 80.0],
+         "bbox has non-positive size: [100.0, 200.0, 0.0, 80.0]"),
+    ], ids=["empty-file-name", "bbox-400-digits", "zero-width-bbox"])
+    def test_refused_image_or_bbox_names_its_fault(self, mutate, path, value, message):
+        doc = self.document()
+        mutate(doc, path, value)
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
             parse_coco_json(doc)
 
     def test_dims_past_float_range(self):

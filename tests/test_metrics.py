@@ -202,6 +202,18 @@ class TestPRCurve:
             PRCurve(points=((0.5, 1.0, 0.5), (0.9, 1.0, 1.0)), total_gt=2)
         with pytest.raises(SchemaError):
             PRCurve(points=((0.9, 1.0, 0.8), (0.5, 1.0, 0.4)), total_gt=2)
+        # A value that is not a number in [0, 1], in any of the three places.
+        nan, inf = float("nan"), float("inf")
+        for point in [(nan, 1.0, 0.5), (0.9, nan, 0.5), (0.9, 1.0, nan),
+                      (0.9, 2.0, 0.5), (1.5, 1.0, 0.5), (-0.1, 1.0, 0.5),
+                      (0.9, 1.0, -0.5), (0.9, 1.0, 1.5), (inf, 1.0, 0.5),
+                      (0.9, -inf, 0.5)]:
+            with pytest.raises(SchemaError, match=r"in \[0, 1\]"):
+                PRCurve(points=((0.9, 1.0, 0.25), point), total_gt=2)
+        # A NaN confidence between ordered ones is refused too.
+        with pytest.raises(SchemaError):
+            PRCurve(points=((0.9, 1.0, 0.25), (nan, 1.0, 0.5), (0.95, 1.0, 0.75)),
+                    total_gt=4)
 
 
 class TestAveragePrecision:
@@ -238,6 +250,14 @@ class TestAveragePrecision:
     def test_unknown_interpolation(self):
         with pytest.raises(SchemaError):
             average_precision(PRCurve(points=(), total_gt=1), "11")
+        with pytest.raises(SchemaError, match="unknown interpolation '11'"):
+            ap_sweep([([gt(0, 0, 10, 10)], [])], FUNGAL, "11")
+        # Refused whether or not any class has ground truth to integrate.
+        for records in ([], [ImageRecord("a", DIMS)],
+                        [ImageRecord("a", DIMS, [], [pred(0, 0, 10, 10, 0.9)])],
+                        [ImageRecord("a", DIMS, [gt(0, 0, 10, 10)])]):
+            with pytest.raises(SchemaError, match="unknown interpolation '11'"):
+                evaluate_detections(records, interpolation="11")
 
 
 class TestSweep:

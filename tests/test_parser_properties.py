@@ -550,31 +550,43 @@ def test_fixed_layout_rows_near_the_line_pattern_read_as_float_or_refuse(case):
             [[float(token) for token in line.split()] for line in lines]).tobytes()
 
 
+def _taken_whole(datas, with_confidence):
+    """Whether the column reader takes the layout of ``datas``: every file
+    was read and ends in "\\n" (or is empty), and their lines share one layout."""
+    return all(isinstance(data, bytes) and (not data or data.endswith(b"\n"))
+               for data in datas) and _one_layout(
+        [line + b"\n" for data in datas for line in data.split(b"\n")[:-1]],
+        6 if with_confidence else 5)
+
+
 def _batch_file_by_file(datas, frames, with_confidence):
-    """The batch's table, each file's number of rows and of clipped boxes,
-    and whether the batch reads it, by a plain loop: the batch reads every
-    file or none, every file if all were read and end in "\\n" (or are
-    empty), and their lines share one layout; then each file is converted
-    and checked on its own. The reference for _canonical_boxes."""
-    whole = all(isinstance(data, bytes) and (not data or data.endswith(b"\n"))
-                for data in datas)
-    whole = whole and _one_layout([line + b"\n" for data in datas
-                                   for line in data.split(b"\n")[:-1]],
-                                  6 if with_confidence else 5)
-    tables, counts, clipped, accepted = [], [], [], []
+    """The batch's table bytes and each file's number of rows and of
+    clipped boxes, by a plain loop, or None: the batch takes every file or
+    none, every file if :func:`_taken_whole` holds and no box breaks a
+    rule, each file converted and checked on its own. The reference for
+    _canonical_boxes."""
+    if not _taken_whole(datas, with_confidence):
+        return None
+    tables, counts, clipped = [], [], []
     for data, dims in zip(datas, frames):
-        ok = whole
-        if ok:
-            rows = np.array([[float(token) for token in row.split()]
-                             for row in data.splitlines()], dtype=float)
-            table, clips, rejected, _ = frame_rows(
-                rows.reshape(-1, 6 if with_confidence else 5), [dims], [len(rows)])
-            ok = not rejected.any()
-        tables += [table] if ok else []
-        counts.append(len(table) if ok else 0)
-        clipped.append(int(clips.sum()) if ok else 0)
-        accepted.append(ok)
-    return tables, counts, clipped, accepted
+        rows = np.array([[float(token) for token in row.split()]
+                         for row in data.splitlines()], dtype=float)
+        table, clips, rejected, _ = frame_rows(
+            rows.reshape(-1, 6 if with_confidence else 5), [dims], [len(rows)])
+        if rejected.any():
+            return None
+        tables.append(table.tobytes())
+        counts.append(len(table))
+        clipped.append(int(clips.sum()))
+    return b"".join(tables), counts, clipped
+
+
+def _compared(batch):
+    """What _canonical_boxes returns, as _batch_file_by_file gives it."""
+    if batch is None:
+        return None
+    table, counts, clipped = batch
+    return table.tobytes(), counts.tolist(), clipped.tolist()
 
 
 # A file of a label batch: canonical, in CRLF, tab-separated, without its
@@ -592,7 +604,7 @@ batch_file = (canonical_file()
 
 
 # The last line of a file of one_layout_files: none, a box to clip, or a box
-# of zero area, which leaves the batch.
+# of zero area, for which the column reader refuses the whole batch.
 EDGE_LINES = [b"", b"1 0.990000 0.500000 0.100000 0.100000",
               b"0 0.500000 0.500000 0.000000 0.100000"]
 
@@ -620,13 +632,28 @@ def one_layout_files(draw, with_confidence):
        st.lists(st.sampled_from([DIMS, ImageDims(7, 3000)]), min_size=8, max_size=8))
 @example(([b"0 0.5 0.5 0.1", b"", b" 0.1\n"], False), [DIMS] * 8)  # joined: one valid line
 @example(([], True), [DIMS] * 8)
-def test_batch_bookkeeping_agrees_with_a_file_by_file_loop(case, frames):
+# Boxes to clip, in files before and after one with a box of zero area.
+@example(([b"1 0.990000 0.500000 0.100000 0.100000\n", b"0 0.500000 0.500000 0.100000 "
+           b"0.100000\n1\t0.990000\t0.500000\t0.100000\t0.100000\n",
+           b"0 0.500000 0.500000 0.000000 0.100000\n",
+           b"1 0.990000 0.500000 0.100000 0.100000\n"], False), [DIMS] * 8)
+def test_batch_bookkeeping_agrees_with_a_file_by_file_loop(tmp_path_factory, case, frames):
     datas, with_confidence = case
     frames = frames[:len(datas)]
-    table, counts, clipped, accepted = _canonical_boxes(datas, frames, with_confidence)
-    tables, *expected = _batch_file_by_file(datas, frames, with_confidence)
-    assert [counts.tolist(), clipped.tolist(), accepted.tolist()] == expected
-    assert table.tobytes() == b"".join(t.tobytes() for t in tables)
+    assert _compared(_canonical_boxes(datas, frames, with_confidence)) \
+        == _batch_file_by_file(datas, frames, with_confidence)
+    # Read as a directory (ground truth in one frame), files the column
+    # reader takes but for a box that breaks a rule are parsed line by line:
+    # the directory raises what the per-file parser raises on the first
+    # failing file, after the same warnings.
+    dims = frames if with_confidence else [DIMS] * len(datas)
+    if (datas and _taken_whole(datas, with_confidence)
+            and _batch_file_by_file(datas, dims, with_confidence) is None):
+        parse = parse_pred_file if with_confidence else parse_gt_file
+        tree, files = _write_directory(tmp_path_factory.mktemp("rejected") / "labels", datas)
+        outcome = _read_outcome(lambda: _read_directory(tree, files, dims, parse))
+        assert isinstance(outcome[0], tuple)  # (the error's type, its message)
+        assert outcome == _read_outcome(lambda: _file_by_file(files, dims, parse))
 
 
 def _layout_line(rng, layout, blanks, end, in_range):
@@ -725,10 +752,8 @@ def test_fixed_layout_rows_equal_loadtxt_bit_for_bit(drawn, cuts):
     # The same lines, as files, through the whole batch.
     datas = _files(lines, cuts)
     frames = [DIMS] * len(datas)
-    table, *bookkeeping = _canonical_boxes(datas, frames, with_confidence)
-    tables, *expected = _batch_file_by_file(datas, frames, with_confidence)
-    assert [b.tolist() for b in bookkeeping] == expected
-    assert table.tobytes() == b"".join(t.tobytes() for t in tables)
+    assert _compared(_canonical_boxes(datas, frames, with_confidence)) \
+        == _batch_file_by_file(datas, frames, with_confidence)
 
 
 @settings(PROPERTY, max_examples=150)

@@ -566,8 +566,8 @@ class TestCli:
 
         def counting_batch(datas, dims, with_confidence):
             batch = original_batch(datas, dims, with_confidence)
-            accepted = batch[-1]  # which files the batch read
-            parsed["pred batch" if with_confidence else "gt batch"] += int(accepted.sum())
+            if batch is not None:  # the batch read every file
+                parsed["pred batch" if with_confidence else "gt batch"] += len(datas)
             return batch
         monkeypatch.setattr(koheval.dataset, "_canonical_boxes", counting_batch)
         capsys.readouterr()
@@ -925,6 +925,17 @@ class TestCli:
         assert sorted(os.listdir()) == ["c", target]  # no temporary file left
         assert os.listdir(target) == []
 
+    def test_a_report_written_onto_a_directory_exits_2(self, tmp_path, monkeypatch,
+                                                       capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["synth", "--images", "3", "--out", "c"]) == 0
+        os.mkdir("target")
+        capsys.readouterr()
+        assert main(["evaluate", "c", "--out", "target"]) == 2
+        assert capsys.readouterr().err == "error: target: Is a directory\n"
+        assert sorted(os.listdir()) == ["c", "target"]  # no temporary file left
+        assert os.listdir("target") == []
+
     @pytest.mark.parametrize("path, value", [
         ("images.0.width", True),
         ("images.0.height", False),
@@ -1180,6 +1191,7 @@ _REFUSED = [
     (["synth", "--plant-matrix", "0,0,0,0"],
      "matrix cells must be non-negative and not all zero"),
     (["split", "EMPTY"], "cannot split an empty dataset"),
+    (["split", "LABELS", "--dims", "64x64"], "no .txt annotation files under LABELS"),
 ]
 
 
@@ -1191,8 +1203,10 @@ def test_refused_split_and_synth_requests_exit_2(tmp_path, monkeypatch, capsys,
     main(["synth", "--images", "4", "--out", str(cohort)])
     empty = tmp_path / "empty.json"  # a COCO document with no images
     empty.write_text('{"images": [], "annotations": [], "categories": []}')
+    (tmp_path / "LABELS").mkdir()  # a label directory with no label file
     capsys.readouterr()
     monkeypatch.setenv("KOHEVAL_OUTPUT_DIR", str(outs))
+    monkeypatch.chdir(tmp_path)
     paths = {"COHORT": str(cohort), "EMPTY": str(empty)}
     assert main([paths.get(arg, arg) for arg in argv]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -120,6 +120,10 @@ class TestSpecValidation:
         with pytest.raises(SchemaError):
             SynthSpec(iou_mean=1.2)
 
+    def test_iou_spread_non_negative(self):
+        with pytest.raises(SchemaError, match="iou_spread must be non-negative"):
+            SynthSpec(iou_spread=-0.1)
+
     def test_ranges_ordered(self):
         with pytest.raises(SchemaError):
             SynthSpec(fungal_per_image=(3, 1))
@@ -389,6 +393,11 @@ class TestPlantedCohorts:
         for rec in dataset:
             assert iou(rec.ground_truth[0], rec.predictions[0]) == 0.7
 
+    @pytest.mark.parametrize("n_images", [0, 21])
+    def test_uniform_iou_cohort_size_bounded(self, n_images):
+        with pytest.raises(SchemaError, match=r"n_images must lie in \[1, 20\]"):
+            plant_uniform_iou_cohort(n_images)
+
 
 class TestTruth:
     def test_json_round_trip(self):
@@ -589,6 +598,12 @@ class TestReferenceAp:
         assert reference_ap(perfect) == 1.0
         half = PRCurve(points=((0.9, 1.0, 0.5),), total_gt=2)
         assert reference_ap(half) == 51 / 101
+
+    def test_unknown_interpolation(self):
+        from koheval.metrics import PRCurve
+        curve = PRCurve(points=((0.9, 1.0, 0.5),), total_gt=2)
+        with pytest.raises(SchemaError, match="unknown interpolation '11'"):
+            reference_ap(curve, "11")
 
     def test_equivalence_on_random_curves(self):
         rng = np.random.default_rng(np.random.SeedSequence((78, 0)))
