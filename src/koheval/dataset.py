@@ -16,8 +16,8 @@ columns), as every file ``koheval synth`` writes does, the batch is
 converted by byte arithmetic, column by column, and its boxes clipped to
 the frame together. The column reader takes a directory whole or not at
 all: any other batch, or one with a box that breaks a rule, is parsed line
-by line. A file costs its open, read and close; all else, digests too, is
-per directory.
+by line. A file costs its open, read and close; all else is per directory,
+and only :meth:`InputTree.sha256` takes digests, of the bytes read.
 A :class:`Dataset` holds each image's id and frame and the tables, in
 id order, and the matcher, screening and the split read the tables;
 ``Dataset.records``, the per-image :class:`ImageRecord` view, is built on
@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
-from operator import attrgetter, methodcaller
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -225,10 +225,11 @@ def as_dataset(records: Dataset | Iterable[ImageRecord]) -> Dataset:
 # Line-oriented normalized format
 
 
-def _warn_clipped(clipped: int, stacklevel: int) -> None:
-    # The one warning for a label file's or COCO document's clipped boxes.
+def _warn_clipped(clipped: int, stacklevel: int, where: str = "") -> None:
+    # The one warning for a label file's or COCO document's clipped boxes,
+    # after ``where``, the file's path and ": " when a directory was read.
     if clipped:
-        warnings.warn(f"{clipped} box(es) clipped to the frame",
+        warnings.warn(f"{where}{clipped} box(es) clipped to the frame",
                       stacklevel=stacklevel + 1)
 
 
@@ -354,6 +355,8 @@ def parse_coco_json(document: str | bytes | dict) -> Dataset:
                          for side in ("width", "height"))
         if not stem:
             raise SchemaError(f"image {shown}: empty file_name")
+        if _CONTROL.search(stem):
+            raise SchemaError(f"image {shown}: file_name holds a control character")
         if img_id in frames:
             raise SchemaError(f"duplicate image id {shown}")
         frames[img_id] = (stem, ImageDims(width, height))
@@ -473,7 +476,7 @@ def read_text(path: Path | str, tree: InputTree | None = None) -> str:
     """A file's contents decoded as UTF-8; bytes that do not decode raise
     SchemaError naming the file. Line endings are kept: every reader here
     splits lines or parses JSON, and both accept CRLF. ``tree``, when given,
-    keeps the digest of the bytes read, as :meth:`InputTree.keep` does."""
+    keeps the bytes read, as :meth:`InputTree.keep` does."""
     data = _read_bytes([str(path)])[0]
     text = _decode(data, path, SchemaError)
     if tree is not None:
@@ -607,25 +610,27 @@ def sha256_file(path: Path | str) -> str:
 
 
 def shown_path(path: Path | str) -> str:
-    """``path`` as text that strict UTF-8 output can print: bytes of its
-    name that are not UTF-8 become ``\\xNN`` escapes, and a UTF-8 name is
-    itself."""
-    return os.fsencode(path).decode("utf-8", "backslashreplace")
+    """``path`` as one line of text that strict UTF-8 output can print:
+    bytes of its name that are not UTF-8, C0 control characters and DEL
+    become ``\\xNN`` escapes, and any other UTF-8 name is itself."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace").translate(_ESCAPED)
 
 
-_NOT_UTF8 = re.compile("[\ud800-\udfff]")  # lone surrogates: all str.encode() refuses
+_ESCAPED = {code: f"\\x{code:02x}" for code in (*range(32), 127)}
+_CONTROL = re.compile("[\x01-\x1f\x7f]")  # C0 controls ("\0" ends a name) and DEL
+_NOT_SHOWN = re.compile("[\x01-\x1f\x7f\ud800-\udfff]")  # and lone surrogates, unencodable
 
 
 class LabelFiles(NamedTuple):
     """A directory's label files in id order: their ids and names, its path
-    and separator (``head``, to name a file in an error), and their digests'
-    slots: ``digests`` (None if not hashed) at ``slots`` (None: in order)."""
+    and separator (``head``, to name a file in an error), and the tree's
+    list of its files' bytes, ``datas``, the i-th label's at ``slots[i]``."""
 
     ids: list[str]
     names: list[str]
     head: str
-    digests: list | None
-    slots: list[int] | None
+    datas: list
+    slots: Sequence[int]
 
 
 class InputTree:
@@ -634,14 +639,14 @@ class InputTree:
     name order (``gt/`` before ``gt.x/``; of files alone, only their names
     are sorted), dotfiles included, symlinked directories not entered; a
     path that is no directory is a tree of its one file. The walk keeps each
-    directory's path once, its files' names and their digests beside them
-    (None: not read yet), and the runs of its files between its
-    subdirectories by position. Readers of a ``hashed`` tree fill the slots
-    of the files they read, so :meth:`sha256` reads only the rest."""
+    directory's path once, its files' names, their bytes beside them once
+    read (None: not read), and the runs of its files between its
+    subdirectories by position. Readers store the bytes they read; only
+    :meth:`sha256` hashes, and it reads only the files no reader read."""
 
-    def __init__(self, path: Path | str, hashed: bool = True):
-        self.path, self.hashed = Path(path), hashed
-        # _dirs: directory parts -> (path and separator, file names, digests),
+    def __init__(self, path: Path | str):
+        self.path = Path(path)
+        # _dirs: directory parts -> (path and separator, file names, bytes read),
         # where a file's tree holds its file as "" in (); _runs: (parts, start,
         # stop) in walk order; _odd: parts -> .txt entries that are no file.
         self._dirs, self._runs, self._odd = {(): ("", [""], [None])}, [], {}
@@ -673,38 +678,41 @@ class InputTree:
         self._runs.append((prefix, start, len(files)))
 
     def keep(self, path: Path, data: bytes) -> None:
-        """Keep the digest of ``data``, read from the file at ``path``, if
-        the tree is hashed and its walk found that file."""
-        if not (self.hashed and path.is_relative_to(self.path)):
+        """Keep ``data``, read from the file at ``path``, for :meth:`sha256`
+        to hash, if the walk found that file."""
+        if not path.is_relative_to(self.path):
             return
         *parts, name = path.relative_to(self.path).parts or [""]  # "": a file's tree
-        _, names, digests = self._dirs.get(tuple(parts), ("", [], []))
+        _, names, datas = self._dirs.get(tuple(parts), ("", [], []))
         if name in names:  # dims.json beside gt/ and pred/, say, or a COCO file
-            digests[names.index(name)] = hashlib.sha256(data).hexdigest()
+            datas[names.index(name)] = data
 
     def label_files(self, directory: Path) -> LabelFiles:
         """The ``.txt`` files directly in ``directory`` (each name's
         ``Path.stem`` is its image id). A ``.txt`` entry whose name is not
-        UTF-8 (an id that output encoding strictly cannot print), or that is
-        not a regular file or a link to one, raises SchemaError, as do two
-        names of one id (``.txt`` and ``.txt.txt``). A listing of ``.txt``
-        files alone is checked as a whole, and id by id, in id order, only to
-        name the first offender, if a name is ``.txt``, or if ids sort apart
-        from names (``a-b.txt`` before ``a.txt``, but ``a`` before ``a-b``)."""
+        UTF-8 or holds a control character (an id no line of strict UTF-8
+        output can print), or that is not a regular file or a link to one,
+        raises SchemaError, as do two names of one id (``.txt`` and
+        ``.txt.txt``). A listing of ``.txt`` files alone is checked as a whole,
+        and id by id, in id order, only to name the first offender, if a name
+        is ``.txt``, or if ids sort apart from names (``a-b.txt`` before
+        ``a.txt``, but ``a`` before ``a-b``)."""
         if directory != self.path and directory.is_symlink():  # not walked, still read
-            return InputTree(directory, hashed=False).label_files(directory)
+            return InputTree(directory).label_files(directory)
         parts = directory.relative_to(self.path).parts
-        head, names, digests = self._dirs.get(parts, ("", [], []))
+        head, names, datas = self._dirs.get(parts, ("", [], []))
         joined = "\0".join([*names, ""])  # no name holds "\0": ".txt\0" ends a label
-        odd, slots = self._odd.get(parts, []), None
+        odd, slots = self._odd.get(parts, []), range(len(names))
         ids = joined.replace(".txt\0", "\0").split("\0")[:-1]
         if (odd or joined.count(".txt\0") != len(names) or ".txt" in names
-                or _NOT_UTF8.search(joined) or ids != sorted(ids)):
+                or _NOT_SHOWN.search(joined) or ids != sorted(ids)):
             labels = sorted((name[:-4] or name, name, slot) for slot, name in [
                 *enumerate(names), *zip(repeat(None), odd)] if name.endswith(".txt"))
             for k, (image_id, name, slot) in enumerate(labels):
-                if _NOT_UTF8.search(image_id):
-                    raise SchemaError(f"{shown_path(head + name)}: file name is not UTF-8")
+                if bad := _NOT_SHOWN.search(image_id):
+                    raise SchemaError(f"{shown_path(head + name)}: file name " + (
+                        "holds a control character" if _CONTROL.match(bad[0])
+                        else "is not UTF-8"))
                 if slot is None:  # a FIFO, say: never opened, as it would block
                     raise SchemaError(f"{shown_path(head + name)}: not a regular file")
                 if k and labels[k - 1][0] == image_id:
@@ -712,23 +720,24 @@ class InputTree:
                                       f"{shown_path(head + name)}: duplicate image_id "
                                       f"{image_id!r}")
             ids, names, slots = ([label[k] for label in labels] for k in range(3))
-        return LabelFiles(ids, names, head, digests if self.hashed else None, slots)
+        return LabelFiles(ids, names, head, datas, slots)
 
     def sha256(self) -> str:
         """Digest of the file, or of the directory as the digest of its sorted
         (relative name, file digest) pairs, names as file-system bytes."""
+        def hexdigest(path: str, data: bytes | None) -> str:  # kept bytes, or read now
+            return sha256_file(path) if data is None else hashlib.sha256(data).hexdigest()
         if self._file is not None:  # the tree of one file
-            return self._dirs[()][2][0] or sha256_file(self._file)
+            return hexdigest(self._file, self._dirs[()][2][0])
         digest = hashlib.sha256()
         for parts, start, stop in self._runs:
-            head, names, digests = self._dirs[parts]
+            head, names, datas = self._dirs[parts]
             prefix = "".join(f"{part}/" for part in parts)
             # A piece at a time, so that no string holds a large run's whole listing.
             for at in range(start, stop, 1024):
                 end = min(at + 1024, stop)
-                piece, hexes = names[at:end], digests[at:end]
-                if None in hexes:
-                    hexes = [h or sha256_file(head + n) for h, n in zip(hexes, piece)]
+                piece = names[at:end]
+                hexes = map(hexdigest, map(head.__add__, piece), datas[at:end])
                 pairs = map("\0".join, zip(piece, hexes))
                 digest.update(os.fsencode(  # "<prefix><name>\0<digest>\0" per file
                     prefix + ("\0" + prefix).join(pairs) + "\0"))
@@ -832,7 +841,7 @@ def _read_label_files(directory: Path, labels: LabelFiles, dims: Sequence[ImageD
     as by :func:`parse_gt_file`, and their boxes checked at once, with
     each path built to name a file in an error. So the first file that
     fails to read, decode or parse raises, and clipped boxes warn in file
-    order, as a file-by-file read does. Then one pass digests them.
+    order, each naming its file. Their bytes go into ``labels.datas``.
     """
     handle = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
     try:
@@ -843,16 +852,11 @@ def _read_label_files(directory: Path, labels: LabelFiles, dims: Sequence[ImageD
     table, counts, clipped, error = (*batch, None) if batch else _parse_texts(
         datas, dims, with_confidence, [labels.head + name for name in labels.names])
     for i in np.flatnonzero(clipped[:error[0] if error else None]).tolist():
-        _warn_clipped(int(clipped[i]), stacklevel=1)
+        _warn_clipped(int(clipped[i]), 1, f"{shown_path(labels.head + labels.names[i])}: ")
     if error is not None:
         raise error[1]
-    if labels.digests is not None:  # the digests, in one pass, into their slots
-        hexes = list(map(methodcaller("hexdigest"), map(hashlib.sha256, datas)))
-        if labels.slots is None:
-            labels.digests[:] = hexes
-        else:
-            for slot, hexdigest in zip(labels.slots, hexes):
-                labels.digests[slot] = hexdigest
+    for slot, data in zip(labels.slots, datas):
+        labels.datas[slot] = data
     return table, np.asarray(counts, dtype=np.intp)
 
 
@@ -863,10 +867,10 @@ def load_ground_truth(path: Path | str, dims: ImageDims | None = None,
 
     Line-format directories need ``dims`` because the format stores only
     normalized fractions. Files are read through ``tree``, a walk holding
-    ``path`` (by default, an unhashed walk of ``path``: no file is digested).
+    ``path`` (by default, a new one), which keeps their bytes and hashes none.
     """
     path = Path(path)
-    tree = tree or InputTree(path, hashed=False)
+    tree = tree or InputTree(path)
     if path.is_file():
         return parse_coco_json(read_text(path, tree))
     if path.is_dir():
@@ -898,7 +902,7 @@ def attach_predictions(dataset: Dataset, pred_dir: Path | str,
         raise SchemaError(f"prediction path {shown_path(pred_dir)} is not a directory"
                           if pred_dir.exists() else
                           f"prediction directory {shown_path(pred_dir)} does not exist")
-    tree = tree or InputTree(pred_dir, hashed=False)
+    tree = tree or InputTree(pred_dir)
     labels = tree.label_files(pred_dir)
     ids, frames = dataset.ids(), dataset.dims
     paired = slice(None)  # a prediction file for each image, the common case
@@ -938,9 +942,9 @@ def read_cohort_dims(path: Path | str, tree: InputTree | None = None) -> ImageDi
 def read_cohort(path: Path | str, tree: InputTree | None = None) -> Dataset:
     """Read a cohort directory written by ``synth.write_cohort``: dims.json,
     gt/ and pred/; a cohort without pred/ has no detections. Files are
-    read through ``tree``, a walk of the cohort (by default, unhashed)."""
+    read through ``tree``, a walk of the cohort (by default, a new one)."""
     root = Path(path)
-    tree = tree or InputTree(root, hashed=False)
+    tree = tree or InputTree(root)
     dataset = load_ground_truth(root / "gt", read_cohort_dims(root, tree), tree)
     if (root / "pred").is_dir():
         dataset = attach_predictions(dataset, root / "pred", tree)

@@ -371,8 +371,8 @@ FRAMES = st.lists(st.sampled_from([DIMS, ImageDims(7, 3000)]), min_size=6, max_s
 
 
 def _file_by_file(files, frames, parse):
-    """Each file read, decoded and parsed on its own, in order: the
-    reference for the directory reader."""
+    """Each file read, decoded and parsed on its own, in order, its errors
+    and warnings after its path: the reference for the directory reader."""
     boxes = []
     for file, dims in zip(files, frames):
         data = file.read_bytes()
@@ -382,9 +382,13 @@ def _file_by_file(files, frames, parse):
             raise ParseError(f"{file}: not UTF-8 text ({exc.reason} at byte "
                              f"{exc.start})") from None
         try:
-            boxes.append(parse(text, dims))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                boxes.append(parse(text, dims))
         except ParseError as exc:
             raise type(exc)(f"{file}: {exc}") from None
+        for warning in caught:  # the directory reader names the file of each
+            warnings.warn(f"{file}: {warning.message}", warning.category)
     return boxes
 
 

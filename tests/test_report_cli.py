@@ -219,11 +219,12 @@ class TestDigests:
         cohort = tmp_path / "cohort"
         main(["synth", "--images", "6", "--seed", "1", "--out", str(cohort)])
         (cohort / "gt" / "notes.md").write_text("n")
+        # A tree no reader read through hashes every file from disk; one
+        # read in part hashes the rest from disk.
         for path in (cohort, cohort / "gt", cohort / "dims.json"):
-            assert InputTree(path, hashed=False).sha256() \
-                == InputTree(path).sha256() == _rglob_sha256_path(path)
-        for path, tree in ((cohort, InputTree(cohort, hashed=False)),
-                           (cohort / "gt", InputTree(cohort / "gt", hashed=False))):
+            assert InputTree(path).sha256() == _rglob_sha256_path(path)
+        for path, tree in ((cohort, InputTree(cohort)),
+                           (cohort / "gt", InputTree(cohort / "gt"))):
             load_ground_truth(cohort / "gt", ImageDims(2048, 2048), tree)
             assert tree.sha256() == _rglob_sha256_path(path)
 
@@ -734,6 +735,33 @@ class TestCli:
         load_ground_truth(coco)
         assert made == [] and from_disk == []
 
+    def test_reading_hashes_nothing_and_sha256_hashes_what_was_read(
+            self, tmp_path, monkeypatch):
+        # Readers keep the bytes they read in the caller's tree and hash
+        # nothing; tree.sha256() hashes each file read once, the tree once,
+        # and reads from disk only the files no reader read.
+        cohort = tmp_path / "cohort"
+        main(["synth", "--images", "12", "--seed", "5", "--out", str(cohort)])
+        (cohort / "pred" / "notes.md").write_text("a note\n")
+        read = [cohort / "dims.json", *cohort.glob("gt/*.txt"), *cohort.glob("pred/*.txt")]
+        assert len(read) == 25
+        expected = _rglob_sha256_path(cohort)
+        made, from_disk = [], []
+        real_sha256, real_file = hashlib.sha256, koheval.dataset.sha256_file
+        monkeypatch.setattr(hashlib, "sha256",
+                            lambda *args: made.append(args) or real_sha256(*args))
+        monkeypatch.setattr(koheval.dataset, "sha256_file",
+                            lambda path: from_disk.append(Path(path)) or real_file(path))
+        tree = InputTree(cohort)
+        read_cohort(cohort, tree)
+        assert made == [] and from_disk == []
+        assert tree.sha256() == expected
+        assert sorted(from_disk) == [cohort / "pred" / "notes.md", cohort / "truth.json"]
+        # sha256_file makes one hash of its own per file.
+        assert len(made) == len(read) + 1 + len(from_disk)
+        assert sorted(args[0] for args in made if args) \
+            == sorted(path.read_bytes() for path in read)
+
     @pytest.mark.parametrize("command", ["evaluate", "screen"])
     @pytest.mark.parametrize("kind", ["gt", "pred"])
     @pytest.mark.parametrize("replacement, reason", [
@@ -824,6 +852,45 @@ class TestCli:
         assert result.returncode == 2
         assert result.stderr == \
             f"error: {cohort / folder}/\\xff.txt: file name is not UTF-8\n"
+
+    @pytest.mark.parametrize("folder", ["gt", "pred"])
+    @pytest.mark.parametrize("name, shown", [("odd\nname", "odd\\x0aname"),
+                                             ("odd\tname", "odd\\x09name"),
+                                             ("odd\x7fname", "odd\\x7fname")])
+    def test_label_file_name_with_a_control_character_exits_2_naming_it(
+            self, tmp_path, capsys, folder, name, shown):
+        # Such an id would split a line of output: an error's, or the list
+        # of ids on the --fail-on-fn gate's line.
+        cohort = tmp_path / "cohort"
+        main(["synth", "--images", "4", "--seed", "1", "--out", str(cohort)])
+        (cohort / folder / f"{name}.txt").write_bytes(b"")
+        capsys.readouterr()
+        for command in ["evaluate", "screen"] + (["split"] if folder == "gt" else []):
+            assert main([command, str(cohort), "--out", str(tmp_path / "out.json")]) == 2
+            assert capsys.readouterr().err == (f"error: {cohort / folder}/{shown}.txt: "
+                                               "file name holds a control character\n")
+        assert not (tmp_path / "out.json").exists()
+
+    def test_coco_file_name_with_a_control_character_exits_2(self, tmp_path, capsys):
+        coco, pred = tmp_path / "coco.json", tmp_path / "pred"
+        coco.write_text(json.dumps({
+            "images": [{"id": 1, "file_name": "odd\nname.png", "width": 64,
+                        "height": 64}], "annotations": [], "categories": []}))
+        pred.mkdir()
+        for argv in (["split", str(coco)], ["evaluate", str(coco), str(pred)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == \
+                "error: image 1: file_name holds a control character\n"
+
+    def test_a_missing_gt_path_with_a_control_character_is_shown_escaped(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("pred")
+        for argv in (["split", "no\nsuch", "--dims", "64x64"],
+                     ["evaluate", "no\nsuch", "pred", "--dims", "64x64"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == \
+                "error: ground-truth path no\\x0asuch does not exist\n"
 
     @pytest.mark.parametrize("command, folder", [("evaluate", "gt"), ("evaluate", "pred"),
                                                  ("split", "gt")])
